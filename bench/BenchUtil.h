@@ -33,8 +33,9 @@ using namespace mult;
 /// keep their argument-free table-regeneration interface:
 ///   MULT_TRACE=1       enable the event tracer for the timed region
 ///   MULT_METRICS=1     print the aggregated metrics report per run, plus
-///                      one machine-parseable ";; virtual-cycles: <tag> <n>"
-///                      line per run (the regression dashboard's input)
+///                      one machine-readable ";; run-json: {...}" record
+///                      per run (see writeRunJson; the regression
+///                      dashboard's input)
 ///   MULT_PROFILE=1     enable tracing and print the critical-path profile
 ///                      (work, span, parallelism, per-future-site) per run
 ///   MULT_TRACE_DIR=D   write D/<tag>.trace.json per traced run
@@ -43,16 +44,14 @@ using namespace mult;
 ///   MULT_FAULTS=SPEC   arm the deterministic fault injector for every
 ///                      run (picked up by the Engine itself; see
 ///                      fault/FaultPlan.h for the spec grammar). With
-///                      MULT_METRICS also set, one machine-parseable
-///                      ";; fault-metrics: <tag> <name> <n>" line is
-///                      printed per robustness counter per run.
+///                      MULT_METRICS also set, the run-json record
+///                      gains a "faults" section.
 ///   MULT_CHECKPOINT=N  arm the checkpointed-recovery policy (capture a
 ///                      whole task's resumable state every N busy
 ///                      cycles; picked up by the Engine itself). Changes
 ///                      virtual time, so like MULT_FAULTS it must stay
-///                      off for golden runs; with MULT_METRICS and
-///                      MULT_FAULTS set, checkpoint counters join the
-///                      ";; fault-metrics:" lines
+///                      off for golden runs; with MULT_METRICS set, the
+///                      run-json record gains a "checkpoint" section
 ///   MULT_ADAPTIVE_T=1  switch every run from the static inlining
 ///                      threshold to the per-processor adaptive
 ///                      controller (sched/Adaptive.h); the static T
@@ -67,9 +66,9 @@ using namespace mult;
 /// Always printed per run (no switch): one ";; host: <tag> ..." line of
 /// host wall-clock phase times and the derived ns-per-virtual-cycle.
 /// Host time is machine-dependent noise, so the golden comparator
-/// (tools/collect_metrics.py) must never track it. With MULT_METRICS,
-/// deterministic ";; histo: <tag> <name> ..." summary lines are printed
-/// for the virtual-time latency histograms and ARE golden-tracked.
+/// (tools/collect_metrics.py) must never track it. The virtual-time
+/// latency histograms in the run-json record, by contrast, ARE
+/// golden-tracked.
 inline bool traceRequested() { return std::getenv("MULT_TRACE") != nullptr; }
 inline bool metricsRequested() {
   return std::getenv("MULT_METRICS") != nullptr;
@@ -106,126 +105,15 @@ inline void reportRun(Engine &E, const std::string &Tag) {
     dumpMetrics(OS, buildMetrics(E.machine(), E.stats(), E.gcStats(),
                                  E.tracer(), E.raceDetector(),
                                  &E.telemetry(), E.config().CheckpointEvery));
+    // The stable parse target for tools/collect_metrics.py and
+    // tools/race_check.py: one JSON record per run, deterministic per
+    // commit, with a section per armed layer.
+    RunLayers L;
+    L.Faults = E.faults().armed();
+    L.Checkpoint = E.config().CheckpointEvery != 0;
+    L.Tenant = E.tenantArmed();
+    writeRunJson(OS, Tag, E.stats(), E.telemetry(), E.raceDetector(), L);
     OS.flush();
-    // The stable parse target for tools/collect_metrics.py: exact virtual
-    // cycle count of the preceding timed run (deterministic per commit).
-    std::printf(";; virtual-cycles: %s %llu\n", Tag.c_str(),
-                static_cast<unsigned long long>(E.stats().ElapsedCycles));
-    // Virtual-time latency histograms, same determinism contract as the
-    // cycle count above: the collector tracks these as <tag>@<name>.
-    const Telemetry &T = E.telemetry();
-    for (const char *Name :
-         {"gc_pause_cycles", "touch_wait_cycles", "task_lifetime_cycles"}) {
-      Telemetry::Id Id = T.find(Name);
-      if (Id == Telemetry::InvalidId)
-        continue;
-      LatencyHistogram H = T.merged(Id);
-      std::string N = Name;
-      N.resize(N.size() - 7); // strip "_cycles"
-      for (char &C : N)
-        if (C == '_')
-          C = '-';
-      std::printf(";; histo: %s %s n=%llu sum=%llu p50=%llu p90=%llu "
-                  "p99=%llu max=%llu\n",
-                  Tag.c_str(), N.c_str(),
-                  static_cast<unsigned long long>(H.count()),
-                  static_cast<unsigned long long>(H.sum()),
-                  static_cast<unsigned long long>(H.percentile(50)),
-                  static_cast<unsigned long long>(H.percentile(90)),
-                  static_cast<unsigned long long>(H.percentile(99)),
-                  static_cast<unsigned long long>(H.max()));
-    }
-    if (E.faults().armed()) {
-      std::printf(";; fault-metrics: %s faults-injected %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().FaultsInjected));
-      std::printf(";; fault-metrics: %s heap-exhausted-stops %llu\n",
-                  Tag.c_str(),
-                  static_cast<unsigned long long>(
-                      E.stats().HeapExhaustedStops));
-      std::printf(";; fault-metrics: %s deadlocks-detected %llu\n",
-                  Tag.c_str(),
-                  static_cast<unsigned long long>(
-                      E.stats().DeadlocksDetected));
-      std::printf(";; fault-metrics: %s procs-killed %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().ProcsKilled));
-      std::printf(";; fault-metrics: %s tasks-recovered %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().TasksRecovered));
-      std::printf(";; fault-metrics: %s tasks-orphaned %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().TasksOrphaned));
-      std::printf(";; fault-metrics: %s recovery-cycles %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().RecoveryCycles));
-      std::printf(";; fault-metrics: %s byzantine-lies %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().ByzantineLies));
-      std::printf(";; fault-metrics: %s cross-checks %llu\n", Tag.c_str(),
-                  static_cast<unsigned long long>(E.stats().CrossChecks));
-      std::printf(";; fault-metrics: %s byzantine-detected %llu\n",
-                  Tag.c_str(),
-                  static_cast<unsigned long long>(
-                      E.stats().ByzantineDetected));
-      // Checkpoint counters only exist when the policy is armed; keep
-      // faulted-but-uncheckpointed outputs structurally unchanged.
-      if (E.config().CheckpointEvery) {
-        std::printf(";; fault-metrics: %s checkpoints-taken %llu\n",
-                    Tag.c_str(),
-                    static_cast<unsigned long long>(
-                        E.stats().CheckpointsTaken));
-        std::printf(";; fault-metrics: %s checkpoint-cycles %llu\n",
-                    Tag.c_str(),
-                    static_cast<unsigned long long>(
-                        E.stats().CheckpointCycles));
-        std::printf(";; fault-metrics: %s tasks-restored %llu\n", Tag.c_str(),
-                    static_cast<unsigned long long>(E.stats().TasksRestored));
-        std::printf(";; fault-metrics: %s max-task-recovery-cycles %llu\n",
-                    Tag.c_str(),
-                    static_cast<unsigned long long>(
-                        E.stats().MaxTaskRecoveryCycles));
-      }
-    }
-    // Tenant fault-domain counters, emitted only when the layer is armed
-    // (MULT_QUOTA/MULT_SUPERVISE or an evalGroups run), mirroring the
-    // fault-metrics contract: tools/collect_metrics.py hard-fails on
-    // these lines unless invoked with --tenant.
-    if (E.tenantArmed()) {
-      const EngineStats &S = E.stats();
-      struct {
-        const char *Name;
-        uint64_t Value;
-      } TenantLines[] = {
-          {"quota-stops", S.QuotaStops},
-          {"budget-stops", S.BudgetStops},
-          {"quota-grace-gcs", S.QuotaGraceGcs},
-          {"groups-shed", S.GroupsShed},
-          {"supervisor-restarts", S.SupervisorRestarts},
-          {"supervisor-gave-up", S.SupervisorGaveUp},
-          {"supervisor-escalations", S.SupervisorEscalations},
-          {"groups-admitted", S.GroupsAdmitted},
-          {"groups-queued", S.GroupsQueued},
-          {"groups-rejected", S.GroupsRejected},
-      };
-      for (const auto &L : TenantLines)
-        std::printf(";; tenant-metrics: %s %s %llu\n", Tag.c_str(), L.Name,
-                    static_cast<unsigned long long>(L.Value));
-      for (const char *Name :
-           {"supervisor_restart_latency_cycles", "admission_queue_wait_cycles"}) {
-        Telemetry::Id Id = T.find(Name);
-        if (Id == Telemetry::InvalidId)
-          continue;
-        LatencyHistogram H = T.merged(Id);
-        std::string N = Name;
-        N.resize(N.size() - 7); // strip "_cycles"
-        for (char &C : N)
-          if (C == '_')
-            C = '-';
-        std::printf(";; tenant-metrics: %s histo %s n=%llu sum=%llu "
-                    "p50=%llu p99=%llu max=%llu\n",
-                    Tag.c_str(), N.c_str(),
-                    static_cast<unsigned long long>(H.count()),
-                    static_cast<unsigned long long>(H.sum()),
-                    static_cast<unsigned long long>(H.percentile(50)),
-                    static_cast<unsigned long long>(H.percentile(99)),
-                    static_cast<unsigned long long>(H.max()));
-      }
-    }
   }
   if (profileRequested()) {
     std::printf("\n;; profile: %s\n", Tag.c_str());

@@ -13,11 +13,11 @@
 /// Part 2 (the adaptive ablation): every static T against the adaptive
 /// per-processor controller (sched/Adaptive.h) across three programs,
 /// 1..16 processors and both steal orders. With MULT_METRICS=1 each run
-/// emits a ";; virtual-cycles: inl_<prog>_<order>_p<N>_<policy> <cycles>"
-/// line that tools/collect_metrics.py collects into the regression
-/// dashboard; the human-readable table prints adaptive alongside the best
-/// static T so the "adaptive matches or beats the best fixed threshold"
-/// claim is one glance away.
+/// emits a ";; run-json:" record tagged inl_<prog>_<order>_p<N>_<policy>
+/// that tools/collect_metrics.py collects into the regression dashboard;
+/// the human-readable table prints adaptive alongside the best static T
+/// so the "adaptive matches or beats the best fixed threshold" claim is
+/// one glance away.
 ///
 //===----------------------------------------------------------------------===//
 

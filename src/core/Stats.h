@@ -3,6 +3,13 @@
 /// \file
 /// Run-time statistics the benchmark harnesses report.
 ///
+/// Every engine counter is declared exactly once, as a row of
+/// MULT_ENGINE_COUNTERS below. The table generates the EngineStats fields
+/// (hot paths increment them by name, plain per-engine integers read only
+/// at report time), the human-readable section lines of `:stats` and the
+/// `;; metrics:` block, and the bench `;; run-json:` record (both rendered
+/// in obs/Metrics.cpp). Adding a counter is adding one row.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MULT_CORE_STATS_H
@@ -11,6 +18,125 @@
 #include <cstdint>
 
 namespace mult {
+
+/// When a section's line is rendered and where its counters go in the
+/// run-json record.
+enum class StatRule : uint8_t {
+  Always,     ///< always rendered; run-json "core"
+  NonZero,    ///< rendered when any counter is nonzero; run-json "core"
+  Faults,     ///< rendered when nonzero; run-json "faults" when armed
+  Checkpoint, ///< rendered when nonzero; run-json "checkpoint" when armed
+  Tenant,     ///< rendered when nonzero; run-json "tenant" when armed
+};
+
+/// The human-readable lines: S(Name, Prefix, Rule). A line reads
+/// "<prefix>: <value> <label>, <value> <label>, ..." over its counters in
+/// table order.
+#define MULT_STAT_SECTIONS(S)                                                 \
+  S(Tasks, "tasks", Always)                                                   \
+  S(Futures, "futures", Always)                                               \
+  S(Seams, "lazy seams", Always)                                              \
+  S(Touches, "touches", Always)                                               \
+  S(Scheduling, "scheduling", Always)                                         \
+  S(Adaptive, "adaptive-T", NonZero)                                          \
+  S(SitePolicies, "site policies", NonZero)                                   \
+  S(Execution, "execution", Always)                                           \
+  S(LastRun, "last run", Always)                                              \
+  S(Robustness, "robustness", Faults)                                         \
+  S(Recovery, "recovery", Faults)                                             \
+  S(Checkpoints, "checkpoints", Checkpoint)                                   \
+  S(Byzantine, "byzantine", Faults)                                           \
+  S(TenantQuota, "tenant", Tenant)                                            \
+  S(Supervision, "supervisor", Tenant)                                        \
+  S(Admission, "admission", Tenant)
+
+/// Every engine counter: X(Field, Key, Label, Section). Field is the
+/// EngineStats member, Key its run-json name (also the collector's key
+/// suffix, so keep it stable), Label what follows the value on its line.
+#define MULT_ENGINE_COUNTERS(X)                                               \
+  X(TasksCreated, "tasks-created", "created", Tasks)                          \
+  /* futures evaluated inline (threshold T) */                                \
+  X(TasksInlined, "tasks-inlined", "inlined", Tasks)                          \
+  X(TasksCompleted, "tasks-completed", "completed", Tasks)                    \
+  X(FuturesCreated, "futures-created", "created", Futures)                    \
+  X(FuturesResolved, "futures-resolved", "resolved", Futures)                 \
+  X(SeamsCreated, "seams-created", "created", Seams)                          \
+  X(SeamsStolen, "seams-stolen", "stolen", Seams)                             \
+  /* dynamic touch instructions; those that found an unresolved future */    \
+  X(TouchesExecuted, "touches-executed", "executed", Touches)                 \
+  X(TouchesBlocked, "touches-blocked", "blocked", Touches)                    \
+  /* One steal attempt is one stealNew/stealSuspended probe of a victim     \
+     queue; it either dispatches a task (Steals) or not (StealsFailed:       \
+     empty queue or vetoed task), so Steals + StealsFailed ==                \
+     StealAttempts always. */                                                 \
+  X(Dispatches, "dispatches", "dispatches", Scheduling)                       \
+  X(Steals, "steals", "steals", Scheduling)                                   \
+  X(StealAttempts, "steal-attempts", "steal attempts", Scheduling)            \
+  X(StealsFailed, "steals-failed", "steals failed", Scheduling)               \
+  /* sched/Adaptive.h; zero unless EngineConfig::AdaptiveInline */            \
+  X(AdaptWindows, "adapt-windows", "windows closed", Adaptive)                \
+  X(ThresholdRaises, "threshold-raises", "raises", Adaptive)                  \
+  X(ThresholdLowers, "threshold-lowers", "lowers", Adaptive)                  \
+  /* futures forced by a core/SitePolicies.h table */                         \
+  X(PolicyEager, "policy-eager", "eager", SitePolicies)                       \
+  X(PolicyInline, "policy-inline", "inline", SitePolicies)                    \
+  X(PolicyLazy, "policy-lazy", "lazy", SitePolicies)                          \
+  /* bytecode instructions; virtual NS32332 instructions charged */           \
+  X(Instructions, "instructions", "insns", Execution)                         \
+  X(CyclesExecuted, "cycles-executed", "cycles busy", Execution)              \
+  X(IdleCycles, "idle-cycles", "idle", Execution)                             \
+  /* the last run's elapsed virtual time */                                   \
+  X(ElapsedCycles, "elapsed-cycles", "cycles", LastRun)                       \
+  /* src/fault and the degradation paths it exercises */                      \
+  X(FaultsInjected, "faults-injected", "faults injected", Robustness)         \
+  X(HeapExhaustedStops, "heap-exhausted-stops", "heap-exhausted stops",       \
+    Robustness)                                                               \
+  X(DeadlocksDetected, "deadlocks-detected", "deadlocks detected",            \
+    Robustness)                                                               \
+  /* proc-kill: lost tasks re-spawned from lineage, or orphaned because      \
+     of observed side effects; busy cycles re-executing them; post-mortem    \
+     wakes rerouted to survivors */                                           \
+  X(ProcsKilled, "procs-killed", "procs killed", Recovery)                    \
+  X(TasksRecovered, "tasks-recovered", "tasks recovered", Recovery)           \
+  X(TasksOrphaned, "tasks-orphaned", "orphaned", Recovery)                    \
+  X(RecoveryCycles, "recovery-cycles", "recovery cycles", Recovery)           \
+  X(WakesRedirected, "wakes-redirected", "wakes redirected", Recovery)        \
+  /* EngineConfig::CheckpointEvery. MaxTaskRecoveryCycles is the largest     \
+     re-execution charge of a restored task, bounded by CheckpointEvery +    \
+     QuantumCycles by construction. */                                       \
+  X(CheckpointsTaken, "checkpoints-taken", "taken", Checkpoints)              \
+  X(CheckpointCycles, "checkpoint-cycles", "capture cycles", Checkpoints)     \
+  X(TasksRestored, "tasks-restored", "tasks restored", Checkpoints)           \
+  X(MaxTaskRecoveryCycles, "max-task-recovery-cycles",                        \
+    "max task recovery cycles", Checkpoints)                                  \
+  /* proc-lie / cross-check: corrupted finishing resolves, sampled           \
+     re-executions, mismatches found (the group stops) */                     \
+  X(ByzantineLies, "byzantine-lies", "lies told", Byzantine)                  \
+  X(CrossChecks, "cross-checks", "cross-checks", Byzantine)                   \
+  X(ByzantineDetected, "byzantine-detected", "detected", Byzantine)           \
+  /* tenant fault domains: group-heap-quota and group-cycle-budget stops,    \
+     free collections granted at a first trip, violators killed under        \
+     pressure */                                                              \
+  X(QuotaStops, "quota-stops", "quota stops", TenantQuota)                    \
+  X(BudgetStops, "budget-stops", "budget stops", TenantQuota)                 \
+  X(QuotaGraceGcs, "quota-grace-gcs", "grace collections", TenantQuota)       \
+  X(GroupsShed, "groups-shed", "shed", TenantQuota)                           \
+  /* restarts fired, restart storms ended, escalate policies that ended     \
+     runs */                                                                  \
+  X(SupervisorRestarts, "supervisor-restarts", "restarts", Supervision)       \
+  X(SupervisorGaveUp, "supervisor-gave-up", "gave up", Supervision)           \
+  X(SupervisorEscalations, "supervisor-escalations", "escalations",           \
+    Supervision)                                                              \
+  /* launches admitted (incl. from the queue), parked, shed at the gate */    \
+  X(GroupsAdmitted, "groups-admitted", "admitted", Admission)                 \
+  X(GroupsQueued, "groups-queued", "queued", Admission)                       \
+  X(GroupsRejected, "groups-rejected", "rejected", Admission)
+
+enum class StatSection : uint8_t {
+#define MULT_STAT_SECTION_ENUM(Name, Prefix, Rule) Name,
+  MULT_STAT_SECTIONS(MULT_STAT_SECTION_ENUM)
+#undef MULT_STAT_SECTION_ENUM
+};
 
 /// Cycle totals attributed to the six steps of evaluating
 /// `(touch (future 0))` (paper Table 1). Counts are events; Cycles are
@@ -30,87 +156,9 @@ struct FutureStepStats {
 
 /// Engine-wide counters, cumulative until resetStats().
 struct EngineStats {
-  // Tasks and futures.
-  uint64_t TasksCreated = 0;
-  uint64_t TasksInlined = 0;  ///< futures evaluated inline (threshold T)
-  uint64_t TasksCompleted = 0;
-  uint64_t FuturesCreated = 0;
-  uint64_t FuturesResolved = 0;
-
-  // Lazy futures.
-  uint64_t SeamsCreated = 0;
-  uint64_t SeamsStolen = 0;
-
-  // Touches.
-  uint64_t TouchesExecuted = 0; ///< dynamic count of touch instructions
-  uint64_t TouchesBlocked = 0;  ///< touches that found an unresolved future
-
-  // Scheduling. One StealAttempt is one stealNew/stealSuspended probe of a
-  // victim queue; it either yields a dispatched task (Steals) or not
-  // (StealsFailed: queue empty, or the popped task was vetoed), so
-  // Steals + StealsFailed == StealAttempts always.
-  uint64_t Dispatches = 0;
-  uint64_t Steals = 0;
-  uint64_t StealAttempts = 0;
-  uint64_t StealsFailed = 0;
-
-  // Adaptive inlining threshold (sched/Adaptive.h; zero unless
-  // EngineConfig::AdaptiveInline).
-  uint64_t AdaptWindows = 0;     ///< adaptation windows closed
-  uint64_t ThresholdRaises = 0;  ///< T moved up (starvation signal)
-  uint64_t ThresholdLowers = 0;  ///< T moved down (surplus signal)
-
-  // Per-site policies (core/SitePolicies.h; zero unless a table loaded).
-  uint64_t PolicyEager = 0;  ///< futures forced eager by a site policy
-  uint64_t PolicyInline = 0; ///< futures forced inline by a site policy
-  uint64_t PolicyLazy = 0;   ///< futures forced lazy by a site policy
-
-  // Robustness (src/fault and the degradation paths it exercises).
-  uint64_t FaultsInjected = 0;      ///< fault-plan clauses that fired
-  uint64_t HeapExhaustedStops = 0;  ///< groups stopped on heap-exhausted
-  uint64_t DeadlocksDetected = 0;   ///< quiescent runs with root unresolved
-
-  // Fail-stop recovery (proc-kill clauses; zero unless one fired).
-  uint64_t ProcsKilled = 0;    ///< processors fail-stopped
-  uint64_t TasksRecovered = 0; ///< lost tasks re-spawned from lineage
-  uint64_t TasksOrphaned = 0;  ///< lost tasks with observed side effects
-  uint64_t RecoveryCycles = 0; ///< busy cycles re-executing recovered tasks
-  uint64_t WakesRedirected = 0; ///< post-mortem wakes rerouted to survivors
-
-  // Checkpointed recovery (EngineConfig::CheckpointEvery / MULT_CHECKPOINT;
-  // zero unless armed).
-  uint64_t CheckpointsTaken = 0;  ///< checkpoint records captured
-  uint64_t CheckpointCycles = 0;  ///< virtual cycles spent capturing
-  uint64_t TasksRestored = 0;     ///< lost tasks resumed from a checkpoint
-  /// Largest per-task re-execution charge among checkpoint-restored tasks;
-  /// bounded by CheckpointEvery + QuantumCycles by construction.
-  uint64_t MaxTaskRecoveryCycles = 0;
-
-  // Tenant fault domains (quotas, supervision, admission; zero unless
-  // MULT_QUOTA/MULT_SUPERVISE or :quota/:supervise armed the layer).
-  uint64_t QuotaStops = 0;     ///< groups stopped on group-heap-quota
-  uint64_t BudgetStops = 0;    ///< groups stopped on group-cycle-budget
-  uint64_t QuotaGraceGcs = 0;  ///< free collections granted at first trip
-  uint64_t GroupsShed = 0;     ///< quota violators killed under pressure
-  uint64_t SupervisorRestarts = 0;    ///< restart events that fired
-  uint64_t SupervisorGaveUp = 0;      ///< restart storms ended permanently
-  uint64_t SupervisorEscalations = 0; ///< escalate policies that ended runs
-  uint64_t GroupsAdmitted = 0; ///< launches admitted (incl. from the queue)
-  uint64_t GroupsQueued = 0;   ///< launches parked in the admission queue
-  uint64_t GroupsRejected = 0; ///< launches shed at the gate
-
-  // Byzantine faults (proc-lie / cross-check clauses; zero unless armed).
-  uint64_t ByzantineLies = 0;     ///< corrupted finishing resolves
-  uint64_t CrossChecks = 0;       ///< sampled re-executions performed
-  uint64_t ByzantineDetected = 0; ///< cross-check mismatches (group stops)
-
-  // Execution.
-  uint64_t Instructions = 0;   ///< bytecode instructions executed
-  uint64_t CyclesExecuted = 0; ///< virtual NS32332 instructions charged
-  uint64_t IdleCycles = 0;
-
-  // The last run's elapsed virtual time.
-  uint64_t ElapsedCycles = 0;
+#define MULT_STAT_FIELD(Field, Key, Label, Section) uint64_t Field = 0;
+  MULT_ENGINE_COUNTERS(MULT_STAT_FIELD)
+#undef MULT_STAT_FIELD
 
   FutureStepStats Steps;
 

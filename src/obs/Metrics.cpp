@@ -1,7 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Metrics aggregation and rendering.
+/// Metrics aggregation and rendering, and the renderers the engine
+/// counter table (core/Stats.h) drives.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,8 @@
 #include "support/StrUtil.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <iterator>
 #include <unordered_map>
 
 using namespace mult;
@@ -42,43 +45,11 @@ MetricsReport mult::buildMetrics(const Machine &M, const EngineStats &S,
     R.Procs.push_back(PM);
   }
 
-  R.StealAttempts = S.StealAttempts;
-  R.Steals = S.Steals;
-  R.StealsFailed = S.StealsFailed;
+  R.Stats = S;
   R.AdaptiveT = M.adaptiveEnabled();
-  R.AdaptWindows = S.AdaptWindows;
-  R.ThresholdRaises = S.ThresholdRaises;
-  R.ThresholdLowers = S.ThresholdLowers;
-  R.Collections = G.Collections;
-  R.GcPauseCycles = G.TotalPauseCycles;
-  R.GcMaxPauseCycles = G.MaxPauseCycles;
-  R.FaultsInjected = S.FaultsInjected;
-  R.HeapExhaustedStops = S.HeapExhaustedStops;
-  R.DeadlocksDetected = S.DeadlocksDetected;
-  R.ProcsKilled = S.ProcsKilled;
-  R.TasksRecovered = S.TasksRecovered;
-  R.TasksOrphaned = S.TasksOrphaned;
-  R.RecoveryCycles = S.RecoveryCycles;
-  R.WakesRedirected = S.WakesRedirected;
-  R.CheckpointsTaken = S.CheckpointsTaken;
-  R.CheckpointCycles = S.CheckpointCycles;
-  R.TasksRestored = S.TasksRestored;
-  R.MaxTaskRecoveryCycles = S.MaxTaskRecoveryCycles;
+  R.GcStats = G;
   R.CheckpointEvery = CheckpointEvery;
   R.QuantumCycles = M.quantum();
-  R.ByzantineLies = S.ByzantineLies;
-  R.CrossChecks = S.CrossChecks;
-  R.ByzantineDetected = S.ByzantineDetected;
-  R.QuotaStops = S.QuotaStops;
-  R.BudgetStops = S.BudgetStops;
-  R.QuotaGraceGcs = S.QuotaGraceGcs;
-  R.GroupsShed = S.GroupsShed;
-  R.SupervisorRestarts = S.SupervisorRestarts;
-  R.SupervisorGaveUp = S.SupervisorGaveUp;
-  R.SupervisorEscalations = S.SupervisorEscalations;
-  R.GroupsAdmitted = S.GroupsAdmitted;
-  R.GroupsQueued = S.GroupsQueued;
-  R.GroupsRejected = S.GroupsRejected;
   if (RD) {
     R.RaceDetectOn = true;
     R.RacesDetected = RD->raceCount();
@@ -103,7 +74,7 @@ MetricsReport mult::buildMetrics(const Machine &M, const EngineStats &S,
     }
 
     // Latency summaries for every non-empty unlabeled histogram, in
-    // registration order (display names: '_' -> '-', no "_cycles").
+    // registration order.
     for (Telemetry::Id I = 0; I < Telem->size(); ++I) {
       const Telemetry::Metric &MDef = Telem->metric(I);
       if (MDef.K != Telemetry::Kind::Histogram || !MDef.LabelKey.empty())
@@ -112,11 +83,7 @@ MetricsReport mult::buildMetrics(const Machine &M, const EngineStats &S,
       if (H.count() == 0)
         continue;
       MetricsReport::LatencySummary LS;
-      std::string N = MDef.Name;
-      if (N.size() > 7 && N.compare(N.size() - 7, 7, "_cycles") == 0)
-        N.resize(N.size() - 7);
-      std::replace(N.begin(), N.end(), '_', '-');
-      LS.Name = N;
+      LS.Name = Telemetry::displayName(MDef.Name);
       LS.Count = H.count();
       LS.Mean = static_cast<double>(H.sum()) / static_cast<double>(H.count());
       LS.P50 = H.percentile(50);
@@ -176,86 +143,33 @@ void mult::dumpMetrics(OutStream &OS, const MetricsReport &R) {
       OS << strFormat("  %u", P.AdaptiveT);
     OS << "\n";
   }
-  if (R.StealAttempts == 0)
+  renderStats(OS, R.Stats);
+  const EngineStats &S = R.Stats;
+  if (S.StealAttempts == 0)
     OS << "stealing: no attempts\n";
   else
-    OS << strFormat("stealing: %llu of %llu attempts succeeded (%llu failed, "
-                    "%.1f%% success)\n",
-                    static_cast<unsigned long long>(R.Steals),
-                    static_cast<unsigned long long>(R.StealAttempts),
-                    static_cast<unsigned long long>(R.StealsFailed),
+    OS << strFormat("stealing: %.1f%% of attempts succeeded\n",
                     R.stealSuccessRate() * 100.0);
-  if (R.AdaptiveT)
-    OS << strFormat("adaptive-T: %llu windows closed, %llu raises, "
-                    "%llu lowers\n",
-                    static_cast<unsigned long long>(R.AdaptWindows),
-                    static_cast<unsigned long long>(R.ThresholdRaises),
-                    static_cast<unsigned long long>(R.ThresholdLowers));
   OS << strFormat("gc: %llu collections, %llu pause cycles",
-                  static_cast<unsigned long long>(R.Collections),
-                  static_cast<unsigned long long>(R.GcPauseCycles));
-  if (R.Collections > 0)
+                  static_cast<unsigned long long>(R.GcStats.Collections),
+                  static_cast<unsigned long long>(R.GcStats.TotalPauseCycles));
+  if (R.GcStats.Collections > 0)
     OS << strFormat(" (max %llu, mean %.1f)",
-                    static_cast<unsigned long long>(R.GcMaxPauseCycles),
-                    static_cast<double>(R.GcPauseCycles) /
-                        static_cast<double>(R.Collections));
+                    static_cast<unsigned long long>(R.GcStats.MaxPauseCycles),
+                    static_cast<double>(R.GcStats.TotalPauseCycles) /
+                        static_cast<double>(R.GcStats.Collections));
   OS << "\n";
-  if (R.FaultsInjected || R.HeapExhaustedStops || R.DeadlocksDetected)
-    OS << strFormat("robustness: %llu faults injected, %llu heap-exhausted "
-                    "stops, %llu deadlocks detected\n",
-                    static_cast<unsigned long long>(R.FaultsInjected),
-                    static_cast<unsigned long long>(R.HeapExhaustedStops),
-                    static_cast<unsigned long long>(R.DeadlocksDetected));
-  if (R.ProcsKilled || R.TasksRecovered || R.TasksOrphaned)
-    OS << strFormat("recovery: %llu procs killed, %llu tasks recovered, "
-                    "%llu orphaned, %llu recovery cycles, "
-                    "%llu wakes redirected\n",
-                    static_cast<unsigned long long>(R.ProcsKilled),
-                    static_cast<unsigned long long>(R.TasksRecovered),
-                    static_cast<unsigned long long>(R.TasksOrphaned),
-                    static_cast<unsigned long long>(R.RecoveryCycles),
-                    static_cast<unsigned long long>(R.WakesRedirected));
-  if (R.CheckpointsTaken || R.TasksRestored)
-    OS << strFormat("checkpoints: %llu taken, %llu capture cycles, "
-                    "%llu tasks restored\n",
-                    static_cast<unsigned long long>(R.CheckpointsTaken),
-                    static_cast<unsigned long long>(R.CheckpointCycles),
-                    static_cast<unsigned long long>(R.TasksRestored));
-  if (R.TasksRestored && R.CheckpointEvery) {
+  if (S.TasksRestored && R.CheckpointEvery) {
     // The proof line the checkpoint policy promises: no restored task
     // re-executed more than one capture interval plus one quantum.
     uint64_t Bound = R.CheckpointEvery + R.QuantumCycles;
     OS << strFormat("recovery-bound: max task recovery %llu cycles <= "
                     "checkpoint-every %llu + quantum %llu (%s)\n",
-                    static_cast<unsigned long long>(R.MaxTaskRecoveryCycles),
+                    static_cast<unsigned long long>(S.MaxTaskRecoveryCycles),
                     static_cast<unsigned long long>(R.CheckpointEvery),
                     static_cast<unsigned long long>(R.QuantumCycles),
-                    R.MaxTaskRecoveryCycles <= Bound ? "OK" : "VIOLATED");
+                    S.MaxTaskRecoveryCycles <= Bound ? "OK" : "VIOLATED");
   }
-  if (R.ByzantineLies || R.CrossChecks || R.ByzantineDetected)
-    OS << strFormat("byzantine: %llu lies told, %llu cross-checks, "
-                    "%llu detected\n",
-                    static_cast<unsigned long long>(R.ByzantineLies),
-                    static_cast<unsigned long long>(R.CrossChecks),
-                    static_cast<unsigned long long>(R.ByzantineDetected));
-  if (R.QuotaStops || R.BudgetStops || R.QuotaGraceGcs || R.GroupsShed)
-    OS << strFormat("tenant: %llu quota stops, %llu budget stops, "
-                    "%llu grace collections, %llu shed\n",
-                    static_cast<unsigned long long>(R.QuotaStops),
-                    static_cast<unsigned long long>(R.BudgetStops),
-                    static_cast<unsigned long long>(R.QuotaGraceGcs),
-                    static_cast<unsigned long long>(R.GroupsShed));
-  if (R.SupervisorRestarts || R.SupervisorGaveUp || R.SupervisorEscalations)
-    OS << strFormat("supervisor: %llu restarts, %llu gave up, "
-                    "%llu escalations\n",
-                    static_cast<unsigned long long>(R.SupervisorRestarts),
-                    static_cast<unsigned long long>(R.SupervisorGaveUp),
-                    static_cast<unsigned long long>(R.SupervisorEscalations));
-  if (R.GroupsAdmitted || R.GroupsQueued || R.GroupsRejected)
-    OS << strFormat("admission: %llu admitted, %llu queued, %llu rejected\n",
-                    static_cast<unsigned long long>(R.GroupsAdmitted),
-                    static_cast<unsigned long long>(R.GroupsQueued),
-                    static_cast<unsigned long long>(R.GroupsRejected));
   if (R.RaceDetectOn)
     OS << strFormat("races: %llu (%llu accesses checked, %llu cells "
                     "tracked)\n",
@@ -289,4 +203,128 @@ void mult::dumpMetrics(OutStream &OS, const MetricsReport &R) {
                     static_cast<unsigned long long>(uint64_t(1) << (I + 1)),
                     static_cast<unsigned long long>(R.TaskLifetimeLog2[I]));
   }
+}
+
+namespace {
+
+/// One row of MULT_ENGINE_COUNTERS.
+struct StatRow {
+  uint64_t EngineStats::*Field;
+  const char *Key;
+  const char *Label;
+  StatSection Section;
+};
+
+constexpr StatRow StatRows[] = {
+#define MULT_STAT_ROW(Field, Key, Label, Section)                              \
+  {&EngineStats::Field, Key, Label, StatSection::Section},
+    MULT_ENGINE_COUNTERS(MULT_STAT_ROW)
+#undef MULT_STAT_ROW
+};
+
+/// One row of MULT_STAT_SECTIONS, indexed by StatSection.
+struct SectionDef {
+  const char *Prefix;
+  StatRule Rule;
+};
+
+constexpr SectionDef Sections[] = {
+#define MULT_STAT_SECTION_DEF(Name, Prefix, Rule) {Prefix, StatRule::Rule},
+    MULT_STAT_SECTIONS(MULT_STAT_SECTION_DEF)
+#undef MULT_STAT_SECTION_DEF
+};
+
+bool sectionNonZero(const EngineStats &S, StatSection Sec) {
+  for (const StatRow &Row : StatRows)
+    if (Row.Section == Sec && S.*Row.Field)
+      return true;
+  return false;
+}
+
+/// `"name":{"n":..,"sum":..,"p50":..,"p90":..,"p99":..,"max":..}` for each
+/// of the named histograms the registry holds, comma-separated.
+void writeHistosJson(OutStream &OS, const Telemetry &T,
+                     std::initializer_list<const char *> Names) {
+  const char *Sep = "";
+  for (const char *Name : Names) {
+    Telemetry::Id Id = T.find(Name);
+    if (Id == Telemetry::InvalidId)
+      continue;
+    LatencyHistogram H = T.merged(Id);
+    OS << Sep << '"' << Telemetry::displayName(Name) << "\":{\"n\":"
+       << H.count() << ",\"sum\":" << H.sum() << ",\"p50\":"
+       << H.percentile(50) << ",\"p90\":" << H.percentile(90)
+       << ",\"p99\":" << H.percentile(99) << ",\"max\":" << H.max() << '}';
+    Sep = ",";
+  }
+}
+
+/// `,"<name>":{"key":value,...}` over the rows whose section rule is in
+/// [\p First, \p Last]; the caller closes the object.
+void writeCountersJson(OutStream &OS, const char *Name, const EngineStats &S,
+                       StatRule First, StatRule Last) {
+  OS << ",\"" << Name << "\":{";
+  const char *Sep = "";
+  for (const StatRow &Row : StatRows) {
+    StatRule Rule = Sections[static_cast<unsigned>(Row.Section)].Rule;
+    if (Rule < First || Rule > Last)
+      continue;
+    OS << Sep << '"' << Row.Key << "\":" << S.*Row.Field;
+    Sep = ",";
+  }
+}
+
+} // namespace
+
+void mult::renderStatSection(OutStream &OS, const EngineStats &S,
+                             StatSection Sec) {
+  OS << Sections[static_cast<unsigned>(Sec)].Prefix << ':';
+  const char *Sep = " ";
+  for (const StatRow &Row : StatRows) {
+    if (Row.Section != Sec)
+      continue;
+    OS << Sep << S.*Row.Field << ' ' << Row.Label;
+    Sep = ", ";
+  }
+  OS << '\n';
+}
+
+void mult::renderStats(OutStream &OS, const EngineStats &S) {
+  for (unsigned I = 0; I < std::size(Sections); ++I) {
+    StatSection Sec = static_cast<StatSection>(I);
+    if (Sections[I].Rule == StatRule::Always || sectionNonZero(S, Sec))
+      renderStatSection(OS, S, Sec);
+  }
+}
+
+void mult::writeRunJson(OutStream &OS, std::string_view Tag,
+                        const EngineStats &S, const Telemetry &T,
+                        const RaceDetector *RD, RunLayers L) {
+  OS << ";; run-json: {\"tag\":\"" << jsonEscape(Tag) << '"';
+  writeCountersJson(OS, "core", S, StatRule::Always, StatRule::NonZero);
+  OS << "},\"histo\":{";
+  writeHistosJson(OS, T, {"gc_pause_cycles", "touch_wait_cycles",
+                          "task_lifetime_cycles"});
+  OS << '}';
+  if (L.Faults) {
+    writeCountersJson(OS, "faults", S, StatRule::Faults, StatRule::Faults);
+    OS << '}';
+  }
+  if (L.Checkpoint) {
+    writeCountersJson(OS, "checkpoint", S, StatRule::Checkpoint,
+                      StatRule::Checkpoint);
+    OS << '}';
+  }
+  if (L.Tenant) {
+    writeCountersJson(OS, "tenant", S, StatRule::Tenant, StatRule::Tenant);
+    OS << ",\"histo\":{";
+    writeHistosJson(OS, T, {"supervisor_restart_latency_cycles",
+                            "admission_queue_wait_cycles"});
+    OS << "}}";
+  }
+  if (RD)
+    OS << ",\"races\":{\"races\":" << RD->raceCount()
+       << ",\"accesses-checked\":" << RD->accessesChecked()
+       << ",\"cells-tracked\":" << RD->cellsTracked() << '}';
+  OS << "}\n";
 }

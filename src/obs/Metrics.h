@@ -22,6 +22,7 @@
 #include "support/OutStream.h"
 
 #include <array>
+#include <string_view>
 #include <vector>
 
 namespace mult {
@@ -58,72 +59,25 @@ struct ProcMetrics {
 struct MetricsReport {
   std::vector<ProcMetrics> Procs;
 
-  // Stealing (engine-wide; Steals + StealsFailed == StealAttempts).
-  uint64_t StealAttempts = 0;
-  uint64_t Steals = 0;
-  uint64_t StealsFailed = 0;
+  /// The engine counters (core/Stats.h), rendered section by section.
+  EngineStats Stats;
   /// Steals / StealAttempts, 0 when no attempts were made.
   double stealSuccessRate() const {
-    return StealAttempts == 0
+    return Stats.StealAttempts == 0
                ? 0.0
-               : static_cast<double>(Steals) / static_cast<double>(StealAttempts);
+               : static_cast<double>(Stats.Steals) /
+                     static_cast<double>(Stats.StealAttempts);
   }
 
-  // Adaptive inlining threshold (sched/Adaptive.h).
-  bool AdaptiveT = false;        ///< the controller was enabled
-  uint64_t AdaptWindows = 0;     ///< windows closed across the machine
-  uint64_t ThresholdRaises = 0;
-  uint64_t ThresholdLowers = 0;
+  bool AdaptiveT = false; ///< the adaptive-T controller was enabled
+  Gc::Stats GcStats;
 
-  // GC.
-  uint64_t Collections = 0;
-  uint64_t GcPauseCycles = 0;
-  uint64_t GcMaxPauseCycles = 0; ///< longest single collection
-
-  // Robustness (all zero unless fault injection was armed or the run
-  // degraded; the renderer omits the section in that case).
-  uint64_t FaultsInjected = 0;
-  uint64_t HeapExhaustedStops = 0;
-  uint64_t DeadlocksDetected = 0;
-
-  // Fail-stop recovery (all zero unless a proc-kill clause fired; the
-  // renderer omits the section in that case).
-  uint64_t ProcsKilled = 0;
-  uint64_t TasksRecovered = 0;
-  uint64_t TasksOrphaned = 0;
-  uint64_t RecoveryCycles = 0;
-  uint64_t WakesRedirected = 0;
-
-  // Checkpointed recovery (all zero unless EngineConfig::CheckpointEvery
-  // was armed; the renderer omits the lines in that case).
-  uint64_t CheckpointsTaken = 0;
-  uint64_t CheckpointCycles = 0;
-  uint64_t TasksRestored = 0;
-  uint64_t MaxTaskRecoveryCycles = 0;
   /// Config echoes for the recovery-bound line: the policy guarantees
   /// MaxTaskRecoveryCycles <= CheckpointEvery + QuantumCycles per
   /// restored task (a capture fires at the first quantum boundary past
   /// CheckpointEvery busy cycles).
   uint64_t CheckpointEvery = 0;
   uint64_t QuantumCycles = 0;
-
-  // Byzantine faults (all zero unless a proc-lie clause was armed).
-  uint64_t ByzantineLies = 0;
-  uint64_t CrossChecks = 0;
-  uint64_t ByzantineDetected = 0;
-
-  // Tenant fault domains (all zero unless the quota/supervision layer
-  // was armed; the renderer omits the lines in that case).
-  uint64_t QuotaStops = 0;
-  uint64_t BudgetStops = 0;
-  uint64_t QuotaGraceGcs = 0;
-  uint64_t GroupsShed = 0;
-  uint64_t SupervisorRestarts = 0;
-  uint64_t SupervisorGaveUp = 0;
-  uint64_t SupervisorEscalations = 0;
-  uint64_t GroupsAdmitted = 0;
-  uint64_t GroupsQueued = 0;
-  uint64_t GroupsRejected = 0;
 
   // Determinacy-race detection (EngineConfig::RaceDetect / MULT_RACE).
   // When the detector is off, RaceDetectOn is false and the renderer
@@ -170,6 +124,28 @@ MetricsReport buildMetrics(const Machine &M, const EngineStats &S,
 
 /// Renders \p R human-readably (benches, the REPL's :stats command).
 void dumpMetrics(OutStream &OS, const MetricsReport &R);
+
+/// Renders one section's line of \p S, "<prefix>: <v> <label>, ...\n",
+/// whatever its rule says.
+void renderStatSection(OutStream &OS, const EngineStats &S, StatSection Sec);
+
+/// Renders every section of \p S that its StatRule admits, in table order.
+void renderStats(OutStream &OS, const EngineStats &S);
+
+/// The optional layers a run armed; each adds its run-json section.
+struct RunLayers {
+  bool Faults = false;     ///< a fault plan (MULT_FAULTS)
+  bool Checkpoint = false; ///< EngineConfig::CheckpointEvery
+  bool Tenant = false;     ///< quotas, supervisor or admission gate
+};
+
+/// Writes one bench run's machine-readable record as a single line,
+/// ";; run-json: {...}\n": the tag, the "core" counters, the virtual-time
+/// latency histograms, one section per armed layer ("faults",
+/// "checkpoint", "tenant" with its own histograms) and "races" when \p RD
+/// is given. tools/collect_metrics.py and tools/race_check.py parse it.
+void writeRunJson(OutStream &OS, std::string_view Tag, const EngineStats &S,
+                  const Telemetry &T, const RaceDetector *RD, RunLayers L);
 
 } // namespace mult
 

@@ -27,6 +27,19 @@ const char *Telemetry::phaseName(Phase P) {
   return "?";
 }
 
+std::string Telemetry::displayName(std::string_view Name) {
+  std::string_view Base = Name;
+  constexpr std::string_view Suffix = "_cycles";
+  if (Base.size() > Suffix.size() &&
+      Base.substr(Base.size() - Suffix.size()) == Suffix)
+    Base.remove_suffix(Suffix.size());
+  std::string Out(Base);
+  for (char &C : Out)
+    if (C == '_')
+      C = '-';
+  return Out;
+}
+
 Telemetry::Id Telemetry::intern(std::string_view Name, std::string_view Help,
                                 Kind K, std::string_view LabelKey,
                                 std::string_view LabelValue) {
@@ -104,21 +117,6 @@ void Telemetry::clear() {
 
 namespace {
 
-/// "gc_pause_cycles" -> "gc-pause": the short name used by `:histo`, the
-/// `:stats` latency lines and the bench `;; histo:` tags.
-std::string displayName(std::string_view Name) {
-  std::string_view Base = Name;
-  constexpr std::string_view Suffix = "_cycles";
-  if (Base.size() > Suffix.size() &&
-      Base.substr(Base.size() - Suffix.size()) == Suffix)
-    Base.remove_suffix(Suffix.size());
-  std::string Out(Base);
-  for (char &C : Out)
-    if (C == '_')
-      C = '-';
-  return Out;
-}
-
 /// Matches a user-typed `:histo` argument against a metric: accepts the
 /// registered name, the short display name, or either with '-' and '_'
 /// interchanged.
@@ -130,7 +128,7 @@ bool nameMatches(const Telemetry::Metric &M, std::string_view Query) {
   std::string N = M.Name;
   if (Q == N)
     return true;
-  std::string D = displayName(M.Name);
+  std::string D = Telemetry::displayName(M.Name);
   for (char &C : D)
     if (C == '-')
       C = '_';
@@ -139,7 +137,7 @@ bool nameMatches(const Telemetry::Metric &M, std::string_view Query) {
 
 void summaryLine(OutStream &OS, const Telemetry::Metric &M,
                  const LatencyHistogram &H) {
-  std::string Label = displayName(M.Name);
+  std::string Label = Telemetry::displayName(M.Name);
   if (!M.LabelValue.empty())
     Label += "[" + M.LabelValue + "]";
   OS << strFormat("  %-28s n=%-8llu mean=%-10.1f p50=%-8llu p90=%-8llu "
@@ -179,32 +177,6 @@ std::string escapeHelp(const std::string &V) {
   return Out;
 }
 
-std::string jsonEscape(const std::string &V) {
-  std::string Out;
-  for (char C : V) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += strFormat("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
-
 } // namespace
 
 void mult::dumpHistogramIndex(OutStream &OS, const Telemetry &T) {
@@ -232,7 +204,7 @@ void mult::dumpHistogram(OutStream &OS, const Telemetry &T,
       continue;
     Found = true;
     LatencyHistogram H = T.merged(I);
-    std::string Label = displayName(M.Name);
+    std::string Label = Telemetry::displayName(M.Name);
     if (!M.LabelValue.empty())
       Label += "[" + M.LabelValue + "]";
     OS << Label << " (virtual cycles, log2 buckets):\n";

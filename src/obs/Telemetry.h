@@ -156,6 +156,10 @@ public:
   static constexpr unsigned NumPhases = 4;
   static const char *phaseName(Phase P);
 
+  /// "gc_pause_cycles" -> "gc-pause": the short name used by `:histo`,
+  /// the `:stats` latency lines and the bench run-json record.
+  static std::string displayName(std::string_view Name);
+
   explicit Telemetry(unsigned NumProcs) : NumShards(NumProcs ? NumProcs : 1) {}
 
   /// \name Registration (idempotent; returns the existing id on re-use)

@@ -40,3 +40,29 @@ bool mult::isAllWhitespace(std::string_view S) {
       return false;
   return true;
 }
+
+std::string mult::jsonEscape(std::string_view V) {
+  std::string Out;
+  for (char C : V) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20)
+        Out += strFormat("\\u%04x", C);
+      else
+        Out += C;
+    }
+  }
+  return Out;
+}

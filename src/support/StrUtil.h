@@ -21,6 +21,9 @@ std::string strFormat(const char *Fmt, ...) __attribute__((format(printf, 1, 2))
 /// significant digits below 10, otherwise no fraction digits beyond one.
 std::string formatSeconds(double Seconds);
 
+/// Escapes \p V for use inside a JSON string literal.
+std::string jsonEscape(std::string_view V);
+
 /// True if \p S consists only of ASCII whitespace.
 bool isAllWhitespace(std::string_view S);
 

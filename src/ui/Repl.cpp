@@ -19,10 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-namespace mult {
-void dumpStats(OutStream &OS, const EngineStats &S); // core/Stats.cpp
-} // namespace mult
-
 using namespace mult;
 
 std::string Repl::prompt() const {
@@ -275,11 +271,9 @@ void Repl::cmdKill(std::string_view Arg) {
 }
 
 void Repl::cmdStats() {
-  dumpStats(Out, E.stats());
-  MetricsReport R = buildMetrics(E.machine(), E.stats(), E.gcStats(),
-                                 E.tracer(), E.raceDetector(),
-                                 &E.telemetry(), E.config().CheckpointEvery);
-  dumpMetrics(Out, R);
+  dumpMetrics(Out, buildMetrics(E.machine(), E.stats(), E.gcStats(),
+                                E.tracer(), E.raceDetector(), &E.telemetry(),
+                                E.config().CheckpointEvery));
 }
 
 void Repl::cmdHisto(std::string_view Arg) {
@@ -339,14 +333,10 @@ void Repl::cmdProcs() {
     }
     Out << "\n";
   }
-  const EngineStats &S = E.stats();
-  if (S.ProcsKilled)
-    Out << strFormat(";; %llu processor(s) fail-stopped; %llu tasks "
-                     "recovered, %llu orphaned (%llu recovery cycles)\n",
-                     static_cast<unsigned long long>(S.ProcsKilled),
-                     static_cast<unsigned long long>(S.TasksRecovered),
-                     static_cast<unsigned long long>(S.TasksOrphaned),
-                     static_cast<unsigned long long>(S.RecoveryCycles));
+  if (E.stats().ProcsKilled) {
+    Out << ";; ";
+    renderStatSection(Out, E.stats(), StatSection::Recovery);
+  }
 }
 
 void Repl::cmdProfile(std::string_view Arg) {
@@ -386,7 +376,8 @@ void Repl::cmdFaults(std::string_view Arg) {
       return;
     }
     Out << ";; fault plan: " << FI.plan().format() << '\n';
-    Out << ";; " << E.stats().FaultsInjected << " faults injected so far\n";
+    Out << ";; ";
+    renderStatSection(Out, E.stats(), StatSection::Robustness);
     return;
   }
   if (Arg == "off") {
@@ -416,13 +407,8 @@ void Repl::cmdQuota(std::string_view Arg) {
                      static_cast<unsigned long long>(C.GroupCycleBudget));
     Out << strFormat(";; admission gate: live=%u, queue=%u (0 = unlimited)\n",
                      C.MaxLiveGroups, C.MaxQueuedGroups);
-    const EngineStats &S = E.stats();
-    Out << strFormat(";; %llu quota stops, %llu budget stops, %llu grace "
-                     "collections, %llu shed\n",
-                     static_cast<unsigned long long>(S.QuotaStops),
-                     static_cast<unsigned long long>(S.BudgetStops),
-                     static_cast<unsigned long long>(S.QuotaGraceGcs),
-                     static_cast<unsigned long long>(S.GroupsShed));
+    Out << ";; ";
+    renderStatSection(Out, E.stats(), StatSection::TenantQuota);
     return;
   }
   std::string Err;

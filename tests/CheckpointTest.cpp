@@ -25,10 +25,6 @@
 using namespace mult;
 using namespace mult::testutil;
 
-namespace mult {
-void dumpStats(OutStream &OS, const EngineStats &S); // core/Stats.cpp
-} // namespace mult
-
 namespace {
 
 /// Eager-spawn workers, each a seam-free tail loop long enough to cross
@@ -96,7 +92,6 @@ TEST(CheckpointTest, DormantPolicyLeavesNoFootprint) {
   EXPECT_EQ(E.stats().CheckpointCycles, 0u);
   std::string Dump;
   StringOutStream OS(Dump);
-  dumpStats(OS, E.stats());
   dumpMetrics(OS, buildMetrics(E.machine(), E.stats(), E.gcStats(),
                                E.tracer(), nullptr, nullptr,
                                E.config().CheckpointEvery));
@@ -126,7 +121,6 @@ TEST(CheckpointTest, CaptureTranscriptIsDeterministic) {
       Engine E(C);
       EXPECT_EQ(evalFixnum(E, strFormat(WorkersTemplate, 8)), 160000);
       StringOutStream OS(Out);
-      dumpStats(OS, E.stats());
       dumpMetrics(OS, buildMetrics(E.machine(), E.stats(), E.gcStats(),
                                    E.tracer(), nullptr, nullptr,
                                    E.config().CheckpointEvery));
@@ -349,7 +343,7 @@ TEST(CheckpointTest, CrossChecksAloneChargeTheCheckerDeterministically) {
     EXPECT_GE(E.stats().CrossChecks, 1u);
     EXPECT_EQ(E.stats().ByzantineLies, 0u);
     StringOutStream OS(Out);
-    dumpStats(OS, E.stats());
+    renderStats(OS, E.stats());
   };
   std::string A, B;
   Run(A);
@@ -415,7 +409,7 @@ TEST(CheckpointTest, GcPhaseKillTranscriptIsDeterministic) {
     Engine E(C);
     EXPECT_EQ(evalFixnum(E, strFormat(WorkersTemplate, 8)), 160000);
     StringOutStream OS(Out);
-    dumpStats(OS, E.stats());
+    renderStats(OS, E.stats());
     Events.assign(E.tracer().events().begin(), E.tracer().events().end());
   };
   std::string A, B;

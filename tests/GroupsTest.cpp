@@ -272,7 +272,12 @@ TEST_F(ReplTest, ExitReturnsFalse) {
 
 TEST_F(ReplTest, StatsCommand) {
   line("(touch (future 1))");
-  EXPECT_NE(line(":stats").find("futures: created"), std::string::npos);
+  std::string S = line(":stats");
+  std::string Futures = "futures: " + std::to_string(E.stats().FuturesCreated) +
+                        " created, " +
+                        std::to_string(E.stats().FuturesResolved) +
+                        " resolved\n";
+  EXPECT_NE(S.find(Futures), std::string::npos) << S;
 }
 
 } // namespace

@@ -21,10 +21,6 @@
 using namespace mult;
 using namespace mult::testutil;
 
-namespace mult {
-void dumpStats(OutStream &OS, const EngineStats &S); // core/Stats.cpp
-} // namespace mult
-
 namespace {
 
 EngineConfig killConfig(unsigned Procs, std::string Spec) {
@@ -240,7 +236,6 @@ TEST(RecoveryTest, RecoveryTranscriptIsDeterministic) {
     Engine E(C);
     EXPECT_EQ(evalFixnum(E, FibProgram), 6765);
     StringOutStream OS(StatsOut);
-    dumpStats(OS, E.stats());
     dumpMetrics(OS, buildMetrics(E.machine(), E.stats(), E.gcStats(),
                                  E.tracer()));
     Events.assign(E.tracer().events().begin(), E.tracer().events().end());
@@ -291,7 +286,7 @@ TEST(RecoveryTest, NoKillClauseMeansNoRecoveryFootprint) {
   EXPECT_EQ(E.stats().RecoveryCycles, 0u);
   std::string Dump;
   StringOutStream OS(Dump);
-  dumpStats(OS, E.stats());
+  renderStats(OS, E.stats());
   EXPECT_EQ(Dump.find("recovery:"), std::string::npos) << Dump;
 }
 
@@ -358,7 +353,7 @@ TEST_F(RecoveryReplTest, ProcsCommandShowsLivenessAndRecovery) {
   EXPECT_EQ(line(FibProgram), "6765\n");
   std::string S = line(":procs");
   EXPECT_NE(S.find("dead"), std::string::npos) << S;
-  EXPECT_NE(S.find("fail-stopped"), std::string::npos) << S;
+  EXPECT_NE(S.find(";; recovery: 1 procs killed"), std::string::npos) << S;
   EXPECT_NE(line(":help").find(":procs"), std::string::npos);
 }
 

@@ -462,7 +462,7 @@ TEST(MetricsTest, ReportMatchesCountersAndTrace) {
   MetricsReport R =
       buildMetrics(E.machine(), E.stats(), E.gcStats(), E.tracer());
   ASSERT_EQ(R.Procs.size(), 4u);
-  EXPECT_EQ(R.Steals + R.StealsFailed, R.StealAttempts);
+  EXPECT_EQ(R.Stats.Steals + R.Stats.StealsFailed, R.Stats.StealAttempts);
   EXPECT_GT(R.stealSuccessRate(), 0.0);
   EXPECT_LE(R.stealSuccessRate(), 1.0);
   uint64_t Started = 0;

@@ -190,8 +190,8 @@ def coverage_of(outcome_text, stats_text, procs_text):
         keys.add("recovery:killed=%d" % min(killed, 3))
         keys.add("recovery:recovered=" + ("yes" if recovered else "no"))
         keys.add("recovery:orphaned=" + ("yes" if orphaned else "no"))
-    m = re.search(r"checkpoints: (\d+) taken \(\d+ cycles\), (\d+) tasks"
-                  r" restored", stats_text)
+    m = re.search(r"checkpoints: (\d+) taken, \d+ capture cycles, (\d+)"
+                  r" tasks restored", stats_text)
     if m:
         taken, restored = (int(g) for g in m.groups())
         keys.add("checkpoint:taken=" + ("yes" if taken else "no"))

@@ -2,26 +2,24 @@
 """Virtual-time regression dashboard for the Mul-T bench suite.
 
 The bench binaries print, when run with MULT_METRICS=1, one stable
-machine-readable line per measured engine run:
+machine-readable record per measured engine run, a single JSON object:
 
-    ;; virtual-cycles: <tag> <cycles>
+    ;; run-json: {"tag": ..., "core": {...}, "histo": {...}, ...}
 
-one latency-histogram summary line per always-on virtual-time histogram
-(tracked as "<tag>@<name>" keys, value = the whole stats string):
+Its "core" counters always appear ("elapsed-cycles" is tracked as the
+"<tag>" key), and so do the virtual-time latency histograms (tracked as
+"<tag>@<name>" keys, value = "n=... sum=... p50=... p90=... p99=...
+max=..."). One section per optional layer appears only when the run
+armed that layer:
 
-    ;; histo: <tag> <name> n=... sum=... p50=... p90=... p99=... max=...
+  * "faults" (--faults SPEC) and "checkpoint" (--checkpoint N) counters
+    become "<tag>#<name>" keys;
+  * "tenant" (--tenant SPEC and/or --supervise POLICY) counters become
+    "<tag>~<name>" keys and its own histograms "<tag>~histo:<name>"
+    ("n=... sum=... p50=... p99=... max=...").
 
-and, when the deterministic fault injector is armed (--faults SPEC), one
-robustness counter line per run:
-
-    ;; fault-metrics: <tag> <name> <count>
-
-and, when the tenant fault-domain layer is armed (--tenant SPEC and/or
---supervise POLICY), one quota/supervision counter line per run plus a
-histogram summary per tenant latency histogram:
-
-    ;; tenant-metrics: <tag> <name> <count>
-    ;; tenant-metrics: <tag> histo <name> n=... sum=... p50=... p99=... max=...
+A layer section in a run that did not arm it is a hard failure: a stray
+environment variable (or an engine bug) molested the measurement.
 
 Every bench also prints one ";; host: <tag> ..." line of host wall-clock
 phase times. Host time is machine-dependent noise: this script skips
@@ -79,12 +77,7 @@ BENCHES = [
     "bench_inlining_threshold",
 ]
 
-METRIC_LINE = re.compile(r"^;; virtual-cycles: (\S+) (\d+)\s*$")
-FAULT_LINE = re.compile(r"^;; fault-metrics: (\S+) (\S+) (\d+)\s*$")
-TENANT_LINE = re.compile(r"^;; tenant-metrics: (\S+) (\S+) (\d+)\s*$")
-TENANT_HISTO_LINE = re.compile(
-    r"^;; tenant-metrics: (\S+) histo (\S+) (\S.*?)\s*$")
-HISTO_LINE = re.compile(r"^;; histo: (\S+) (\S+) (\S.*?)\s*$")
+RUN_JSON_LINE = re.compile(r"^;; run-json: (\{.*\})\s*$")
 HOST_LINE = re.compile(r"^;; host: (\S+) ")
 HOST_DISPATCH_LINE = re.compile(
     r"^;; host-dispatch: (\S+) (switch|threaded) ns-per-vcycle=([0-9.]+)\s*$")
@@ -115,19 +108,72 @@ def current_commit():
         return "worktree"
 
 
+# The histogram summary strings keep the fields their golden and history
+# keys have always had.
+HISTO_FIELDS = ("n", "sum", "p50", "p90", "p99", "max")
+TENANT_HISTO_FIELDS = ("n", "sum", "p50", "p99", "max")
+# Layer section -> (key separator, flag that arms it).
+LAYERS = {"faults": ("#", "--faults"), "checkpoint": ("#", "--checkpoint"),
+          "tenant": ("~", "--tenant/--supervise")}
+
+
+def run_records(text):
+    """The ';; run-json:' records in a bench's stdout, in order."""
+    return [json.loads(m.group(1))
+            for m in map(RUN_JSON_LINE.match, text.splitlines()) if m]
+
+
+def histo_summary(h, fields):
+    return " ".join(f"{k}={h[k]}" for k in fields)
+
+
+def record_metrics(rec, armed, where):
+    """The dashboard keys of one run-json record. `armed` names the layer
+    sections the caller armed; any other layer section fails loudly."""
+    tag = rec["tag"]
+    out = {tag: rec["core"]["elapsed-cycles"]}
+    for name, h in rec["histo"].items():
+        out[f"{tag}@{name}"] = histo_summary(h, HISTO_FIELDS)
+    for layer, (sep, flag) in LAYERS.items():
+        section = rec.get(layer)
+        if section is None:
+            continue
+        if layer not in armed:
+            fail(f"{where} printed a '{layer}' section for '{tag}' but no "
+                 f"{flag} was given; the run is not measuring the "
+                 "unmolested engine")
+        for name, value in section.items():
+            if name == "histo":
+                for hname, h in value.items():
+                    out[f"{tag}{sep}histo:{hname}"] = histo_summary(
+                        h, TENANT_HISTO_FIELDS)
+            else:
+                out[f"{tag}{sep}{name}"] = value
+    return out
+
+
+def merge_metrics(into, new, where):
+    """Adds `new` to `into`. Some benches legitimately re-run a
+    configuration (table 2 re-measures two rows for the overhead summary);
+    identical repeats are fine, conflicting ones mean the tag is
+    ambiguous."""
+    for key, value in new.items():
+        if key in into and into[key] != value:
+            fail(f"{where}: '{key}' reported twice with different values "
+                 f"({into[key]!r} vs {value!r})")
+        into[key] = value
+
+
 def run_benches(build_dir, faults=None, checkpoint=None, tenant=None,
                 supervise=None):
-    """Run every bench with MULT_METRICS=1 and return {tag: cycles}.
+    """Run every bench with MULT_METRICS=1 and return the metrics map.
 
-    With faults set, every bench runs under that MULT_FAULTS plan and the
-    ";; fault-metrics:" counters join the map as "<tag>#<name>" keys.
-    With checkpoint set, MULT_CHECKPOINT arms the checkpointed-recovery
-    policy for the faulted runs (the recovery-cost sweep recipe in
-    EXPERIMENTS.md).
-    With tenant and/or supervise set, MULT_QUOTA / MULT_SUPERVISE arm the
-    tenant fault-domain layer and the ";; tenant-metrics:" counters join
-    the map as "<tag>~<name>" keys (histogram summaries as
-    "<tag>~histo:<name>").
+    With faults set, every bench runs under that MULT_FAULTS plan; with
+    checkpoint set, MULT_CHECKPOINT arms the checkpointed-recovery policy
+    for the faulted runs (the recovery-cost sweep recipe in
+    EXPERIMENTS.md); with tenant and/or supervise set, MULT_QUOTA /
+    MULT_SUPERVISE arm the tenant fault-domain layer. Each armed layer's
+    run-json section joins the map (see the module docstring).
     """
     env = dict(os.environ, MULT_METRICS="1")
     # Tracing changes nothing about virtual time, but keep runs minimal
@@ -140,7 +186,7 @@ def run_benches(build_dir, faults=None, checkpoint=None, tenant=None,
     # (stops, grace GCs), so they are stripped unless --tenant/--supervise
     # ask for them.
     # MULT_RACE is virtual-time-neutral too (tools/race_check.py relies
-    # on that), but it slows the host and its metrics lines are not this
+    # on that), but it slows the host and its "races" section is not this
     # dashboard's input, so strip it as well.
     for var in ("MULT_TRACE", "MULT_PROFILE", "MULT_TRACE_MODE",
                 "MULT_TRACE_DIR", "MULT_FAULTS", "MULT_CHECKPOINT",
@@ -154,7 +200,9 @@ def run_benches(build_dir, faults=None, checkpoint=None, tenant=None,
         env["MULT_QUOTA"] = tenant
     if supervise:
         env["MULT_SUPERVISE"] = supervise
-    tenant_armed = bool(tenant or supervise)
+    armed = {layer for layer, on in (("faults", faults),
+                                     ("checkpoint", checkpoint),
+                                     ("tenant", tenant or supervise)) if on}
     cycles = {}
     for bench in BENCHES:
         exe = os.path.join(build_dir, "bench", bench)
@@ -165,71 +213,15 @@ def run_benches(build_dir, faults=None, checkpoint=None, tenant=None,
         if proc.returncode != 0:
             sys.stderr.write(proc.stdout + proc.stderr)
             fail(f"{bench} exited with status {proc.returncode}")
-        found = 0
-        saw_host = False
-        for line in proc.stdout.splitlines():
-            m = METRIC_LINE.match(line)
-            if not m:
-                if HOST_LINE.match(line):
-                    # Host wall-clock line: every bench must print one, but
-                    # its values are noise and are deliberately dropped.
-                    saw_host = True
-                    continue
-                h = HISTO_LINE.match(line)
-                if h:
-                    key = f"{h.group(1)}@{h.group(2)}"
-                    value = h.group(3)
-                    if key in cycles and cycles[key] != value:
-                        fail(f"{bench}: histogram '{key}' reported twice "
-                             f"with different values ({cycles[key]!r} vs "
-                             f"{value!r})")
-                    cycles[key] = value
-                    continue
-                t = TENANT_HISTO_LINE.match(line) or TENANT_LINE.match(line)
-                if t:
-                    if not tenant_armed:
-                        # Same contract as the fault counters below: tenant
-                        # lines in a run we did not arm mean a stray
-                        # MULT_QUOTA/MULT_SUPERVISE (or an engine bug)
-                        # molested the measurement.
-                        fail(f"{bench} printed '{line.strip()}' but no "
-                             "--tenant/--supervise spec was given; the run "
-                             "is not measuring the unmolested engine")
-                    if t.re is TENANT_HISTO_LINE:
-                        key = f"{t.group(1)}~histo:{t.group(2)}"
-                        cycles[key] = t.group(3)
-                    else:
-                        key = f"{t.group(1)}~{t.group(2)}"
-                        cycles[key] = int(t.group(3))
-                    continue
-                f = FAULT_LINE.match(line)
-                if f:
-                    if faults is None:
-                        # The benches only print fault counters when their
-                        # engine armed an injector. Seeing one in a run we
-                        # did not arm means some stray environment (or an
-                        # engine bug) molested the measurement; recording
-                        # it as "<tag>#<name>" would silently poison the
-                        # golden diff instead of flagging the bad run.
-                        fail(f"{bench} printed '{line.strip()}' but no "
-                             "--faults plan was given; the run is not "
-                             "measuring the unmolested engine")
-                    key = f"{f.group(1)}#{f.group(2)}"
-                    cycles[key] = int(f.group(3))
-                continue
-            tag, value = m.group(1), int(m.group(2))
-            # Some benches legitimately re-run a configuration (table 2
-            # re-measures two rows for the overhead summary); identical
-            # repeats are fine, conflicting ones mean the tag is ambiguous.
-            if tag in cycles and cycles[tag] != value:
-                fail(f"{bench}: tag '{tag}' reported twice with different "
-                     f"values ({cycles[tag]} vs {value})")
-            cycles[tag] = value
-            found += 1
-        if not found:
-            fail(f"{bench} printed no ';; virtual-cycles:' lines -- "
+        records = run_records(proc.stdout)
+        for rec in records:
+            merge_metrics(cycles, record_metrics(rec, armed, bench), bench)
+        if not records:
+            fail(f"{bench} printed no ';; run-json:' records -- "
                  "was it built without MULT_METRICS support?")
-        if not saw_host:
+        # Host wall-clock line: every bench must print one, but its values
+        # are noise and are deliberately dropped.
+        if not any(map(HOST_LINE.match, proc.stdout.splitlines())):
             fail(f"{bench} printed no ';; host:' line -- every bench must "
                  "report its host wall-clock phases")
     assert_no_host_keys(cycles, "the collected metrics map")
@@ -435,7 +427,7 @@ def main():
                          "(does not run benches)")
     ap.add_argument("--faults", metavar="SPEC", default=None,
                     help="run every bench under this MULT_FAULTS plan and "
-                         "collect ';; fault-metrics:' counters as "
+                         "collect the run-json 'faults' counters as "
                          "'<tag>#<name>' keys (do not --check fault runs "
                          "against the faultless golden file)")
     ap.add_argument("--checkpoint", metavar="N", type=int, default=None,
@@ -445,12 +437,12 @@ def main():
                          "off the golden dashboard)")
     ap.add_argument("--tenant", metavar="SPEC", default=None,
                     help="run every bench under this MULT_QUOTA spec and "
-                         "collect ';; tenant-metrics:' counters as "
+                         "collect the run-json 'tenant' counters as "
                          "'<tag>~<name>' keys (do not --check tenant runs "
                          "against the untenanted golden file)")
     ap.add_argument("--supervise", metavar="POLICY", default=None,
                     help="arm MULT_SUPERVISE=POLICY for the runs (implies "
-                         "tenant-metrics collection; combinable with "
+                         "tenant counter collection; combinable with "
                          "--tenant)")
     ap.add_argument("--host", action="store_true",
                     help="run bench_dispatch and record median host "

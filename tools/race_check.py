@@ -3,12 +3,13 @@
 
 Two halves, both required for a green run:
 
-  1. Bench sweep: every paper-table bench must be race-free under the
-     online detector, AND its virtual-cycle counts must be bit-identical
-     to tools/golden_metrics.json. Trace recording costs zero virtual
-     time, so arming the detector must not move a single cycle; any
-     drift here means the detector (or its tracer hooks) leaked cost
-     into the simulation.
+  1. Bench sweep: every paper-table bench run must be race-free under the
+     online detector (the "races" section of its ';; run-json:' record),
+     AND every golden key -- cycle counts and latency histograms alike --
+     must be bit-identical to tools/golden_metrics.json. Trace recording
+     costs zero virtual time, so arming the detector must not move a
+     single cycle; any drift here means the detector (or its tracer
+     hooks) leaked cost into the simulation.
 
   2. Racy-program suite: each tests/race/racy_*.lisp must be flagged
      (>= 1 race, report naming BOTH accesses), and each
@@ -29,15 +30,8 @@ import re
 import subprocess
 import sys
 
-BENCHES = [
-    "bench_table1_future_ops",
-    "bench_table2_boyer_seq",
-    "bench_table3_boyer_par",
-    "bench_table4_apps",
-    "bench_inlining_threshold",
-]
+from collect_metrics import BENCHES, merge_metrics, record_metrics, run_records
 
-METRIC_LINE = re.compile(r"^;; virtual-cycles: (\S+) (\d+)\s*$")
 # searched, not matched: REPL output lines carry a "mul-t> " prompt prefix
 RACES_LINE = re.compile(r"\braces: (\d+)")
 # One side of a race report: "write by task 3 (spawned at f+4) at cycle ..."
@@ -85,35 +79,33 @@ def check_benches(build_dir, golden_path):
         if proc.returncode != 0:
             flag(f"{bench} exited {proc.returncode}")
             continue
-        race_lines = 0
-        for line in proc.stdout.splitlines():
-            m = METRIC_LINE.match(line)
-            if m:
-                seen[m.group(1)] = int(m.group(2))
-                continue
-            m = RACES_LINE.search(line)
-            if m:
-                race_lines += 1
-                if int(m.group(1)) != 0:
-                    flag(f"{bench}: detector reports races "
-                         f"({line.strip()}) -- benches must be race-free")
-        if race_lines == 0:
-            flag(f"{bench}: no 'races:' metric line; is the detector on?")
-        print(f"race_check: {bench}: {race_lines} runs race-free")
+        records = run_records(proc.stdout)
+        for rec in records:
+            merge_metrics(seen, record_metrics(rec, (), bench), bench)
+            races = rec.get("races")
+            if races is None:
+                flag(f"{bench}: run '{rec['tag']}' has no races section; "
+                     "is the detector on?")
+            elif races["races"]:
+                flag(f"{bench}: detector reports {races['races']} races in "
+                     f"'{rec['tag']}' -- benches must be race-free")
+        if not records:
+            flag(f"{bench}: no ';; run-json:' records")
+        print(f"race_check: {bench}: {len(records)} runs checked")
 
-    for tag, cycles in sorted(golden.items()):
-        if tag not in seen:
-            flag(f"golden tag missing from bench output: {tag}")
-        elif seen[tag] != cycles:
-            flag(f"virtual-cycle drift with detector armed: {tag} "
-                 f"golden={cycles} got={seen[tag]} -- the detector must "
-                 f"cost zero virtual time")
+    for key, want in sorted(golden.items()):
+        if key not in seen:
+            flag(f"golden key missing from bench output: {key}")
+        elif seen[key] != want:
+            flag(f"drift with detector armed: {key} golden={want!r} "
+                 f"got={seen[key]!r} -- the detector must cost zero "
+                 "virtual time")
     extra = set(seen) - set(golden)
     if extra:
-        flag(f"bench output has tags absent from golden file: "
+        flag(f"bench output has keys absent from golden file: "
              f"{', '.join(sorted(extra))}")
-    print(f"race_check: {len(seen)} virtual-cycle tags checked "
-          f"against {golden_path}")
+    print(f"race_check: {len(seen)} golden keys checked against "
+          f"{golden_path}")
 
 
 def check_program(repl, path, procs):
