@@ -534,8 +534,8 @@ Object *Engine::tryAlloc(Processor &P, TypeTag Tag, uint32_t SizeWords,
   // the header's spare halfword so the collector can tile live words per
   // group exactly. Computing it is a dormant bool test when quotas are off.
   uint16_t Aux = 0;
-  if (TenantOn && !Bootstrapping && P.Current != InvalidTask) {
-    GroupId Gid = task(P.Current).Group;
+  if (TenantOn && !Bootstrapping && P.current() != InvalidTask) {
+    GroupId Gid = task(P.current()).Group;
     if (Gid != InvalidGroup && Gid < Groups.size() && !Groups[Gid].Internal &&
         Gid + 1 <= 0xffff)
       Aux = static_cast<uint16_t>(Gid + 1);
@@ -577,6 +577,8 @@ Object *Engine::allocOrGc(TypeTag Tag, uint32_t SizeWords, uint8_t Flags) {
 
 bool Engine::collectGarbage() {
   HostPhaseTimer HostGc(Telem, Telemetry::Phase::Gc);
+  // The rendezvous reads every clock, parked processors' included.
+  TheMachine.settleParked(*this);
   std::vector<uint64_t> Clocks = TheMachine.clocks();
   std::vector<uint64_t> Before = Clocks;
   bool Ok = TheGc.collect(*this, Clocks);
@@ -759,9 +761,9 @@ void Engine::scanRootSegment(unsigned Segment, const RootVisitor &Visit) {
 
 void Engine::scanProcessorRoots(unsigned Proc, const RootVisitor &Visit) {
   Processor &P = TheMachine.processor(Proc);
-  if (P.Current == InvalidTask)
+  if (P.current() == InvalidTask)
     return;
-  scanTask(task(P.Current), Visit);
+  scanTask(task(P.current()), Visit);
 }
 
 //===----------------------------------------------------------------------===//
@@ -793,14 +795,14 @@ void Engine::stopGroup(Processor &P, Task &T, std::string Condition,
   // members are parked lazily when a dispatch pops them.
   for (unsigned I = 0; I < TheMachine.numProcessors(); ++I) {
     Processor &Other = TheMachine.processor(I);
-    if (Other.Current == InvalidTask || Other.Current == T.Id)
+    if (Other.current() == InvalidTask || Other.current() == T.Id)
       continue;
-    Task *Sibling = liveTask(Other.Current);
+    Task *Sibling = liveTask(Other.current());
     if (!Sibling || Sibling->Group != T.Group)
       continue;
     Sibling->State = TaskState::Stopped;
     G.Parked.push_back(Sibling->Id);
-    Other.Current = InvalidTask;
+    Other.setCurrent(InvalidTask);
     if (TheTracer.enabled())
       TheTracer.record(TraceEventKind::TaskStopped, Other.Id, Other.Clock,
                        Sibling->Id);
@@ -888,8 +890,8 @@ void Engine::killGroup(GroupId Id) {
       continue;
     // Detach from any processor.
     for (unsigned P = 0; P < TheMachine.numProcessors(); ++P)
-      if (TheMachine.processor(P).Current == Member)
-        TheMachine.processor(P).Current = InvalidTask;
+      if (TheMachine.processor(P).current() == Member)
+        TheMachine.processor(P).setCurrent(InvalidTask);
     finishTask(T);
   }
   G->Parked.clear();
@@ -1474,9 +1476,9 @@ void Engine::recoverProcessor(Processor &P, Processor &Dead,
   // program pays is the re-executed cycles, charged as the re-spawned
   // tasks run (EngineStats::RecoveryCycles).
   std::vector<TaskId> Lost;
-  if (Dead.Current != InvalidTask) {
-    Lost.push_back(Dead.Current);
-    Dead.Current = InvalidTask;
+  if (Dead.current() != InvalidTask) {
+    Lost.push_back(Dead.current());
+    Dead.setCurrent(InvalidTask);
   }
   uint64_t Scratch = 0;
   for (TaskId T; (T = Dead.Queues.popNew(Dead.Clock, Scratch)) != InvalidTask;)

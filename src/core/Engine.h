@@ -356,6 +356,7 @@ public:
 
   /// Lazy-future seam registry, oldest first.
   std::deque<SeamRef> &seams() { return Seams; }
+  const std::deque<SeamRef> &seams() const { return Seams; }
   /// Next seam serial number (lazy-future bookkeeping).
   uint64_t nextSeamSerial() { return ++SeamSerialCounter; }
   /// Creates an empty task shell (lazy-future split fills it manually).

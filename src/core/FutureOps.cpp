@@ -254,7 +254,7 @@ void futureops::resolveFuture(Engine &E, Processor &P, Object *Fut,
     ++Woken;
     if (E.tracer().enabled())
       E.tracer().record(TraceEventKind::TaskResume, P.Id, P.Clock + Cycles,
-                        Waiter->Id, Home.Id, P.Current);
+                        Waiter->Id, Home.Id, P.current());
   }
   P.charge(Cycles);
   if (E.tracer().enabled())

@@ -84,12 +84,12 @@ void sem::v(Engine &E, Processor &P, Object *Sem) {
     P.charge(Home.Queues.pushSuspended(Id, P.Clock) + 4);
     if (E.tracer().enabled())
       E.tracer().record(TraceEventKind::TaskResume, P.Id, P.Clock, Waiter->Id,
-                        Home.Id, P.Current);
+                        Home.Id, P.current());
     if (E.raceDetectEnabled() && E.tracer().enabled()) {
       // Direct handoff: the V releases and the waiter acquires in one
       // step, so the release edge flows straight into the waiter.
       E.tracer().record(TraceEventKind::SemRelease, P.Id, P.Clock,
-                        E.cellSerial(Sem), 0, P.Current);
+                        E.cellSerial(Sem), 0, P.current());
       E.tracer().record(TraceEventKind::SemAcquire, P.Id, P.Clock,
                         E.cellSerial(Sem), 0, Waiter->Id);
     }
@@ -99,5 +99,5 @@ void sem::v(Engine &E, Processor &P, Object *Sem) {
   P.charge(3);
   if (E.raceDetectEnabled() && E.tracer().enabled())
     E.tracer().record(TraceEventKind::SemRelease, P.Id, P.Clock,
-                      E.cellSerial(Sem), 0, P.Current);
+                      E.cellSerial(Sem), 0, P.current());
 }

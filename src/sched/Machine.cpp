@@ -27,6 +27,8 @@ Machine::Machine(unsigned NumProcessors, uint64_t QuantumCycles,
   Procs.resize(NumProcessors);
   for (unsigned I = 0; I < NumProcessors; ++I) {
     Procs[I].Id = I;
+    Procs[I].RunningTally = &Running;
+    Procs[I].Queues.setQueuedTally(&Queued);
     Procs[I].Adapt.T = Adaptive.StartT;
     beginAdaptiveWindow(Procs[I]);
   }
@@ -115,20 +117,80 @@ void Machine::setClocks(const std::vector<uint64_t> &C) {
 
 unsigned Machine::minClockProcessor() const {
   unsigned Best = ~0u;
+  uint64_t BestClock = 0;
   for (unsigned I = 0; I < Procs.size(); ++I) {
-    if (Procs[I].Dead)
+    const Processor &P = Procs[I];
+    if (P.Dead)
       continue;
-    if (Best == ~0u || Procs[I].Clock < Procs[Best].Clock)
+    uint64_t Clock = P.Parked ? P.WakeClock : P.Clock;
+    if (Best == ~0u || Clock < BestClock) {
       Best = I;
+      BestClock = Clock;
+    }
   }
   return Best; // the last live processor is never killed
 }
 
 bool Machine::quiescent(const Engine &E) const {
-  for (const Processor &P : Procs)
-    if (!P.Dead && (P.Current != InvalidTask || P.Queues.depth() > 0))
-      return false;
-  return const_cast<Engine &>(E).seams().empty();
+#ifndef NDEBUG
+  size_t Depth = 0;
+  unsigned Busy = 0;
+  for (const Processor &P : Procs) {
+    Depth += P.Queues.depth();
+    Busy += P.Current != InvalidTask;
+  }
+  assert(Depth == Queued && Busy == Running && "machine tallies drifted");
+#endif
+  // Dead processors hold no task: recovery drained them when they died.
+  return Running == 0 && Queued == 0 && E.seams().empty();
+}
+
+void Machine::park(Processor &P, uint64_t Start) {
+  // P.Clock is the clock of P's next sweep; they recur every SweepCycles.
+  auto FirstSweepFrom = [&](uint64_t Clock) {
+    if (Clock <= P.Clock)
+      return P.Clock;
+    return P.Clock + ((Clock - P.Clock - 1) / SweepCycles + 1) * SweepCycles;
+  };
+  uint64_t Wake = ~uint64_t(0);
+  if (Adaptive.Enabled)
+    Wake = FirstSweepFrom(P.Adapt.WindowEnd);
+  if (MaxRunCycles < ~uint64_t(0) - Start)
+    Wake = std::min(Wake, FirstSweepFrom(Start + MaxRunCycles + 1));
+  P.Parked = true;
+  P.WakeClock = Wake;
+  ++ParkedCount;
+}
+
+void Machine::settle(Engine &E, Processor &P, uint64_t Clock, unsigned Id) {
+  // The per-sweep loop steps the smallest (clock, id) first, so P's sweep
+  // at c runs before the step keyed (Clock, Id) exactly when
+  // (c, P.Id) < (Clock, Id): count the sweeps below that bound.
+  uint64_t Bound = Clock + (P.Id < Id ? 1 : 0);
+  uint64_t K =
+      Bound > P.Clock ? (Bound - P.Clock - 1) / SweepCycles + 1 : 0;
+  uint64_t Idle = K * cost::IdleTick;
+  uint64_t Probes = K * SweepProbes;
+  P.Clock += K * SweepCycles;
+  P.BusyCycles += K * SweepBusy;
+  P.IdleCycles += Idle;
+  P.StealAttempts += Probes;
+  P.StealsFailed += Probes;
+  EngineStats &S = E.stats();
+  S.IdleCycles += Idle;
+  S.StealAttempts += Probes;
+  S.StealsFailed += Probes;
+  SweepsSettled += K;
+  P.Parked = false;
+  --ParkedCount;
+}
+
+void Machine::settleParked(Engine &E) {
+  if (ParkedCount == 0)
+    return;
+  for (Processor &P : Procs)
+    if (P.Parked)
+      settle(E, P, SelClock, SelId);
 }
 
 unsigned Machine::liveProcessors() const {
@@ -174,6 +236,32 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
     E.stats().IdleCycles += Skew;
   }
 
+  // Idle parking. An idle processor whose sweep found nothing while no
+  // task is queued anywhere, no lazy seam exists and some processor is
+  // still running parks instead of repeating that sweep: an empty probe
+  // is lock-free and of constant cost (CostModel.h), so its sweeps are
+  // charged in closed form when it is settled (see settle). Runs where
+  // anything observes individual probes or polls every iteration keep the
+  // per-sweep loop.
+  ParkingAllowed = !E.tracer().enabled() && !E.raceDetectEnabled() &&
+                   !E.faults().armed() && !E.tenantArmed();
+  SweepProbes = 2 * uint64_t(liveProcessors() - 1);
+  SweepBusy = 2 * cost::QueueEmptyCheck + SweepProbes * cost::StealProbe;
+  SweepCycles = SweepBusy + cost::IdleTick;
+
+  RunResult R = runLoop(E, Start);
+  settleParked(E);
+  // Busy cycles since the last resetStats (which zeroes both), summed
+  // here once per run rather than charged on the hot path.
+  uint64_t Busy = 0;
+  for (const Processor &P : Procs)
+    Busy += P.BusyCycles;
+  E.stats().CyclesExecuted = Busy;
+  (void)RootFuture;
+  return R;
+}
+
+RunResult Machine::runLoop(Engine &E, uint64_t Start) {
   RunResult R;
   unsigned FruitlessGcs = 0;
   // Detects an instruction that keeps re-triggering collections: a
@@ -216,7 +304,14 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
            E.group(E.rootGroup()).State == GroupState::Stopped;
   };
 
-  for (;;) {
+  // A step that queued a task, made a seam or left no processor running
+  // ends the parked processors' empty sweeps: settle them against the
+  // step's key so the next selection sees their exact clocks.
+  auto EndStep = [&] {
+    if (ParkedCount && (Queued || Running == 0 || !E.seams().empty()))
+      settleParked(E);
+  };
+  for (;; EndStep()) {
     if (E.rootResolved()) {
       R.Status = RunStatus::Completed;
       R.Result = E.rootValue();
@@ -226,6 +321,10 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
     }
 
     Processor &P = Procs[minClockProcessor()];
+    if (P.Parked)
+      settle(E, P, P.WakeClock, P.Id); // its wake sweep is stepped
+    SelClock = P.Clock;
+    SelId = P.Id;
     if (P.Clock - Start > MaxRunCycles) {
       R.Status = RunStatus::CycleLimit;
       R.Error = "virtual cycle limit exceeded";
@@ -260,7 +359,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
             liveProcessors() > 1) {
           Processor &Dead = Procs[Victim];
           Dead.Dead = true;
-          if (Dead.Current == InvalidTask && Dead.TraceIdling) {
+          if (Dead.current() == InvalidTask && Dead.TraceIdling) {
             Dead.TraceIdling = false;
             E.tracer().record(TraceEventKind::IdleEnd, Dead.Id, Dead.Clock);
           }
@@ -350,14 +449,14 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       }
     }
 
-    if (P.Current != InvalidTask) {
-      Task &T = E.task(P.Current);
+    if (P.current() != InvalidTask) {
+      Task &T = E.task(P.current());
       Group &G = E.group(T.Group);
       if (G.State != GroupState::Running && G.State != GroupState::Done) {
         // The group stopped while this task was current on another
         // processor's signal: suspend it (paper: "no other tasks in the
         // group will run").
-        P.Current = InvalidTask;
+        P.setCurrent(InvalidTask);
         if (G.State == GroupState::Stopped &&
             T.State == TaskState::Running) {
           T.State = TaskState::Stopped;
@@ -372,7 +471,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       }
       if (T.State != TaskState::Running) {
         // Stopped by its own raise, or finished: detach.
-        P.Current = InvalidTask;
+        P.setCurrent(InvalidTask);
         continue;
       }
 
@@ -386,7 +485,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
                       "virtual cycles",
                       T.Group,
                       static_cast<unsigned long long>(E.config().MaxCycles)));
-        P.Current = InvalidTask;
+        P.setCurrent(InvalidTask);
         if (RootStopped()) {
           R.Status = RunStatus::GroupStopped;
           R.StoppedGroup = E.rootGroup();
@@ -402,7 +501,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       // watchdog above: only the offending group stops (restartable — the
       // next instruction never executed); every other group keeps running.
       if (E.tenantArmed() && E.pollTenant(P, T)) {
-        P.Current = InvalidTask;
+        P.setCurrent(InvalidTask);
         if (RootStopped()) {
           R.Status = RunStatus::GroupStopped;
           R.StoppedGroup = E.rootGroup();
@@ -450,7 +549,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       case StepOutcome::Blocked:
       case StepOutcome::TaskDone:
       case StepOutcome::GroupStopped:
-        P.Current = InvalidTask;
+        P.setCurrent(InvalidTask);
         if (RootStopped()) {
           R.Status = RunStatus::GroupStopped;
           R.StoppedGroup = E.rootGroup();
@@ -468,7 +567,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
         auto StopHeapExhausted = [&](const std::string &Condition) -> bool {
           ++E.stats().HeapExhaustedStops;
           E.stopGroupRestartable(P, T, Condition);
-          P.Current = InvalidTask;
+          P.setCurrent(InvalidTask);
           SameSpotTask = InvalidTask;
           FruitlessGcs = 0;
           if (RootStopped()) {
@@ -567,7 +666,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
         P.TraceIdling = false;
         E.tracer().record(TraceEventKind::IdleEnd, P.Id, P.Clock);
       }
-      P.Current = Next;
+      P.setCurrent(Next);
       continue;
     }
     if (!P.TraceIdling) {
@@ -609,6 +708,7 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
       E.stats().ElapsedCycles = R.ElapsedCycles;
       return R;
     }
+    if (ParkingAllowed && Queued == 0 && E.seams().empty())
+      park(P, Start); // not quiescent, so some processor is running
   }
-  (void)RootFuture;
 }

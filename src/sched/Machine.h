@@ -32,8 +32,17 @@ class Engine;
 struct Processor {
   unsigned Id = 0;
   uint64_t Clock = 0;
-  TaskId Current = InvalidTask;
   TaskQueues Queues;
+
+  /// The task this processor is running (InvalidTask when idle). Written
+  /// only through setCurrent, which keeps the machine's running-processor
+  /// count exact.
+  TaskId current() const { return Current; }
+  void setCurrent(TaskId T) {
+    *RunningTally = *RunningTally + (T != InvalidTask) -
+                    (Current != InvalidTask);
+    Current = T;
+  }
 
   // Statistics. Every cycle the clock advances lands in exactly one of
   // BusyCycles (charge), IdleCycles (idle ticks + waiting for a run to
@@ -81,10 +90,23 @@ struct Processor {
   /// idle interval instead of one per idle tick.
   bool TraceIdling = false;
 
+  /// Parked by the run loop (see Machine::run): idle, and its steal
+  /// sweeps are charged in closed form instead of being stepped. Clock is
+  /// the clock of its next sweep; WakeClock is the clock of the first
+  /// sweep that must be stepped after all (an adaptive window closes or
+  /// the run's cycle limit fires there), and orders it in selection.
+  bool Parked = false;
+  uint64_t WakeClock = 0;
+
   void charge(uint64_t Cycles) {
     Clock += Cycles;
     BusyCycles += Cycles;
   }
+
+private:
+  friend class Machine;
+  TaskId Current = InvalidTask;
+  unsigned *RunningTally = nullptr; ///< set by the owning Machine
 };
 
 /// Why Machine::run returned.
@@ -126,6 +148,9 @@ public:
   Machine(unsigned NumProcessors, uint64_t QuantumCycles,
           uint64_t MaxRunCycles, StealOrder Order,
           const AdaptiveTConfig &Adaptive = AdaptiveTConfig());
+  // The processors' queues and running flags point back at the tallies.
+  Machine(const Machine &) = delete;
+  Machine &operator=(const Machine &) = delete;
 
   /// Runs until the future \p RootFuture resolves (or an exceptional
   /// status). Runnable tasks must already be enqueued.
@@ -158,8 +183,19 @@ public:
   void rebaselineAdaptiveWindows();
 
   /// True when nothing can make progress: no current tasks, all queues
-  /// empty, and no stealable lazy seams.
+  /// empty, and no stealable lazy seams. O(1): reads the machine-wide
+  /// queued-entry and running-processor tallies.
   bool quiescent(const Engine &E) const;
+
+  /// Charges every parked processor the idle sweeps it would have run
+  /// before the current selection's step and unparks it. Anything that
+  /// reads every processor clock mid-run (the GC rendezvous) calls this
+  /// first; a no-op when nothing is parked.
+  void settleParked(Engine &E);
+
+  /// Machine-lifetime count of idle sweeps charged in closed form (never
+  /// reset; zero on runs that keep the per-sweep loop).
+  uint64_t sweepsSettled() const { return SweepsSettled; }
 
   /// Processors not fail-stopped by a proc-kill fault.
   unsigned liveProcessors() const;
@@ -182,7 +218,19 @@ public:
   Processor &homeFor(unsigned Preferred);
 
 private:
+  /// The live processor with the smallest (clock, id) key; a parked
+  /// processor's key is its wake clock.
   unsigned minClockProcessor() const;
+
+  /// The run loop proper; run() wraps it with the entry sync and the exit
+  /// accounting every return path shares.
+  RunResult runLoop(Engine &E, uint64_t Start);
+
+  /// Parks idle processor \p P (its sweep just found nothing anywhere).
+  void park(Processor &P, uint64_t Start);
+  /// Charges parked \p P the sweeps ordered before the step keyed
+  /// (\p Clock, \p Id) and unparks it.
+  void settle(Engine &E, Processor &P, uint64_t Clock, unsigned Id);
 
   /// Closes \p P's adaptation window: reads the window's signals, feeds
   /// them through decideStep/applyStep (or an injected adapt-clamp /
@@ -202,6 +250,27 @@ private:
   /// See inRun()/runStartClock().
   bool InRun = false;
   uint64_t RunStart = 0;
+
+  /// Machine-wide tallies: entries on every processor's queues (kept by
+  /// TaskQueues) and processors with a current task (kept by
+  /// Processor::setCurrent).
+  size_t Queued = 0;
+  unsigned Running = 0;
+
+  /// Idle parking, decided once per run: off while anything observes
+  /// individual probes or polls every iteration (tracing, race
+  /// detection, a fault plan, the tenant layer).
+  bool ParkingAllowed = false;
+  unsigned ParkedCount = 0;
+  /// One empty sweep: busy cycles, steal probes, busy + idle-tick cycles.
+  uint64_t SweepBusy = 0;
+  uint64_t SweepProbes = 0;
+  uint64_t SweepCycles = 0;
+  /// Key (clock, id) of the current selection; parked sweeps ordered
+  /// before it are the ones settleParked charges.
+  uint64_t SelClock = 0;
+  unsigned SelId = 0;
+  uint64_t SweepsSettled = 0;
 };
 
 } // namespace mult

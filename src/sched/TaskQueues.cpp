@@ -18,6 +18,7 @@ uint64_t TaskQueues::pushNew(TaskId T, uint64_t Now) {
   NewQ.emplace_back(T, Now);
   NewHighWater = std::max(NewHighWater, NewQ.size());
   ++NewPushes;
+  tally(1, 0);
   noteDepth();
   return C + 2;
 }
@@ -26,6 +27,7 @@ uint64_t TaskQueues::pushSuspended(TaskId T, uint64_t Now) {
   uint64_t C = SuspLock.acquire(Now, cost::QueueLockHold);
   SuspQ.emplace_back(T, Now);
   SuspHighWater = std::max(SuspHighWater, SuspQ.size());
+  tally(1, 0);
   noteDepth();
   return C + 2;
 }
@@ -39,6 +41,7 @@ TaskId TaskQueues::popNew(uint64_t Now, uint64_t &Cycles,
   Cycles += NewLock.acquire(Now, cost::QueueLockHold) + 2;
   auto [T, Arrived] = NewQ.back();
   NewQ.pop_back();
+  tally(0, 1);
   if (ArrivalOut)
     *ArrivalOut = Arrived;
   return T;
@@ -53,6 +56,7 @@ TaskId TaskQueues::popSuspended(uint64_t Now, uint64_t &Cycles,
   Cycles += SuspLock.acquire(Now, cost::QueueLockHold) + 2;
   auto [T, Arrived] = SuspQ.back();
   SuspQ.pop_back();
+  tally(0, 1);
   if (ArrivalOut)
     *ArrivalOut = Arrived;
   return T;
@@ -73,6 +77,7 @@ TaskId TaskQueues::stealNew(uint64_t Now, uint64_t &Cycles, StealOrder Order,
     E = NewQ.front();
     NewQ.pop_front();
   }
+  tally(0, 1);
   if (ArrivalOut)
     *ArrivalOut = E.second;
   return E.first;
@@ -93,6 +98,7 @@ TaskId TaskQueues::stealSuspended(uint64_t Now, uint64_t &Cycles,
     E = SuspQ.front();
     SuspQ.pop_front();
   }
+  tally(0, 1);
   if (ArrivalOut)
     *ArrivalOut = E.second;
   return E.first;
@@ -101,5 +107,6 @@ TaskId TaskQueues::stealSuspended(uint64_t Now, uint64_t &Cycles,
 std::vector<std::pair<TaskId, uint64_t>> TaskQueues::drainSuspendedArrivals() {
   std::vector<std::pair<TaskId, uint64_t>> Out(SuspQ.begin(), SuspQ.end());
   SuspQ.clear();
+  tally(0, Out.size());
   return Out;
 }

@@ -66,6 +66,11 @@ public:
   /// processor's doom mark (see Engine::recoverProcessor).
   std::vector<std::pair<TaskId, uint64_t>> drainSuspendedArrivals();
 
+  /// Points these queues at a machine-wide count of queued entries, which
+  /// every push, pop, steal and drain keeps exact (null: untallied, as
+  /// for a stand-alone queue pair).
+  void setQueuedTally(size_t *Tally) { Queued = Tally; }
+
   size_t newCount() const { return NewQ.size(); }
   size_t suspendedCount() const { return SuspQ.size(); }
   /// Queue depth the inlining threshold compares against (paper
@@ -99,6 +104,10 @@ public:
   /// @}
 
 private:
+  void tally(size_t Added, size_t Removed) {
+    if (Queued)
+      *Queued = *Queued + Added - Removed;
+  }
   void noteDepth() {
     size_t D = depth();
     if (D > WindowHighWater)
@@ -115,6 +124,7 @@ private:
   size_t SuspHighWater = 0;
   size_t WindowHighWater = 0;
   uint64_t NewPushes = 0;
+  size_t *Queued = nullptr;
 };
 
 } // namespace mult

@@ -88,6 +88,11 @@ inline constexpr uint64_t DispatchSuspBase = 24;
 // QueueEmptyCheck + 1. Neither path models a lock acquisition for an
 // empty probe; on the Multimax's snoopy bus a read of a shared word is
 // exactly one (possibly remote) reference.
+//
+// The run loop relies on this: an empty probe changes no state and
+// always costs the same, so a parked idle processor's fruitless sweeps are
+// charged in closed form (Machine::run, "Idle parking" in DESIGN.md).
+// Giving empty probes state or a variable cost breaks that closed form.
 inline constexpr uint64_t QueueLockHold = 4;
 inline constexpr uint64_t StealBase = 12;
 /// Lock-free emptiness check of one's own queue: load count + branch.

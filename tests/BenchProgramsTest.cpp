@@ -47,9 +47,10 @@ TEST(BoyerTest, ParallelAgreesOnEveryMachine) {
       evalOk(E, BoyerParallelArgs);
       EXPECT_EQ(evalPrint(E, "(boyer-test 1)"), "#t")
           << "procs=" << Procs << " T=" << T;
-      if (T < 0)
+      if (T < 0) {
         EXPECT_GT(E.stats().FuturesCreated, 50u)
             << "parallel Boyer must actually create futures";
+      }
     }
   }
 }

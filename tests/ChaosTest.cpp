@@ -153,10 +153,11 @@ std::string runOnce(const char *Program, const std::string &Plan) {
   // breakloop stack; nothing is in an impossible state.
   std::vector<GroupId> Stopped = E.stoppedGroups();
   for (const Group &G : E.allGroups()) {
-    if (G.State == GroupState::Stopped && !G.Internal)
+    if (G.State == GroupState::Stopped && !G.Internal) {
       EXPECT_NE(std::find(Stopped.begin(), Stopped.end(), G.Id),
                 Stopped.end())
           << "stopped group " << G.Id << " missing from the breakloop stack";
+    }
   }
   // Kill whatever is still stopped; the engine must stay usable.
   for (GroupId Id : Stopped)
@@ -200,9 +201,10 @@ std::string runOnce(const char *Program, const std::string &Plan) {
     EXPECT_EQ(S.TasksOrphaned, 0u);
     EXPECT_EQ(S.RecoveryCycles, 0u);
   }
-  if (S.RecoveryCycles > 0)
+  if (S.RecoveryCycles > 0) {
     EXPECT_GT(S.TasksRecovered, 0u)
         << "recovery cycles without a recovered task";
+  }
   unsigned DeadProcs = 0;
   for (unsigned I = 0; I < 4; ++I)
     DeadProcs += E.machine().processor(I).Dead;

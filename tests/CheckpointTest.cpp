@@ -390,7 +390,7 @@ TEST(CheckpointTest, KillInsideACollectionIsCompletedBySurvivors) {
   for (size_t I = 0; I < Events.size(); ++I) {
     if (Events[I].Kind == TraceEventKind::GcBegin && GcBegin == Events.size())
       GcBegin = I;
-    if (Events[I].Kind == TraceEventKind::GcEnd)
+    if (Events[I].Kind == TraceEventKind::GcEnd && GcEnd == Events.size())
       GcEnd = I;
     if (Events[I].Kind == TraceEventKind::ProcKilled && Kill == Events.size())
       Kill = I;
@@ -398,6 +398,7 @@ TEST(CheckpointTest, KillInsideACollectionIsCompletedBySurvivors) {
   ASSERT_LT(GcBegin, Events.size());
   ASSERT_LT(Kill, Events.size());
   EXPECT_GT(Kill, GcBegin) << "the kill must not precede the collection";
+  EXPECT_GT(Kill, GcEnd) << "the death waits for the collection to commit";
   // The heap stays usable afterwards.
   EXPECT_EQ(evalFixnum(E, "(* 6 7)"), 42);
 }

@@ -128,6 +128,19 @@ TEST(MachineTest, EngineSurvivesManyEvals) {
   EXPECT_LT(E.taskSlotCount(), 64u);
 }
 
+TEST(MachineTest, CyclesExecutedSumsProcessorBusyCycles) {
+  Engine E(config(4));
+  evalOk(E, "(define (tree n) (if (< n 2) 1 (+ (future (tree (- n 1)))"
+            " (tree (- n 2)))))");
+  E.resetStats();
+  EXPECT_EQ(evalFixnum(E, "(tree 12)"), 233);
+  uint64_t Busy = 0;
+  for (unsigned I = 0; I < E.machine().numProcessors(); ++I)
+    Busy += E.machine().processor(I).BusyCycles;
+  EXPECT_GT(Busy, 0u);
+  EXPECT_EQ(E.stats().CyclesExecuted, Busy);
+}
+
 TEST(MachineTest, DeadlockReportsBlockedRoot) {
   Engine E(config(2));
   EvalResult R = E.eval("(semaphore-p (make-semaphore))");

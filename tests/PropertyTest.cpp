@@ -146,9 +146,10 @@ TEST_P(HeapSweepTest, GcFrequencyDoesNotChangeResults) {
           (loop (+ i 1) (+ acc (touch (future (total (build 300))))))))
   )lisp"),
             60 * (300 * 301 / 2));
-  if (GetParam() <= (size_t(1) << 15))
+  if (GetParam() <= (size_t(1) << 15)) {
     EXPECT_GE(E.gcStats().Collections, 1u)
         << "small heaps must actually have collected";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(HeapSizes, HeapSweepTest,

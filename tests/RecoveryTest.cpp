@@ -133,8 +133,9 @@ TEST(RecoveryTest, DeadProcessorIsNeverStolenFromOrDispatchedTo) {
                            << " (event kind "
                            << traceEventKindName(Ev.Kind) << ")";
     if (Ev.Kind == TraceEventKind::TaskResume ||
-        Ev.Kind == TraceEventKind::TaskRecovered)
+        Ev.Kind == TraceEventKind::TaskRecovered) {
       EXPECT_NE(Ev.B, 2u) << "task handed to a dead processor";
+    }
   }
 }
 

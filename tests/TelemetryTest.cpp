@@ -96,8 +96,9 @@ TEST(LatencyHistogramTest, BucketBoundariesAtPowersOfTwo) {
     EXPECT_EQ(LatencyHistogram::bucketFor(2 * Lo - 1), K)
         << "2^" << K + 1 << "-1";
     EXPECT_EQ(LatencyHistogram::bucketLow(K), Lo);
-    if (K + 1 < LatencyHistogram::NumBuckets)
+    if (K + 1 < LatencyHistogram::NumBuckets) {
       EXPECT_EQ(LatencyHistogram::bucketHigh(K), 2 * Lo - 1);
+    }
   }
   // Edges tile: every bucket starts right after the previous one ends.
   for (unsigned B = 0; B + 2 < LatencyHistogram::NumBuckets; ++B)

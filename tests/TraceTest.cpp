@@ -550,10 +550,12 @@ TEST(SchedulerVetTest, KilledGroupTasksAreDroppedOnDispatch) {
   EXPECT_EQ(P.Queues.newCount(), 0u);
   EXPECT_GE(countKind(E.tracer(), TraceEventKind::TaskDropped), Queued);
   // Dropped tasks are gone for good: their slots were recycled.
-  for (TaskId Id : G->Members)
-    if (Task *T = E.liveTask(Id))
+  for (TaskId Id : G->Members) {
+    if (Task *T = E.liveTask(Id)) {
       EXPECT_NE(static_cast<int>(T->State),
                 static_cast<int>(TaskState::Ready));
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
