@@ -139,7 +139,8 @@ inline void reportRun(Engine &E, const std::string &Tag) {
   // Host wall-clock phases, printed for every run with no switch. These
   // are simulator self-times (steady_clock), noisy and machine-dependent:
   // tools/collect_metrics.py recognizes ";; host:" and refuses to let it
-  // anywhere near the golden comparison. Run includes nested GC time.
+  // anywhere near the golden comparison. Run includes nested GC time;
+  // setup is the engine's one-time construction, prelude included.
   {
     const Telemetry &T = E.telemetry();
     uint64_t RunNs = T.hostNs(Telemetry::Phase::Run);
@@ -148,9 +149,11 @@ inline void reportRun(Engine &E, const std::string &Tag) {
         Cycles ? static_cast<double>(RunNs) / static_cast<double>(Cycles)
                : 0.0;
     E.telemetry().set(E.telemetryIds().HostNsPerCycle, NsPerCycle);
-    std::printf(";; host: %s read-ns=%llu compile-ns=%llu run-ns=%llu "
-                "gc-ns=%llu ns-per-vcycle=%.2f\n",
+    std::printf(";; host: %s setup-ns=%llu read-ns=%llu compile-ns=%llu "
+                "run-ns=%llu gc-ns=%llu ns-per-vcycle=%.2f\n",
                 Tag.c_str(),
+                static_cast<unsigned long long>(
+                    T.hostNs(Telemetry::Phase::Setup)),
                 static_cast<unsigned long long>(
                     T.hostNs(Telemetry::Phase::Read)),
                 static_cast<unsigned long long>(

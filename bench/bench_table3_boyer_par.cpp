@@ -37,7 +37,7 @@ double runParallelBoyer(unsigned Procs, std::optional<unsigned> T,
   if (FuturesOut)
     *FuturesOut = E.stats().FuturesCreated;
   reportRun(E, strFormat("boyer_par_p%u_%s", Procs,
-                         T ? ("t" + std::to_string(*T)).c_str() : "noinline"));
+                         T ? strFormat("t%u", *T).c_str() : "noinline"));
   return Secs / Iterations;
 }
 

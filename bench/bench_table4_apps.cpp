@@ -150,7 +150,7 @@ int main() {
       double T = mergesortTheory(MsortOneProc, S.MergesortK, R.Procs);
       Theory = T < 0 ? "" : formatSeconds(T);
     } else if (!R.Seq && R.Procs == 1) {
-      Theory = "(" + formatSeconds(Msort) + ")";
+      Theory = strFormat("(%s)", formatSeconds(Msort).c_str());
     }
     std::printf("  %-5s %9s %9s %9s %12s %12s\n", R.Label,
                 formatSeconds(Permute).c_str(),

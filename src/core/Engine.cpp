@@ -200,6 +200,11 @@ Engine::Engine(const EngineConfig &Config)
     if (!configureSupervisor(SuperSpec, Err))
       std::fprintf(stderr, "mult: ignoring MULT_SUPERVISE: %s\n", Err.c_str());
   }
+  Telem.addHostNs(Telemetry::Phase::Setup,
+                  static_cast<uint64_t>(
+                      std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - SetupStart)
+                          .count()));
 }
 
 bool Engine::configureSitePolicies(std::string_view Text, std::string &Err) {

@@ -40,6 +40,7 @@
 #include "support/OutStream.h"
 #include "support/Prng.h"
 
+#include <chrono>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -610,6 +611,10 @@ private:
   /// readable. Dead cells drop out.
   void remapCellSerials();
 
+  /// Host time the constructor began (Telemetry::Phase::Setup). Declared
+  /// first so it is stamped before the heap or any other member is built.
+  std::chrono::steady_clock::time_point SetupStart =
+      std::chrono::steady_clock::now();
   EngineConfig Cfg;
   Heap TheHeap;
   SymbolTable Syms;

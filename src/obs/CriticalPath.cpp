@@ -119,6 +119,26 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
     uint32_t Site;
   };
   std::map<uint64_t, SeamPub> SeamEdges;
+  // A restore resumes from the task's newest capture in emission order.
+  // The dead processor can run (and capture) past the clock at which its
+  // kill was polled, so that capture may sort after the restore: map each
+  // TaskRestored to its capture now, and resolve the edge whichever of
+  // the two the sweep reaches last.
+  std::map<uint32_t, uint32_t> RestoreCapture; // restore idx -> capture idx
+  {
+    std::map<TaskId, uint32_t> Newest;
+    for (uint32_t I = 0; I < Events.size(); ++I) {
+      if (Events[I].Kind == TraceEventKind::CheckpointTaken) {
+        Newest[Events[I].A] = I;
+      } else if (Events[I].Kind == TraceEventKind::TaskRestored) {
+        auto It = Newest.find(Events[I].A);
+        if (It != Newest.end())
+          RestoreCapture[I] = It->second;
+      }
+    }
+  }
+  std::map<uint32_t, uint64_t> CapturePath;  // capture idx -> path at it
+  std::map<uint32_t, TaskId> PendingRestore; // capture idx -> restored task
   std::map<uint32_t, FutureSiteProfile> SiteMap;
 
   auto site = [&](uint32_t Id) -> FutureSiteProfile & {
@@ -263,6 +283,44 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
       }
       break;
     }
+    case TraceEventKind::CheckpointTaken: {
+      // The capture runs inside the task's own segment; remember how far
+      // along its path it was, so a restore can resume from there.
+      advance(PS, E.Clock);
+      if (!PS.HasTask || PS.Task != E.A)
+        break;
+      CapturePath[Idx] = PS.Path;
+      auto It = PendingRestore.find(Idx);
+      if (It == PendingRestore.end())
+        break;
+      // The restore was swept first. If the restored task already runs
+      // elsewhere, rebase its open segment onto the capture's path.
+      TaskInfo &T = TaskMap[It->second];
+      if (PS.Path > T.ReadyPath) {
+        for (auto &[Id, Other] : Procs)
+          if (&Other != &PS && Other.HasTask && Other.Task == It->second)
+            Other.Path += PS.Path - T.ReadyPath;
+        T.ReadyPath = PS.Path;
+      }
+      PendingRestore.erase(It);
+      break;
+    }
+    case TraceEventKind::TaskRestored: {
+      // Edge checkpoint -> resumed task: the task replays from its capture
+      // (fail-stop recovery or a supervisor restart), so it is ready at
+      // the capture's path. The lost attempt after the capture stays in
+      // Work but leaves the path; the replay re-traces its own joins, and
+      // the epoch rule guarantees nothing after the capture was observed.
+      auto Cap = RestoreCapture.find(Idx);
+      if (Cap == RestoreCapture.end())
+        break; // Captured while tracing was off: the edge is unknowable.
+      auto It = CapturePath.find(Cap->second);
+      if (It != CapturePath.end())
+        TaskMap[E.A].ReadyPath = It->second;
+      else
+        PendingRestore[Cap->second] = E.A;
+      break;
+    }
     case TraceEventKind::GcBegin:
       advance(PS, E.Clock);
       PS.InGc = true;
@@ -288,6 +346,24 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
     case TraceEventKind::SemAcquire:
     case TraceEventKind::SemRelease:
       break; // No effect on the DAG.
+    case TraceEventKind::ByzantineDetected:
+      // The cross-check is charged to the checker, off this task's path;
+      // the stop it triggers emits its own TaskStopped.
+    case TraceEventKind::GroupQuotaStop:
+    case TraceEventKind::GroupBudgetStop:
+    case TraceEventKind::GroupShed:
+      // Group-level notices: the affected tasks' own TaskStopped or
+      // TaskDropped events close their segments.
+    case TraceEventKind::SupervisorRestart:
+      // A restartable stop re-queues the task at the path its
+      // TaskStopped recorded; a checkpoint restore emits TaskRestored.
+    case TraceEventKind::SupervisorGaveUp:
+      // Terminal: nothing of the group runs again.
+    case TraceEventKind::GroupQueued:
+    case TraceEventKind::GroupAdmitted:
+      // Admission is a capacity wait, not a data dependence; the root's
+      // TaskCreate already carries its creation edge.
+      break;
     }
   }
 

@@ -15,6 +15,8 @@ using namespace mult;
 
 const char *Telemetry::phaseName(Phase P) {
   switch (P) {
+  case Phase::Setup:
+    return "setup";
   case Phase::Read:
     return "read";
   case Phase::Compile:
@@ -108,7 +110,9 @@ void Telemetry::clear() {
       H.clear();
     M.GaugeValue = 0.0;
   }
+  uint64_t SetupNs = hostNs(Phase::Setup);
   HostNs.fill(0);
+  addHostNs(Phase::Setup, SetupNs);
 }
 
 //===----------------------------------------------------------------------===//

@@ -149,11 +149,13 @@ public:
 
   enum class Kind : uint8_t { Counter, Gauge, Histogram };
 
-  /// Host-time phases of the simulator itself (steady_clock ns). Run
+  /// Host-time phases of the simulator itself (steady_clock ns). Setup
+  /// is the whole Engine constructor, heap through prelude bootstrap, and
+  /// its Read/Compile/Run time is not counted again in those phases. Run
   /// includes the GC phase nested inside it; subtract to isolate the
   /// mutator.
-  enum class Phase : uint8_t { Read, Compile, Run, Gc };
-  static constexpr unsigned NumPhases = 4;
+  enum class Phase : uint8_t { Setup, Read, Compile, Run, Gc };
+  static constexpr unsigned NumPhases = 5;
   static const char *phaseName(Phase P);
 
   /// "gc_pause_cycles" -> "gc-pause": the short name used by `:histo`,
@@ -214,8 +216,8 @@ public:
   const Metric &metric(Id M) const { return Metrics[M]; }
   unsigned numProcs() const { return NumShards; }
 
-  /// Zeroes all values and host-phase clocks; registrations and ids
-  /// survive (Engine::resetStats).
+  /// Zeroes all values and the per-run host-phase clocks; registrations,
+  /// ids and the one-time Setup clock survive (Engine::resetStats).
   void clear();
 
 private:

@@ -8,17 +8,33 @@
 
 #include "runtime/Heap.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 using namespace mult;
+
+/// Debug builds fill each region with the from-space pattern the moment
+/// it is handed out, so no reader can depend on fresh pages being zero.
+/// Poisoning per region keeps Debug engines lazy: an untouched page is
+/// never committed.
+static void poison(uint64_t *Words, size_t N) {
+#ifndef NDEBUG
+  std::memset(Words, 0xAB, N * sizeof(uint64_t));
+#else
+  (void)Words;
+  (void)N;
+#endif
+}
 
 Heap::Heap(const Config &C) : Cfg(C) {
   assert(Cfg.SemispaceWords >= Cfg.ChunkWords && "semispace smaller than a chunk");
   assert(Cfg.LargeObjectWords <= Cfg.ChunkWords &&
          "large-object threshold must fit a chunk");
   assert(Cfg.NumAllocators >= 1 && "need at least one allocator");
-  Buffer = std::make_unique<uint64_t[]>(Cfg.SemispaceWords * 2);
+  // Left uninitialised: the OS commits a page when the allocator first
+  // touches it, so an engine pays only for the chunks it is handed out.
+  Buffer = std::make_unique_for_overwrite<uint64_t[]>(Cfg.SemispaceWords * 2);
   Spaces[0] = Buffer.get();
   Spaces[1] = Buffer.get() + Cfg.SemispaceWords;
   Chunks.resize(Cfg.NumAllocators);
@@ -26,19 +42,13 @@ Heap::Heap(const Config &C) : Cfg(C) {
 }
 
 bool Heap::refillChunk(ChunkState &Chunk, int SpaceIdx, size_t &GlobalCursor) {
-  (void)SpaceIdx;
-  if (GlobalCursor + Cfg.ChunkWords > Cfg.SemispaceWords) {
-    // Hand out a final partial chunk if one remains.
-    if (GlobalCursor >= Cfg.SemispaceWords)
-      return false;
-    Chunk.Cur = GlobalCursor;
-    Chunk.End = Cfg.SemispaceWords;
-    GlobalCursor = Cfg.SemispaceWords;
-    return true;
-  }
+  if (GlobalCursor >= Cfg.SemispaceWords)
+    return false;
+  // Hand out a final partial chunk when a full one no longer fits.
   Chunk.Cur = GlobalCursor;
-  Chunk.End = GlobalCursor + Cfg.ChunkWords;
-  GlobalCursor += Cfg.ChunkWords;
+  Chunk.End = std::min(GlobalCursor + Cfg.ChunkWords, Cfg.SemispaceWords);
+  GlobalCursor = Chunk.End;
+  poison(Spaces[SpaceIdx] + Chunk.Cur, Chunk.End - Chunk.Cur);
   return true;
 }
 
@@ -69,6 +79,7 @@ Heap::AllocResult Heap::allocate(unsigned AllocatorId, uint64_t Now,
       return R; // GC needed.
     }
     Object *O = objectAt(ActiveSpace, GlobalFree);
+    poison(Spaces[ActiveSpace] + GlobalFree, Total);
     GlobalFree += Total;
     O->initHeader(Tag, SizeWords, Flags);
     O->setAux(Aux);
@@ -108,12 +119,14 @@ Object *Heap::allocatePermanent(TypeTag Tag, uint32_t SizeWords,
   uint32_t Total = SizeWords + 1;
   if (PermanentBlockUsed + Total > PermanentBlockCap) {
     size_t BlockWords = std::max<size_t>(Total, size_t(1) << 16);
-    PermanentBlocks.push_back(std::make_unique<uint64_t[]>(BlockWords));
+    PermanentBlocks.push_back(
+        std::make_unique_for_overwrite<uint64_t[]>(BlockWords));
     PermanentBlockUsed = 0;
     PermanentBlockCap = BlockWords;
   }
-  auto *O = reinterpret_cast<Object *>(PermanentBlocks.back().get() +
-                                       PermanentBlockUsed);
+  uint64_t *Words = PermanentBlocks.back().get() + PermanentBlockUsed;
+  poison(Words, Total);
+  auto *O = reinterpret_cast<Object *>(Words);
   PermanentBlockUsed += Total;
   PermanentUsed += Total;
   O->initHeader(Tag, SizeWords,
@@ -158,6 +171,7 @@ Object *Heap::copyAllocate(unsigned AllocatorId, uint32_t TotalWords) {
     if (GcGlobalFree + TotalWords > Cfg.SemispaceWords)
       return nullptr;
     Object *O = objectAt(ToSpace, GcGlobalFree);
+    poison(Spaces[ToSpace] + GcGlobalFree, TotalWords);
     GcGlobalFree += TotalWords;
     return O;
   }
@@ -177,10 +191,9 @@ Object *Heap::copyAllocate(unsigned AllocatorId, uint32_t TotalWords) {
 void Heap::endCollection() {
   assert(Collecting && "no collection running");
   Collecting = false;
-#ifndef NDEBUG
-  // Poison the from-space so stale pointers fault fast in debug builds.
-  std::memset(Spaces[ActiveSpace], 0xAB, Cfg.SemispaceWords * 8);
-#endif
+  // Poison the handed-out prefix of the from-space so stale pointers
+  // fault fast in debug builds; the rest was never touched.
+  poison(Spaces[ActiveSpace], GlobalFree);
   ActiveSpace = 1 - ActiveSpace;
   // Survivors sit below GcGlobalFree, except that GC chunks may have
   // unused tails. Conservatively resume global allocation at the high-water

@@ -136,8 +136,9 @@ private:
     size_t End = 0; ///< One past the last usable word.
   };
 
-  /// Carves a fresh chunk for \p Chunk out of space \p SpaceIdx. Returns
-  /// false when the space is exhausted.
+  /// Carves a fresh chunk for \p Chunk out of space \p SpaceIdx (Debug
+  /// builds poison it on the way out). Returns false when the space is
+  /// exhausted.
   bool refillChunk(ChunkState &Chunk, int SpaceIdx, size_t &GlobalCursor);
 
   Object *objectAt(int SpaceIdx, size_t WordIndex) {
@@ -145,6 +146,9 @@ private:
   }
 
   Config Cfg;
+  /// Both semispaces, uninitialised: pages commit on first touch, and no
+  /// word is read before the allocator hands it out and its owner writes
+  /// it (DESIGN.md, "Heap memory is committed on first touch").
   std::unique_ptr<uint64_t[]> Buffer;
   uint64_t *Spaces[2];
   int ActiveSpace = 0;

@@ -162,6 +162,45 @@ TEST(CriticalPathFixtureTest, GcPausesAreExcluded) {
   EXPECT_EQ(R.Span, 50u);
 }
 
+/// A task restored from its checkpoint is ready at the checkpoint's
+/// path: the work before the capture stays on the span, the lost attempt
+/// after it does not.
+TEST(CriticalPathFixtureTest, RestoredTaskResumesFromItsCheckpointPath) {
+  TraceBuilder B;
+  TaskId T1 = B.task(1);
+  B.ev(TraceEventKind::TaskCreate, 0, 0, T1, 0, InvalidTask)
+      .ev(TraceEventKind::TaskStart, 0, 0, T1)
+      .ev(TraceEventKind::CheckpointTaken, 0, 60, T1)
+      // Processor 0 fail-stops; processor 1 restores T1 and finishes it.
+      .ev(TraceEventKind::ProcKilled, 1, 80, 0, 1, 1)
+      .ev(TraceEventKind::TaskRestored, 1, 80, T1, 1, 0)
+      .ev(TraceEventKind::TaskStart, 1, 80, T1)
+      .ev(TraceEventKind::TaskFinish, 1, 120, T1);
+  CriticalPathReport R = B.analyze();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Work, 100u); // 60 before the capture + 40 after the restore
+  EXPECT_EQ(R.Span, 100u);
+}
+
+/// The kill is polled on the min-clock processor, so the dying one can
+/// capture past the poll clock. The restore still resumes from that
+/// capture, although it sorts after the restore and the restart.
+TEST(CriticalPathFixtureTest, RestoreFromACaptureThatSortsLater) {
+  TraceBuilder B;
+  TaskId T1 = B.task(1);
+  B.ev(TraceEventKind::TaskCreate, 0, 0, T1, 0, InvalidTask)
+      .ev(TraceEventKind::TaskStart, 0, 0, T1)
+      .ev(TraceEventKind::CheckpointTaken, 0, 85, T1)
+      .ev(TraceEventKind::ProcKilled, 1, 80, 0, 1, 1)
+      .ev(TraceEventKind::TaskRestored, 1, 80, T1, 1, 0)
+      .ev(TraceEventKind::TaskStart, 1, 80, T1)
+      .ev(TraceEventKind::TaskFinish, 1, 120, T1);
+  CriticalPathReport R = B.analyze();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Work, 125u); // 85 before the capture + 40 after the restore
+  EXPECT_EQ(R.Span, 125u);
+}
+
 TEST(CriticalPathFixtureTest, RefusesDroppedTraces) {
   TraceBuilder B;
   TaskId T1 = B.task(1);
@@ -273,6 +312,35 @@ TEST(CriticalPathEngineTest, LazyFutureSeamsCarryEdges) {
   // consistent with each other.
   EXPECT_LE(R.Sites[0].SeamSplits, R.Sites[0].LazySeams);
   EXPECT_EQ(E.stats().SeamsStolen, R.Sites[0].SeamSplits);
+}
+
+TEST(CriticalPathEngineTest, CheckpointRestoreKeepsPreCaptureWorkOnThePath) {
+  // One eager worker, a long tail loop the root waits on: the worker is
+  // the whole critical path. Processor 1 fail-stops while running it, and
+  // it resumes from its newest checkpoint on processor 0. Its path starts
+  // at the capture, so the span keeps the pre-capture work and adds the
+  // replayed delta: it cannot fall below the fault-free span.
+  const char *Worker = R"lisp(
+    (begin
+      (define (work n acc)
+        (if (= n 0) acc (work (- n 1) (+ acc 1))))
+      (touch (future (work 40000 0))))
+  )lisp";
+  auto Run = [&](const char *Faults) {
+    EngineConfig C = tracedConfig(2);
+    C.CheckpointEvery = 2000;
+    C.InlineThreshold = 1'000'000; // eager: the worker is a real task
+    C.Faults = Faults;
+    Engine E(C);
+    EXPECT_EQ(evalFixnum(E, Worker), 40000);
+    EXPECT_EQ(E.stats().TasksRestored, *Faults ? 1u : 0u);
+    return analyzeCriticalPath(E.tracer());
+  };
+  CriticalPathReport Clean = Run(""), Killed = Run("proc-kill=1@200000");
+  ASSERT_TRUE(Clean.Ok) << Clean.Error;
+  ASSERT_TRUE(Killed.Ok) << Killed.Error;
+  EXPECT_LE(Killed.Span, Killed.Work);
+  EXPECT_GE(Killed.Span, Clean.Span);
 }
 
 TEST(CriticalPathEngineTest, RefusesRingTruncatedEngineTrace) {

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <unistd.h>
+
 using namespace mult;
 using namespace mult::testutil;
 
@@ -95,6 +98,58 @@ TEST(HeapTest, StaticAreaSegmentsCoverEverything) {
     Total += E - B;
   }
   EXPECT_EQ(Total, H.staticAreaSize());
+}
+
+namespace {
+
+/// Resident set size of this process in bytes, or 0 if unknown.
+size_t residentBytes() {
+  FILE *F = std::fopen("/proc/self/statm", "r");
+  if (!F)
+    return 0;
+  unsigned long long Size = 0, Resident = 0;
+  int N = std::fscanf(F, "%llu %llu", &Size, &Resident);
+  std::fclose(F);
+  return N == 2 ? Resident * static_cast<size_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+} // namespace
+
+TEST(HeapTest, UntouchedSemispacePagesAreNeverCommitted) {
+  // 256 MB of semispace, of which a short session touches a few chunks.
+  // Zero-filling the buffer (or poisoning all of it in Debug) would commit
+  // every page up front.
+  size_t Before = residentBytes();
+  if (Before == 0)
+    GTEST_SKIP() << "no /proc/self/statm on this host";
+  EngineConfig C = config(1);
+  C.HeapWords = size_t(1) << 24;
+  Engine E(C);
+  EXPECT_EQ(evalFixnum(E, "(let loop ((i 0) (l '())) "
+                          "(if (= i 1000) (length l) "
+                          "(loop (+ i 1) (cons i l))))"),
+            1000);
+  size_t After = residentBytes();
+  size_t Grown = After > Before ? After - Before : 0;
+  EXPECT_LT(Grown, size_t(16) << 20) << "resident set grew by " << Grown
+                                     << " bytes";
+}
+
+TEST(HeapTest, DebugPoisonsWhatItHandsOut) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "allocation poisoning is a Debug-build check";
+#else
+  constexpr uint64_t Poison = 0xABABABABABABABABull;
+  Heap H(smallHeap());
+  Object *Small = H.allocate(0, 0, TypeTag::Vector, 4).Obj;
+  ASSERT_NE(Small, nullptr);
+  for (uint32_t I = 0; I < 4; ++I)
+    EXPECT_EQ(Small->payload()[I], Poison) << "chunk object word " << I;
+  Object *Large = H.allocate(0, 0, TypeTag::Vector, 100).Obj; // >= 64 words
+  ASSERT_NE(Large, nullptr);
+  for (uint32_t I = 0; I < 100; ++I)
+    EXPECT_EQ(Large->payload()[I], Poison) << "large object word " << I;
+#endif
 }
 
 //===----------------------------------------------------------------------===//

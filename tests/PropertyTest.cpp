@@ -11,6 +11,7 @@
 #include "TestUtil.h"
 
 #include "support/Prng.h"
+#include "support/StrUtil.h"
 
 #include <algorithm>
 
@@ -27,8 +28,8 @@ struct MachineParam {
   bool OptimizeTouches;
 
   std::string name() const {
-    std::string S = "p" + std::to_string(Procs);
-    S += Threshold < 0 ? "_Tinf" : "_T" + std::to_string(Threshold);
+    std::string S = strFormat("p%u", Procs);
+    S += Threshold < 0 ? std::string("_Tinf") : strFormat("_T%d", Threshold);
     if (Lazy)
       S += "_lazy";
     if (!OptimizeTouches)
@@ -173,7 +174,7 @@ TEST_P(SortPropertyTest, LispSortMatchesHostSort) {
   for (size_t I = 0; I < N; ++I) {
     int64_t X = static_cast<int64_t>(R.nextBelow(1000));
     Input.push_back(X);
-    ListSrc += " " + std::to_string(X);
+    ListSrc += strFormat(" %lld", static_cast<long long>(X));
   }
   ListSrc += ")";
 
@@ -206,7 +207,7 @@ TEST_P(SortPropertyTest, LispSortMatchesHostSort) {
   std::sort(Input.begin(), Input.end());
   std::string Want = "(";
   for (size_t I = 0; I < Input.size(); ++I)
-    Want += (I ? " " : "") + std::to_string(Input[I]);
+    Want += strFormat(I ? " %lld" : "%lld", static_cast<long long>(Input[I]));
   Want += ")";
   EXPECT_EQ(Got, Want);
 }
