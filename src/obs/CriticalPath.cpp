@@ -14,8 +14,18 @@
 /// increment is also a work increment and joins only copy existing path
 /// values, so span <= work holds by construction.
 ///
-/// For the per-site on-path attribution each task keeps the short list of
-/// joins that *raised* its path (strictly increasing path values). The
+/// Per-task state lives in a dense table reached through one hash lookup
+/// of the full TaskId. Registry slots are recycled under a new generation,
+/// so a taskIndex alone would merge distinct tasks. Each processor caches
+/// its running task's row, so accruing busy cycles needs no lookup.
+///
+/// Two outputs break ties explicitly: the span task is the lowest TaskId
+/// among those reaching the longest path, and sites order by ChildWork
+/// descending, then by site id ascending.
+///
+/// For the per-site on-path attribution each task keeps the short chain
+/// of joins that *raised* its path (strictly increasing path values),
+/// linked newest first through one pool all tasks share. The
 /// final backtrack walks from the span endpoint through dominating
 /// predecessors; the cycles a task contributes on the path are the
 /// difference between the target path and its last dominating join below
@@ -30,14 +40,15 @@
 #include "core/Task.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
+#include <unordered_map>
 
 using namespace mult;
 
 namespace {
 
 constexpr uint32_t NoSite = ~uint32_t(0);
+constexpr uint32_t NoJoin = ~uint32_t(0);
 
 /// A join that raised a task's path: after it, the task's path grows only
 /// by the task's own busy cycles until the next dominating join.
@@ -46,22 +57,63 @@ struct Join {
   uint64_t PathAtJoin; ///< Path length inherited from Pred.
 };
 
+/// A Join in the pool every task's joins share, linked to the task's
+/// previous join.
+struct JoinLink {
+  Join J;
+  uint32_t Prev;
+};
+
 struct TaskInfo {
   uint64_t ReadyPath = 0; ///< Path at which the task last became ready.
   uint64_t Work = 0;      ///< Busy cycles executed so far.
   uint64_t EndPath = 0;   ///< Path at finish (or last block when unfinished).
   uint32_t Site = NoSite; ///< Future site that spawned it, if any.
+  uint32_t LastJoin = NoJoin; ///< Newest join in the pool. PathAtJoin
+                              ///< strictly increases oldest to newest.
   bool Started = false;
   bool FirstStartStolen = false;
-  std::vector<Join> Joins; ///< PathAtJoin strictly increasing.
+};
+
+/// Rows in first-use order, reached from their key through one hash
+/// lookup.
+template <class Key, class Row> class DenseTable {
+public:
+  void reserve(size_t N) {
+    Index.reserve(N);
+    Keys.reserve(N);
+    Rows.reserve(N);
+  }
+
+  /// The row of \p K, created on first use.
+  uint32_t ordinal(Key K) {
+    auto [It, Fresh] = Index.try_emplace(K, static_cast<uint32_t>(Rows.size()));
+    if (Fresh) {
+      Keys.push_back(K);
+      Rows.emplace_back();
+    }
+    return It->second;
+  }
+  Row &operator[](Key K) { return Rows[ordinal(K)]; }
+  Row *find(Key K) {
+    auto It = Index.find(K);
+    return It == Index.end() ? nullptr : &Rows[It->second];
+  }
+
+  std::vector<Key> Keys;
+  std::vector<Row> Rows;
+
+private:
+  std::unordered_map<Key, uint32_t> Index;
 };
 
 struct ProcState {
   bool HasTask = false;
   bool InGc = false;
   TaskId Task = InvalidTask;
-  uint64_t Anchor = 0; ///< Clock at which Path was last brought current.
-  uint64_t Path = 0;   ///< Critical-path length of the running chain.
+  uint32_t TaskRow = 0; ///< Task's row in the task table, while HasTask.
+  uint64_t Anchor = 0;  ///< Clock at which Path was last brought current.
+  uint64_t Path = 0;    ///< Critical-path length of the running chain.
 };
 
 /// Events that publish a path other processors may consume at the same
@@ -109,40 +161,59 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
     return sortRank(Events[L].Kind) < sortRank(Events[Rr].Kind);
   });
 
-  std::map<TaskId, TaskInfo> TaskMap;
-  std::map<unsigned, ProcState> Procs;
-  // Resolve serial -> (path, resolver) published by FutureResolve.
-  std::map<uint64_t, Join> ResolveEdges;
-  // Seam serial -> (path, pusher, site) published by InlineDecision(lazy).
-  struct SeamPub {
-    Join J;
-    uint32_t Site;
-  };
-  std::map<uint64_t, SeamPub> SeamEdges;
-  // A restore resumes from the task's newest capture in emission order.
-  // The dead processor can run (and capture) past the clock at which its
-  // kill was polled, so that capture may sort after the restore: map each
-  // TaskRestored to its capture now, and resolve the edge whichever of
-  // the two the sweep reaches last.
-  std::map<uint32_t, uint32_t> RestoreCapture; // restore idx -> capture idx
+  // One pre-pass sizes the tables and pairs restores with captures. A
+  // restore resumes from the task's newest capture in emission order. The
+  // dead processor can run (and capture) past the clock at which its kill
+  // was polled, so that capture may sort after the restore: map each
+  // TaskRestored to its capture now, and resolve the edge whichever of the
+  // two the sweep reaches last.
+  std::unordered_map<uint32_t, uint32_t> RestoreCapture; // restore -> capture
+  size_t Creates = 0, Resolves = 0, Seams = 0;
   {
-    std::map<TaskId, uint32_t> Newest;
+    std::unordered_map<TaskId, uint32_t> Newest;
     for (uint32_t I = 0; I < Events.size(); ++I) {
-      if (Events[I].Kind == TraceEventKind::CheckpointTaken) {
-        Newest[Events[I].A] = I;
-      } else if (Events[I].Kind == TraceEventKind::TaskRestored) {
-        auto It = Newest.find(Events[I].A);
+      const TraceEvent &E = Events[I];
+      Creates += E.Kind == TraceEventKind::TaskCreate;
+      Resolves += E.Kind == TraceEventKind::FutureResolve;
+      Seams += E.Kind == TraceEventKind::InlineDecision && E.A == 2;
+      if (E.Kind == TraceEventKind::CheckpointTaken) {
+        Newest[E.A] = I;
+      } else if (E.Kind == TraceEventKind::TaskRestored) {
+        auto It = Newest.find(E.A);
         if (It != Newest.end())
           RestoreCapture[I] = It->second;
       }
     }
   }
-  std::map<uint32_t, uint64_t> CapturePath;  // capture idx -> path at it
-  std::map<uint32_t, TaskId> PendingRestore; // capture idx -> restored task
-  std::map<uint32_t, FutureSiteProfile> SiteMap;
+
+  DenseTable<TaskId, TaskInfo> Tasks;
+  Tasks.reserve(Creates);
+  std::vector<ProcState> Procs(size_t(UINT8_MAX) + 1); // by TraceEvent::Proc
+  // Resolve serial -> (path, resolver) published by FutureResolve.
+  std::unordered_map<uint64_t, Join> ResolveEdges;
+  ResolveEdges.reserve(Resolves);
+  // Seam serial -> (path, pusher, site) published by InlineDecision(lazy).
+  struct SeamPub {
+    Join J;
+    uint32_t Site;
+  };
+  std::unordered_map<uint64_t, SeamPub> SeamEdges;
+  SeamEdges.reserve(Seams);
+  std::unordered_map<uint32_t, uint64_t> CapturePath;  // capture -> path
+  std::unordered_map<uint32_t, TaskId> PendingRestore; // capture -> task
+  // Site ids come from the trace, so they key a table rather than index a
+  // vector: one stray id must not size an allocation.
+  DenseTable<uint32_t, FutureSiteProfile> SiteTable;
+
+  std::vector<JoinLink> JoinPool;
+  JoinPool.reserve(Creates + Resolves + Seams);
+  auto addJoin = [&](TaskInfo &T, Join J) {
+    JoinPool.push_back(JoinLink{J, T.LastJoin});
+    T.LastJoin = static_cast<uint32_t>(JoinPool.size() - 1);
+  };
 
   auto site = [&](uint32_t Id) -> FutureSiteProfile & {
-    FutureSiteProfile &S = SiteMap[Id];
+    FutureSiteProfile &S = SiteTable[Id];
     if (S.Name.empty())
       S.Name = Id < SiteNames.size() ? SiteNames[Id]
                                      : "site#" + std::to_string(Id);
@@ -156,7 +227,7 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
         uint64_t Delta = Clock - PS.Anchor;
         PS.Path += Delta;
         R.Work += Delta;
-        TaskMap[PS.Task].Work += Delta;
+        Tasks.Rows[PS.TaskRow].Work += Delta;
       }
       PS.Anchor = Clock;
     }
@@ -166,7 +237,7 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
     advance(PS, Clock);
     if (!PS.HasTask)
       return;
-    TaskInfo &T = TaskMap[PS.Task];
+    TaskInfo &T = Tasks.Rows[PS.TaskRow];
     if (Finished)
       T.EndPath = PS.Path;
     else
@@ -180,20 +251,21 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
     switch (E.Kind) {
     case TraceEventKind::TaskCreate: {
       advance(PS, E.Clock);
-      TaskInfo &Child = TaskMap[E.A];
+      TaskInfo &Child = Tasks[E.A];
       // The creating processor's current path is the child's earliest
       // possible start. This also covers parentless root tasks: successive
       // top-level forms run by one engine are issued serially, so a root
       // created after earlier work on this processor depends on it even
       // though no task id links them.
       Child.ReadyPath = PS.Path;
-      Child.Joins.push_back(Join{
-          E.C != InvalidTask && PS.HasTask ? PS.Task : InvalidTask, PS.Path});
+      TaskId Parent = E.C != InvalidTask && PS.HasTask ? PS.Task : InvalidTask;
+      addJoin(Child, Join{Parent, PS.Path});
       break;
     }
     case TraceEventKind::TaskStart: {
       advance(PS, E.Clock);
-      TaskInfo &T = TaskMap[E.A];
+      uint32_t Row = Tasks.ordinal(E.A);
+      TaskInfo &T = Tasks.Rows[Row];
       if (!T.Started) {
         T.Started = true;
         T.FirstStartStolen = E.B == 1;
@@ -201,6 +273,7 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
       }
       PS.HasTask = true;
       PS.Task = E.A;
+      PS.TaskRow = Row;
       PS.Anchor = E.Clock;
       PS.Path = T.ReadyPath;
       ++R.Segments;
@@ -217,10 +290,10 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
       // Emitted by the waker's processor: the waiter cannot run before
       // the waker's path at this point.
       advance(PS, E.Clock);
-      TaskInfo &T = TaskMap[E.A];
+      TaskInfo &T = Tasks[E.A];
       if (PS.Path > T.ReadyPath) {
         T.ReadyPath = PS.Path;
-        T.Joins.push_back(Join{E.C, PS.Path});
+        addJoin(T, Join{E.C, PS.Path});
         ++R.JoinEdges;
       }
       break;
@@ -244,7 +317,7 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
       }
       if (PS.HasTask && It->second.PathAtJoin > PS.Path) {
         PS.Path = It->second.PathAtJoin;
-        TaskMap[PS.Task].Joins.push_back(It->second);
+        addJoin(Tasks.Rows[PS.TaskRow], It->second);
         ++R.JoinEdges;
       }
       break;
@@ -265,21 +338,21 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
       break;
     }
     case TraceEventKind::FutureCreate:
-      TaskMap[E.A].Site = static_cast<uint32_t>(E.B);
+      Tasks[E.A].Site = static_cast<uint32_t>(E.B);
       break;
     case TraceEventKind::SeamSteal: {
       // The split-off parent continuation (task E.A) became runnable when
       // the seam was pushed, not when the thief arrived.
-      TaskInfo &T = TaskMap[E.A];
+      TaskInfo &T = Tasks[E.A];
       auto It = SeamEdges.find(E.C);
       if (It != SeamEdges.end()) {
         T.ReadyPath = It->second.J.PathAtJoin;
-        T.Joins.push_back(It->second.J);
+        addJoin(T, It->second.J);
         T.Site = It->second.Site;
         ++site(It->second.Site).SeamSplits;
         ++R.JoinEdges;
       } else {
-        T.Joins.push_back(Join{InvalidTask, 0});
+        addJoin(T, Join{InvalidTask, 0});
       }
       break;
     }
@@ -295,9 +368,9 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
         break;
       // The restore was swept first. If the restored task already runs
       // elsewhere, rebase its open segment onto the capture's path.
-      TaskInfo &T = TaskMap[It->second];
+      TaskInfo &T = Tasks[It->second];
       if (PS.Path > T.ReadyPath) {
-        for (auto &[Id, Other] : Procs)
+        for (ProcState &Other : Procs)
           if (&Other != &PS && Other.HasTask && Other.Task == It->second)
             Other.Path += PS.Path - T.ReadyPath;
         T.ReadyPath = PS.Path;
@@ -316,7 +389,7 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
         break; // Captured while tracing was off: the edge is unknowable.
       auto It = CapturePath.find(Cap->second);
       if (It != CapturePath.end())
-        TaskMap[E.A].ReadyPath = It->second;
+        Tasks[E.A].ReadyPath = It->second;
       else
         PendingRestore[Cap->second] = E.A;
       break;
@@ -369,15 +442,19 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
 
   // Span: the longest path reached anywhere, including tasks still open
   // at the end of the trace (blocked forever, or cut off mid-run).
+  // Among tasks tied at the longest path, the lowest TaskId is the span
+  // task; a processor's open segment wins only with a strictly longer one.
   TaskId SpanTask = InvalidTask;
-  for (auto &[Id, T] : TaskMap) {
+  for (uint32_t Row = 0; Row < Tasks.Rows.size(); ++Row) {
+    const TaskInfo &T = Tasks.Rows[Row];
     uint64_t End = std::max(T.EndPath, T.ReadyPath);
-    if (End > R.Span || SpanTask == InvalidTask) {
+    TaskId Id = Tasks.Keys[Row];
+    if (Row == 0 || End > R.Span || (End == R.Span && Id < SpanTask)) {
       R.Span = End;
       SpanTask = Id;
     }
   }
-  for (auto &[Id, PS] : Procs) {
+  for (const ProcState &PS : Procs) {
     if (PS.HasTask && PS.Path > R.Span) {
       R.Span = PS.Path;
       SpanTask = PS.Task;
@@ -390,21 +467,20 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
   {
     TaskId Cur = SpanTask;
     uint64_t Target = R.Span;
-    size_t Steps = 0, MaxSteps = TaskMap.size() + Events.size();
+    size_t Steps = 0, MaxSteps = Tasks.Rows.size() + Events.size();
     while (Cur != InvalidTask && Steps++ < MaxSteps) {
-      auto It = TaskMap.find(Cur);
-      if (It == TaskMap.end())
+      const TaskInfo *T = Tasks.find(Cur);
+      if (!T)
         break;
-      TaskInfo &T = It->second;
       const Join *Dom = nullptr;
-      for (auto J = T.Joins.rbegin(); J != T.Joins.rend(); ++J)
-        if (J->PathAtJoin <= Target) {
-          Dom = &*J;
+      for (uint32_t L = T->LastJoin; L != NoJoin; L = JoinPool[L].Prev)
+        if (JoinPool[L].J.PathAtJoin <= Target) {
+          Dom = &JoinPool[L].J;
           break;
         }
       uint64_t From = Dom ? Dom->PathAtJoin : 0;
-      if (T.Site != NoSite)
-        site(T.Site).ChildOnPath += Target - From;
+      if (T->Site != NoSite)
+        site(T->Site).ChildOnPath += Target - From;
       if (!Dom)
         break;
       Cur = Dom->Pred;
@@ -412,7 +488,7 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
     }
   }
 
-  for (auto &[Id, T] : TaskMap) {
+  for (const TaskInfo &T : Tasks.Rows) {
     if (T.Site == NoSite)
       continue;
     FutureSiteProfile &S = site(T.Site);
@@ -421,15 +497,21 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
       ++S.StolenStarts;
   }
 
-  R.Sites.reserve(SiteMap.size());
-  for (auto &[Id, S] : SiteMap)
-    R.Sites.push_back(std::move(S));
-  std::stable_sort(R.Sites.begin(), R.Sites.end(),
-                   [](const FutureSiteProfile &L, const FutureSiteProfile &Rr) {
-                     return L.ChildWork > Rr.ChildWork;
-                   });
+  // Sites by ChildWork descending, ties by site id ascending.
+  std::vector<uint32_t> SiteOrder(SiteTable.Rows.size());
+  std::iota(SiteOrder.begin(), SiteOrder.end(), 0);
+  std::sort(SiteOrder.begin(), SiteOrder.end(), [&](uint32_t L, uint32_t Rr) {
+    const FutureSiteProfile &LS = SiteTable.Rows[L], &RS = SiteTable.Rows[Rr];
+    if (LS.ChildWork != RS.ChildWork)
+      return LS.ChildWork > RS.ChildWork;
+    return SiteTable.Keys[L] < SiteTable.Keys[Rr];
+  });
+  R.Sites.reserve(SiteOrder.size());
+  for (uint32_t Row : SiteOrder)
+    R.Sites.push_back(std::move(SiteTable.Rows[Row]));
 
   R.Ok = true;
+
   return R;
 }
 

@@ -86,8 +86,9 @@ struct CriticalPathReport {
   uint64_t UnknownJoins = 0; ///< Touch-hits with no resolve serial (edge
                              ///< unknowable; span may be underestimated).
 
-  /// Per-site rows, sorted by ChildWork descending. Sites whose children
-  /// never ran (always inlined) still appear with counts only.
+  /// Per-site rows, sorted by ChildWork descending, then by site id. Sites
+  /// whose children never ran (always inlined) still appear with counts
+  /// only.
   std::vector<FutureSiteProfile> Sites;
 };
 

@@ -16,70 +16,124 @@
 
 #include "core/Stats.h"
 #include "core/Task.h"
-#include "support/StrUtil.h"
 
+#include <charconv>
+#include <cstring>
 #include <optional>
 
 using namespace mult;
 
 namespace {
 
-double toMicros(uint64_t Cycles) {
-  return static_cast<double>(Cycles) * EngineStats::MicrosecondsPerCycle;
-}
+/// Upper bound on one serialized record, separator included. The longest,
+/// an instant, stays under 200 bytes: a kind name, a 20-digit payload and
+/// a timestamp of at most 24 characters.
+constexpr size_t MaxRecordBytes = 512;
 
-/// Serializes one JSON event object, managing the separating commas.
-class EventWriter {
+/// A timestamp or duration in virtual cycles, rendered as microseconds.
+struct Micros {
+  uint64_t Cycles;
+};
+
+/// Serializes JSON event objects into one fixed buffer on the stack and
+/// hands it to the sink whenever the next record might not fit. The
+/// document streams out in chunks of at most ChromeTraceChunkBytes and is
+/// never held whole: a bench-sized trace renders to tens of megabytes.
+class ChunkWriter {
 public:
-  explicit EventWriter(OutStream &OS) : OS(OS) {}
+  explicit ChunkWriter(OutStream &OS) : OS(OS) {}
 
-  void meta(const char *Name, unsigned Tid, const std::string &Value) {
-    begin();
-    OS << "{\"name\":\"" << Name << "\",\"ph\":\"M\",\"pid\":0,\"tid\":"
-       << Tid << ",\"args\":{\"name\":\"" << Value << "\"}}";
+  /// Appends text outside any record (the document head and tail).
+  void raw(std::string_view S) {
+    makeRoom();
+    append(S);
   }
 
-  void slice(const std::string &Name, unsigned Tid, uint64_t StartCycles,
-             uint64_t EndCycles) {
-    begin();
-    OS << "{\"name\":\"" << Name << "\",\"ph\":\"X\",\"pid\":0,\"tid\":"
-       << Tid << strFormat(",\"ts\":%.3f,\"dur\":%.3f",
-                           toMicros(StartCycles),
-                           toMicros(EndCycles - StartCycles))
-       << "}";
+  void processName() {
+    record("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+           "\"args\":{\"name\":\"mul-t virtual machine\"}}");
   }
 
-  void instant(const char *Name, unsigned Tid, uint64_t Cycles, uint64_t A,
-               uint64_t B) {
-    begin();
-    OS << "{\"name\":\"" << Name << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
-       << "\"tid\":" << Tid << strFormat(",\"ts\":%.3f", toMicros(Cycles))
-       << ",\"args\":{\"a\":" << A << ",\"b\":" << B << "}}";
+  void threadName(unsigned Tid) {
+    record("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":", Tid,
+           ",\"args\":{\"name\":\"vcpu ", Tid, "\"}}");
+  }
+
+  /// A duration slice named by the concatenation of \p Name.
+  template <class... NameParts>
+  void slice(unsigned Tid, uint64_t StartCycles, uint64_t EndCycles,
+             const NameParts &...Name) {
+    record("{\"name\":\"", Name..., "\",\"ph\":\"X\",\"pid\":0,\"tid\":", Tid,
+           ",\"ts\":", Micros{StartCycles}, ",\"dur\":",
+           Micros{EndCycles - StartCycles}, "}");
+  }
+
+  void instant(std::string_view Name, unsigned Tid, uint64_t Cycles,
+               uint64_t A, uint64_t B) {
+    record("{\"name\":\"", Name,
+           "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":", Tid,
+           ",\"ts\":", Micros{Cycles}, ",\"args\":{\"a\":", A, ",\"b\":", B,
+           "}}");
   }
 
   void counter(unsigned Tid, uint64_t Cycles, uint64_t Busy, uint64_t Idle,
                uint64_t Gc) {
-    begin();
-    OS << "{\"name\":\"cycles\",\"ph\":\"C\",\"pid\":0,\"tid\":" << Tid
-       << strFormat(",\"ts\":%.3f", toMicros(Cycles)) << ",\"args\":{\"busy\":"
-       << Busy << ",\"idle\":" << Idle << ",\"gc\":" << Gc << "}}";
+    record("{\"name\":\"cycles\",\"ph\":\"C\",\"pid\":0,\"tid\":", Tid,
+           ",\"ts\":", Micros{Cycles}, ",\"args\":{\"busy\":", Busy,
+           ",\"idle\":", Idle, ",\"gc\":", Gc, "}}");
+  }
+
+  /// Hands the buffered tail to the sink.
+  void flush() {
+    if (Len)
+      OS.write(Buf, Len);
+    Len = 0;
   }
 
 private:
-  void begin() {
+  /// Writes one record and its separator. Room for MaxRecordBytes is made
+  /// up front, so the appends need no bounds checks.
+  template <class... Parts> void record(const Parts &...Ps) {
+    makeRoom();
     if (!First)
-      OS << ",\n ";
+      append(",\n ");
     First = false;
+    (append(Ps), ...);
+  }
+
+  void makeRoom() {
+    if (Len > sizeof(Buf) - MaxRecordBytes)
+      flush();
+  }
+
+  void append(std::string_view S) {
+    std::memcpy(Buf + Len, S.data(), S.size());
+    Len += S.size();
+  }
+
+  void append(uint64_t N) { Len = formatDecimal(Buf + Len, N) - Buf; }
+
+  /// Three decimals. to_chars rounds exactly, as printf's "%.3f" does, so
+  /// the digits match it.
+  void append(Micros T) {
+    double Us =
+        static_cast<double>(T.Cycles) * EngineStats::MicrosecondsPerCycle;
+    Len = std::to_chars(Buf + Len, Buf + sizeof(Buf), Us,
+                        std::chars_format::fixed, 3)
+              .ptr -
+          Buf;
   }
 
   OutStream &OS;
   bool First = true;
+  size_t Len = 0;
+  char Buf[ChromeTraceChunkBytes];
 };
 
 /// Rebuilds the duration slices of one processor's row.
 class RowBuilder {
 public:
-  RowBuilder(EventWriter &W, unsigned Proc) : W(W), Proc(Proc) {}
+  RowBuilder(ChunkWriter &W, unsigned Proc) : W(W), Proc(Proc) {}
 
   void feed(const TraceEvent &E) {
     switch (E.Kind) {
@@ -112,7 +166,7 @@ public:
       break;
     case TraceEventKind::GcEnd:
       if (GcStart) {
-        W.slice("gc", Proc, *GcStart, E.Clock);
+        W.slice(Proc, *GcStart, E.Clock, "gc");
         GcStart.reset();
       }
       if (Interrupted) {
@@ -132,7 +186,7 @@ public:
     closeTask(EndClock);
     closeIdle(EndClock);
     if (GcStart) {
-      W.slice("gc", Proc, *GcStart, EndClock);
+      W.slice(Proc, *GcStart, EndClock, "gc");
       GcStart.reset();
     }
   }
@@ -146,19 +200,18 @@ private:
   void closeTask(uint64_t End) {
     if (!OpenTask)
       return;
-    W.slice(strFormat("task %u", taskIndex(OpenTask->Task)), Proc,
-            OpenTask->Start, End);
+    W.slice(Proc, OpenTask->Start, End, "task ", taskIndex(OpenTask->Task));
     OpenTask.reset();
   }
 
   void closeIdle(uint64_t End) {
     if (!OpenIdle)
       return;
-    W.slice("idle", Proc, *OpenIdle, End);
+    W.slice(Proc, *OpenIdle, End, "idle");
     OpenIdle.reset();
   }
 
-  EventWriter &W;
+  ChunkWriter &W;
   unsigned Proc;
   std::optional<Span> OpenTask;
   std::optional<Span> Interrupted;
@@ -187,11 +240,11 @@ bool isInstantKind(TraceEventKind K) {
 void mult::writeChromeTrace(OutStream &OS, const Tracer &Tr,
                             const Machine &M) {
   unsigned N = M.numProcessors();
-  OS << "{\"traceEvents\":[\n ";
-  EventWriter W(OS);
-  W.meta("process_name", 0, "mul-t virtual machine");
+  ChunkWriter W(OS);
+  W.raw("{\"traceEvents\":[\n ");
+  W.processName();
   for (unsigned P = 0; P < N; ++P)
-    W.meta("thread_name", P, strFormat("vcpu %u", P));
+    W.threadName(P);
 
   std::vector<RowBuilder> Rows;
   Rows.reserve(N);
@@ -209,7 +262,8 @@ void mult::writeChromeTrace(OutStream &OS, const Tracer &Tr,
     Rows[P].finish(Proc.Clock);
     W.counter(P, Proc.Clock, Proc.BusyCycles, Proc.IdleCycles, Proc.GcCycles);
   }
-  OS << "\n],\"displayTimeUnit\":\"ms\"}\n";
+  W.raw("\n],\"displayTimeUnit\":\"ms\"}\n");
+  W.flush();
 }
 
 std::string mult::chromeTraceJson(const Tracer &Tr, const Machine &M) {

@@ -27,6 +27,10 @@
 
 namespace mult {
 
+/// writeChromeTrace formats into a buffer of this many bytes and hands the
+/// sink one chunk per fill, so no write exceeds it.
+inline constexpr size_t ChromeTraceChunkBytes = 64 * 1024;
+
 /// Writes the whole trace as one Chrome trace JSON object to \p OS.
 void writeChromeTrace(OutStream &OS, const Tracer &Tr, const Machine &M);
 

@@ -7,7 +7,6 @@
 
 #include "support/OutStream.h"
 
-#include <cinttypes>
 #include <cstdio>
 
 using namespace mult;
@@ -15,16 +14,14 @@ using namespace mult;
 OutStream::~OutStream() = default;
 
 OutStream &OutStream::operator<<(int64_t N) {
-  char Buf[32];
-  int Len = std::snprintf(Buf, sizeof(Buf), "%" PRId64, N);
-  write(Buf, static_cast<size_t>(Len));
+  char Buf[MaxDecimalChars];
+  write(Buf, static_cast<size_t>(formatDecimal(Buf, N) - Buf));
   return *this;
 }
 
 OutStream &OutStream::operator<<(uint64_t N) {
-  char Buf[32];
-  int Len = std::snprintf(Buf, sizeof(Buf), "%" PRIu64, N);
-  write(Buf, static_cast<size_t>(Len));
+  char Buf[MaxDecimalChars];
+  write(Buf, static_cast<size_t>(formatDecimal(Buf, N) - Buf));
   return *this;
 }
 

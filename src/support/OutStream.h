@@ -11,11 +11,22 @@
 #ifndef MULT_SUPPORT_OUTSTREAM_H
 #define MULT_SUPPORT_OUTSTREAM_H
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 namespace mult {
+
+/// Longest decimal rendering of a 64-bit integer, sign included.
+inline constexpr size_t MaxDecimalChars = 20;
+
+/// Writes \p N in decimal at \p Out, which must have room for
+/// MaxDecimalChars bytes, and returns the end of the digits. The integer
+/// operators below and the Chrome trace exporter share this formatter.
+template <class Int> char *formatDecimal(char *Out, Int N) {
+  return std::to_chars(Out, Out + MaxDecimalChars, N).ptr;
+}
 
 /// Abstract byte sink with convenience formatting operators.
 class OutStream {

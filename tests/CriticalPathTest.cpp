@@ -201,6 +201,61 @@ TEST(CriticalPathFixtureTest, RestoreFromACaptureThatSortsLater) {
   EXPECT_EQ(R.Span, 125u);
 }
 
+/// A recycled registry slot: two tasks share a taskIndex but differ in
+/// generation, so they are two tasks with their own work and paths.
+TEST(CriticalPathFixtureTest, RecycledSlotKeepsTasksApart) {
+  TraceBuilder B;
+  TaskId Old = makeTaskId(1, 1), New = makeTaskId(1, 2);
+  ASSERT_EQ(taskIndex(Old), taskIndex(New));
+  B.ev(TraceEventKind::FutureCreate, 0, 0, Old, 0)
+      .ev(TraceEventKind::TaskCreate, 0, 0, Old, 0, InvalidTask)
+      .ev(TraceEventKind::TaskStart, 0, 0, Old)
+      .ev(TraceEventKind::TaskFinish, 0, 300, Old)
+      // The slot is reused once Old is gone; New runs on an idle
+      // processor whose path is still 0.
+      .ev(TraceEventKind::FutureCreate, 1, 300, New, 1)
+      .ev(TraceEventKind::TaskCreate, 1, 300, New, 0, InvalidTask)
+      .ev(TraceEventKind::TaskStart, 1, 300, New)
+      .ev(TraceEventKind::TaskFinish, 1, 400, New);
+  CriticalPathReport R = B.analyze();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Tasks, 2u);
+  EXPECT_EQ(R.Work, 400u);
+  EXPECT_EQ(R.Span, 300u) << "New's short path must not overwrite Old's";
+  ASSERT_EQ(R.Sites.size(), 2u);
+  EXPECT_EQ(R.Sites[0].Name, "site#0");
+  EXPECT_EQ(R.Sites[0].ChildWork, 300u);
+  EXPECT_EQ(R.Sites[0].ChildOnPath, 300u);
+  EXPECT_EQ(R.Sites[1].Name, "site#1");
+  EXPECT_EQ(R.Sites[1].ChildWork, 100u);
+  EXPECT_EQ(R.Sites[1].ChildOnPath, 0u);
+}
+
+/// Two tasks reach the same maximal path. The span is attributed to the
+/// lower TaskId, and sites tied on ChildWork list in site-id order, even
+/// though the higher id and the higher site appear first in the trace.
+TEST(CriticalPathFixtureTest, TiesGoToLowerTaskIdAndSiteId) {
+  TraceBuilder B;
+  TaskId Hi = makeTaskId(1, 2), Lo = makeTaskId(5, 1);
+  ASSERT_LT(Lo, Hi);
+  B.ev(TraceEventKind::FutureCreate, 0, 0, Hi, 8)
+      .ev(TraceEventKind::TaskCreate, 0, 0, Hi, 0, InvalidTask)
+      .ev(TraceEventKind::FutureCreate, 1, 0, Lo, 3)
+      .ev(TraceEventKind::TaskCreate, 1, 0, Lo, 0, InvalidTask)
+      .ev(TraceEventKind::TaskStart, 0, 0, Hi)
+      .ev(TraceEventKind::TaskStart, 1, 0, Lo)
+      .ev(TraceEventKind::TaskFinish, 0, 200, Hi)
+      .ev(TraceEventKind::TaskFinish, 1, 200, Lo);
+  CriticalPathReport R = B.analyze();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Span, 200u);
+  ASSERT_EQ(R.Sites.size(), 2u);
+  EXPECT_EQ(R.Sites[0].Name, "site#3");
+  EXPECT_EQ(R.Sites[0].ChildOnPath, 200u);
+  EXPECT_EQ(R.Sites[1].Name, "site#8");
+  EXPECT_EQ(R.Sites[1].ChildOnPath, 0u);
+}
+
 TEST(CriticalPathFixtureTest, RefusesDroppedTraces) {
   TraceBuilder B;
   TaskId T1 = B.task(1);

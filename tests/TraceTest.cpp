@@ -10,6 +10,7 @@
 
 #include "TestUtil.h"
 
+#include "obs/CriticalPath.h"
 #include "obs/Metrics.h"
 #include "obs/TraceExport.h"
 #include "sched/Scheduler.h"
@@ -450,6 +451,113 @@ TEST(TraceExportTest, EmptyTraceStillValid) {
   evalOk(E, "(+ 1 2)");
   std::string Json = chromeTraceJson(E.tracer(), E.machine());
   EXPECT_TRUE(JsonChecker(Json).valid()) << Json.substr(0, 400);
+}
+
+uint64_t fnv1a64(std::string_view S) {
+  uint64_t H = 14695981039346656037ULL;
+  for (unsigned char Ch : S) {
+    H ^= Ch;
+    H *= 1099511628211ULL;
+  }
+  return H;
+}
+
+/// One line per CriticalPathReport field, sites in report order.
+std::string renderReport(const CriticalPathReport &R) {
+  std::string Out;
+  StringOutStream OS(Out);
+  OS << "ok " << static_cast<int>(R.Ok) << "\nerror " << R.Error
+     << "\nwork " << R.Work << "\nspan " << R.Span << "\ntasks " << R.Tasks
+     << "\nsegments " << R.Segments << "\njoins " << R.JoinEdges
+     << "\nunknown " << R.UnknownJoins << "\n";
+  for (const FutureSiteProfile &S : R.Sites)
+    OS << "site " << S.Name << ' ' << S.Inlined << ' ' << S.Queued << ' '
+       << S.LazySeams << ' ' << S.SeamSplits << ' ' << S.StolenStarts << ' '
+       << S.ChildWork << ' ' << S.ChildOnPath << "\n";
+  return Out;
+}
+
+/// Counts the chunks an exporter hands its sink.
+class ChunkSink final : public OutStream {
+public:
+  void write(const char *Data, size_t Size) override {
+    Joined.append(Data, Size);
+    ++Writes;
+    LargestWrite = std::max(LargestWrite, Size);
+  }
+  std::string Joined;
+  size_t Writes = 0;
+  size_t LargestWrite = 0;
+};
+
+/// Seven allocating futures on four processors: the last ones leave
+/// processors idle while the heap is still filling.
+const char *UnevenAllocatingProgram = R"lisp(
+  (define (build n) (if (= n 0) '() (cons n (build (- n 1)))))
+  (define (churn k acc)
+    (if (= k 0) acc (churn (- k 1) (+ acc (length (build 300))))))
+  (define (spawn n)
+    (if (= n 0) '() (cons (future (churn 5 0)) (spawn (- n 1)))))
+  (define (drain l acc)
+    (if (null? l) acc (drain (cdr l) (+ acc (touch (car l))))))
+  (drain (spawn 7) 0)
+)lisp";
+
+/// The exporter and the analyzer are pinned byte for byte on one fixed
+/// traced run: 4 processors, lazy futures, and a heap small enough that
+/// collections split run and idle slices.
+TEST(TraceExportTest, OutputIsPinnedByteForByte) {
+  EngineConfig C = tracedConfig(4);
+  C.LazyFutures = true;
+  C.HeapWords = 1 << 15;
+  Engine E(C);
+  EXPECT_EQ(evalFixnum(E, UnevenAllocatingProgram), 7 * 5 * 300);
+  ASSERT_GT(E.gcStats().Collections, 0u) << "heap sized to force GC";
+  ASSERT_GT(countKind(E.tracer(), TraceEventKind::SeamSteal), 0u);
+  // Some pause must land inside a run slice and some inside an idle one,
+  // so the pinned bytes cover the exporter's slice splitting.
+  size_t RunSplits = 0, IdleSplits = 0;
+  bool Running[4] = {}, Idle[4] = {};
+  for (const TraceEvent &Ev : E.tracer().events()) {
+    switch (Ev.Kind) {
+    case TraceEventKind::TaskStart:
+      Running[Ev.Proc] = true;
+      break;
+    case TraceEventKind::TaskBlock:
+    case TraceEventKind::TaskFinish:
+    case TraceEventKind::TaskStopped:
+      Running[Ev.Proc] = false;
+      break;
+    case TraceEventKind::IdleBegin:
+    case TraceEventKind::IdleEnd:
+      Idle[Ev.Proc] = Ev.Kind == TraceEventKind::IdleBegin;
+      break;
+    case TraceEventKind::GcBegin:
+      RunSplits += Running[Ev.Proc];
+      IdleSplits += !Running[Ev.Proc] && Idle[Ev.Proc];
+      break;
+    default:
+      break;
+    }
+  }
+  ASSERT_GT(RunSplits, 0u);
+  ASSERT_GT(IdleSplits, 0u);
+
+  std::string Json = chromeTraceJson(E.tracer(), E.machine());
+  CriticalPathReport R = analyzeCriticalPath(E.tracer());
+  ASSERT_TRUE(R.Ok) << R.Error;
+  std::string Report = renderReport(R);
+  EXPECT_EQ(fnv1a64(Json), 0xb278ec066f29bdfULL) << Json.size() << " bytes";
+  EXPECT_EQ(fnv1a64(Report), 0xc89b061919f832bbULL) << Report;
+
+  // The exporter streams: the document is larger than its buffer, so it
+  // reaches the sink in several bounded chunks that join to the string.
+  ChunkSink Sink;
+  writeChromeTrace(Sink, E.tracer(), E.machine());
+  EXPECT_GT(Json.size(), ChromeTraceChunkBytes);
+  EXPECT_GT(Sink.Writes, 1u);
+  EXPECT_LE(Sink.LargestWrite, ChromeTraceChunkBytes);
+  EXPECT_EQ(Sink.Joined, Json);
 }
 
 //===----------------------------------------------------------------------===//
