@@ -1,25 +1,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Host-speed comparison of the two interpreter dispatchers (vm/Threaded.h):
-/// the portable switch loop vs direct-threaded dispatch with pre-folded
-/// costs, inline caches and fused superinstructions.
+/// Host speed of the direct-threaded interpreter (vm/Threaded.h), with
+/// its pre-folded costs, inline caches and fused superinstructions, on
+/// five workloads that each stress one of those devices.
 ///
 /// Unlike the table benches, the number under test here is *host*
 /// nanoseconds per virtual cycle — simulator self-time, machine-dependent
-/// by nature. Virtual cycles are asserted bit-identical between the two
-/// dispatchers on every workload (the "virtual cycles are sacred"
-/// invariant), so the host ratio is a pure dispatch-overhead measurement
-/// over identical virtual work.
+/// by nature. Virtual cycles and results are asserted identical across
+/// repetitions, so the figure is host overhead over fixed virtual work.
 ///
-/// Each workload runs several repetitions per dispatcher and keeps the
-/// *minimum* ns/virtual-cycle (the standard noise-robust estimator: host
+/// Each workload runs several repetitions and keeps the *minimum*
+/// ns/virtual-cycle (the standard noise-robust estimator: host
 /// interference only ever adds time). One machine-parseable line
 ///
-///     ;; host-dispatch: <workload> <dispatcher> ns-per-vcycle=<min>
+///     ;; host-dispatch: <workload> ns-per-vcycle=<min>
 ///
-/// is printed per (workload, dispatcher); tools/collect_metrics.py --host
-/// runs this binary N times and takes the median per key into
+/// is printed per workload; tools/collect_metrics.py --host runs this
+/// binary N times and takes the median per workload into
 /// BENCH_host.json. This bench must never join the golden virtual-cycle
 /// list: its whole output is host timing.
 ///
@@ -79,16 +77,14 @@ struct Measured {
 
 constexpr int Reps = 9;
 
-Measured runOne(const Workload &W, DispatchMode Mode) {
+Measured runOne(const Workload &W) {
   Measured M;
   double BestNs = 0;
   for (int R = 0; R < Reps; ++R) {
     // A fresh engine per rep: every rep sees the identical heap and cache
     // state, so virtual cycles match exactly (asserted below) and the
     // per-run host timer (reset with the stats) reads cleanly.
-    EngineConfig C = machine(1);
-    C.Dispatch = Mode;
-    Engine E(C);
+    Engine E(machine(1));
     std::string Result;
     runVirtualSeconds(E, W.Setup, W.Expr, &Result);
     uint64_t RunNs = E.telemetry().hostNs(Telemetry::Phase::Run);
@@ -109,8 +105,7 @@ Measured runOne(const Workload &W, DispatchMode Mode) {
     }
   }
   M.NsPerCycle = BestNs;
-  std::printf(";; host-dispatch: %s %s ns-per-vcycle=%.3f\n", W.Name,
-              Mode == DispatchMode::Threaded ? "threaded" : "switch",
+  std::printf(";; host-dispatch: %s ns-per-vcycle=%.3f\n", W.Name,
               M.NsPerCycle);
   return M;
 }
@@ -118,35 +113,15 @@ Measured runOne(const Workload &W, DispatchMode Mode) {
 } // namespace
 
 int main() {
-  printTitle("Dispatch: host ns per virtual cycle, switch vs threaded");
-  std::printf("  %-12s %14s %12s %12s %9s  %s\n", "workload", "vcycles",
-              "switch", "threaded", "speedup", "note");
-
-  bool ParityOk = true;
-  double WorstSpeedup = 1e9;
+  printTitle("Dispatch: host ns per virtual cycle, threaded interpreter");
+  std::printf("  %-12s %14s %12s  %s\n", "workload", "vcycles", "threaded",
+              "note");
   for (const Workload &W : Workloads) {
-    Measured Sw = runOne(W, DispatchMode::Switch);
-    Measured Th = runOne(W, DispatchMode::Threaded);
-    if (Sw.VirtualCycles != Th.VirtualCycles || Sw.Result != Th.Result) {
-      std::fprintf(stderr,
-                   "PARITY BROKEN on %s: switch %llu cycles -> %s, "
-                   "threaded %llu cycles -> %s\n",
-                   W.Name,
-                   static_cast<unsigned long long>(Sw.VirtualCycles),
-                   Sw.Result.c_str(),
-                   static_cast<unsigned long long>(Th.VirtualCycles),
-                   Th.Result.c_str());
-      ParityOk = false;
-    }
-    double Speedup = Th.NsPerCycle > 0 ? Sw.NsPerCycle / Th.NsPerCycle : 0;
-    WorstSpeedup = Speedup < WorstSpeedup ? Speedup : WorstSpeedup;
-    std::printf("  %-12s %14llu %9.2f ns %9.2f ns %8.2fx  %s\n", W.Name,
-                static_cast<unsigned long long>(Sw.VirtualCycles),
-                Sw.NsPerCycle, Th.NsPerCycle, Speedup, W.Brief);
+    Measured M = runOne(W);
+    std::printf("  %-12s %14llu %9.2f ns  %s\n", W.Name,
+                static_cast<unsigned long long>(M.VirtualCycles),
+                M.NsPerCycle, W.Brief);
   }
   printRule();
-  std::printf("  virtual cycles identical on every workload: %s\n",
-              ParityOk ? "yes" : "NO (bug!)");
-  std::printf("  worst-case dispatch speedup: %.2fx\n", WorstSpeedup);
-  return ParityOk ? 0 : 1;
+  return 0;
 }

@@ -92,104 +92,70 @@ inline constexpr size_t NumOpcodes = static_cast<size_t>(Op::PrimApplyVar) + 1;
 /// Returns the mnemonic for \p O.
 const char *opName(Op O);
 
-/// Superinstructions of the threaded dispatcher (vm/Threaded.h): adjacent
+/// Superinstructions of the threaded interpreter (vm/Threaded.h): adjacent
 /// opcode pairs the pre-decoder collapses into one fused handler. Fusion is
 /// a pure host-speed device — a fused handler charges, counts and executes
 /// exactly what the two constituent instructions would, including the
 /// quantum check between them — so the selection table (compiler/CodeGen.cpp,
-/// fusedPair) never affects virtual time. Heads are infallible pushes only
-/// (Const / Local / PushFixnum), so the pair can always stop cleanly between
-/// its two halves. `X_Call` entries cover both Call and TailCall seconds;
-/// the tail handler re-reads the real opcode from the decoded slot.
+/// fusedPair) never affects virtual time. Every head can stop cleanly
+/// between the two halves. `X_Call` entries cover both Call and TailCall
+/// seconds; the tail handler re-reads the real opcode from the decoded slot.
+/// The set is the pairs that reach at least 0.5% of dispatches on some
+/// benchmark workload (EXPERIMENTS.md, "Superinstruction traffic").
 enum class FusedOp : uint8_t {
   None = 0,
-  // Generic pairs: execute the head push, then jump straight to the second
-  // handler (no indirect dispatch between the halves).
-  Const_Return,
-  Const_Call,
+  // Generic pairs: execute the head, then jump straight to the second
+  // handler (no indirect dispatch between the halves). Touch heads keep
+  // the blocked/GC restart behavior of the plain handlers (the head
+  // returns before advancing Pc, so a restart re-enters the touch exactly
+  // as unfused code would). Add_Return's Add is a fallible head: its fast
+  // path jumps straight to Return, every slow path (flonum, overflow,
+  // error, GC) bails to the plain Add with the stack untouched.
   Const_CallPrim,
   Local_Local,
   Local_PushFixnum,
-  Local_TouchLocal,
   Local_TouchStack,
   Local_Return,
   Local_Call,
   Local_CallPrim,
+  Local_Free,
   PushFixnum_Return,
-  PushFixnum_Call,
-  PushFixnum_CallPrim,
-  // Merged pairs: the fixnum fast path of the arithmetic/compare second
-  // skips the intermediate push entirely; slow paths materialize it and
-  // fall back to the generic second handler.
-  PushFixnum_Add,
-  PushFixnum_Sub,
-  PushFixnum_Mul,
-  PushFixnum_NumLt,
-  PushFixnum_NumLe,
-  PushFixnum_NumGt,
-  PushFixnum_NumGe,
-  PushFixnum_NumEq,
-  Local_Add,
-  Local_Sub,
-  Local_Mul,
-  Local_NumLt,
-  Local_NumLe,
-  Local_NumGt,
-  Local_NumGe,
-  Local_NumEq,
-  // More generic pairs (appended to keep the merged range contiguous):
-  // a PushFixnum head before a frame read, and touch-check heads — a
-  // touch that completes without blocking falls straight into its
-  // consumer. Touch pairs keep the blocked/GC restart behavior of the
-  // plain handlers (the head returns before advancing Pc, so a restart
-  // re-enters the touch exactly as unfused code would).
   PushFixnum_Local,
-  TouchBack_NumEq,
-  TouchBack_NumLt,
+  Free_BoxRef,
   TouchBack_Add,
   TouchBack_Call,
+  TouchBack_TouchStack,
   TouchStack_Call,
   TouchStack_TouchStack,
-  Free_BoxRef,
-  // Merged compare-and-branch pairs: every compare in this bytecode feeds
-  // JumpIfFalse through a boolean push that nothing else observes; the
-  // fast path branches on the flag directly and never materializes the
+  TouchStack_Add,
+  Add_Return,
+  // Merged pairs: the fixnum fast path of the arithmetic/compare second
+  // skips the intermediate push entirely (slow paths materialize it and
+  // fall back to the generic second handler), and a compare feeding
+  // JumpIfFalse branches on the host flag without ever materializing the
   // boolean (a quantum boundary between the halves re-creates it).
+  PushFixnum_Add,
+  PushFixnum_Sub,
+  PushFixnum_NumEq,
+  Local_Sub,
+  Local_Mul,
   NumLt_JumpIfFalse,
-  NumLe_JumpIfFalse,
   NumGt_JumpIfFalse,
-  NumGe_JumpIfFalse,
   NumEq_JumpIfFalse,
   Eq_JumpIfFalse,
   NullP_JumpIfFalse,
-  PairP_JumpIfFalse,
-  // More touch/push heads, and Add welded to a consuming Return (the tail
-  // of every arithmetic procedure body). Add is a fallible head: its fast
-  // path jumps straight to Return, every slow path (flonum, overflow,
-  // error, GC) bails to the plain Add with the stack untouched.
-  Local_Free,
-  TouchBack_TouchStack,
-  TouchStack_Add,
-  Add_Return,
-  // Triples: the loop-head shape `touch-back; compare; jump-if-false`
-  // (every named-let termination test) welded into one handler. Selected
-  // by an explicit pattern check in the pre-decoder, not by fusedPair —
-  // a triple never comes out of the pair table.
-  TouchBack_NumEq_JumpIfFalse,
-  TouchBack_NumLt_JumpIfFalse,
 };
 
 /// Number of fused superinstructions (including the None sentinel).
 inline constexpr size_t NumFusedOps =
-    static_cast<size_t>(FusedOp::TouchBack_NumLt_JumpIfFalse) + 1;
+    static_cast<size_t>(FusedOp::NullP_JumpIfFalse) + 1;
 
 /// True for the merged arithmetic/compare/branch pairs, whose fast path
 /// folds the whole second instruction away (not just the dispatch between
 /// the halves). The pre-decoder prefers a merged pair starting at slot I+1
 /// over a generic pair starting at slot I.
 inline constexpr bool isMergedFusedPair(FusedOp F) {
-  return (F >= FusedOp::PushFixnum_Add && F <= FusedOp::Local_NumEq) ||
-         (F >= FusedOp::NumLt_JumpIfFalse && F <= FusedOp::PairP_JumpIfFalse);
+  return F >= FusedOp::PushFixnum_Add;
 }
 
 struct DecodedCode; // vm/Threaded.h; cached on Code below.

@@ -536,81 +536,56 @@ Compiler::Result Compiler::compile(Value Datum) {
 }
 
 //===----------------------------------------------------------------------===//
-// Superinstruction selection (threaded dispatcher, vm/Threaded.h).
+// Superinstruction selection (threaded interpreter, vm/Threaded.h).
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// The static fusion table: the hottest adjacent pairs the critical-path
-/// profiler reports on the golden benches. Ordering is irrelevant; the
-/// lookup below folds the triples into a dense pair-indexed array once.
+/// The static fusion table: the adjacent pairs that carry measurable
+/// dispatch traffic on the benchmark workloads. Ordering is irrelevant;
+/// the lookup below folds the rules into a dense pair-indexed array once.
 struct FusionRule {
   Op First, Second;
   FusedOp Fused;
 };
 
 constexpr FusionRule FusionTable[] = {
-    // Generic head-push pairs.
-    {Op::Const, Op::Return, FusedOp::Const_Return},
-    {Op::Const, Op::Call, FusedOp::Const_Call},
-    {Op::Const, Op::TailCall, FusedOp::Const_Call},
+    // Generic pairs: a push or touch head falling into its consumer (the
+    // codegen emits TouchBack before the arith that consumes the variable,
+    // and TouchStack right before calls).
     {Op::Const, Op::CallPrim, FusedOp::Const_CallPrim},
     {Op::Local, Op::Local, FusedOp::Local_Local},
     {Op::Local, Op::PushFixnum, FusedOp::Local_PushFixnum},
-    {Op::Local, Op::TouchLocal, FusedOp::Local_TouchLocal},
     {Op::Local, Op::TouchStack, FusedOp::Local_TouchStack},
     {Op::Local, Op::Return, FusedOp::Local_Return},
     {Op::Local, Op::Call, FusedOp::Local_Call},
     {Op::Local, Op::TailCall, FusedOp::Local_Call},
     {Op::Local, Op::CallPrim, FusedOp::Local_CallPrim},
+    {Op::Local, Op::Free, FusedOp::Local_Free},
     {Op::PushFixnum, Op::Return, FusedOp::PushFixnum_Return},
-    {Op::PushFixnum, Op::Call, FusedOp::PushFixnum_Call},
-    {Op::PushFixnum, Op::TailCall, FusedOp::PushFixnum_Call},
-    {Op::PushFixnum, Op::CallPrim, FusedOp::PushFixnum_CallPrim},
-    // Merged arithmetic/compare pairs (fixnum fast path skips the push).
-    {Op::PushFixnum, Op::Add, FusedOp::PushFixnum_Add},
-    {Op::PushFixnum, Op::Sub, FusedOp::PushFixnum_Sub},
-    {Op::PushFixnum, Op::Mul, FusedOp::PushFixnum_Mul},
-    {Op::PushFixnum, Op::NumLt, FusedOp::PushFixnum_NumLt},
-    {Op::PushFixnum, Op::NumLe, FusedOp::PushFixnum_NumLe},
-    {Op::PushFixnum, Op::NumGt, FusedOp::PushFixnum_NumGt},
-    {Op::PushFixnum, Op::NumGe, FusedOp::PushFixnum_NumGe},
-    {Op::PushFixnum, Op::NumEq, FusedOp::PushFixnum_NumEq},
-    {Op::Local, Op::Add, FusedOp::Local_Add},
-    {Op::Local, Op::Sub, FusedOp::Local_Sub},
-    {Op::Local, Op::Mul, FusedOp::Local_Mul},
-    {Op::Local, Op::NumLt, FusedOp::Local_NumLt},
-    {Op::Local, Op::NumLe, FusedOp::Local_NumLe},
-    {Op::Local, Op::NumGt, FusedOp::Local_NumGt},
-    {Op::Local, Op::NumGe, FusedOp::Local_NumGe},
-    {Op::Local, Op::NumEq, FusedOp::Local_NumEq},
-    // More generic pairs: PushFixnum before a frame read, and touch heads
-    // falling into their consumer (the codegen emits TouchBack before the
-    // compare/arith that consumes the variable, and TouchStack right
-    // before calls).
     {Op::PushFixnum, Op::Local, FusedOp::PushFixnum_Local},
-    {Op::TouchBack, Op::NumEq, FusedOp::TouchBack_NumEq},
-    {Op::TouchBack, Op::NumLt, FusedOp::TouchBack_NumLt},
+    {Op::Free, Op::BoxRef, FusedOp::Free_BoxRef},
     {Op::TouchBack, Op::Add, FusedOp::TouchBack_Add},
     {Op::TouchBack, Op::Call, FusedOp::TouchBack_Call},
     {Op::TouchBack, Op::TailCall, FusedOp::TouchBack_Call},
+    {Op::TouchBack, Op::TouchStack, FusedOp::TouchBack_TouchStack},
     {Op::TouchStack, Op::Call, FusedOp::TouchStack_Call},
     {Op::TouchStack, Op::TailCall, FusedOp::TouchStack_Call},
     {Op::TouchStack, Op::TouchStack, FusedOp::TouchStack_TouchStack},
-    {Op::Free, Op::BoxRef, FusedOp::Free_BoxRef},
+    {Op::TouchStack, Op::Add, FusedOp::TouchStack_Add},
+    {Op::Add, Op::Return, FusedOp::Add_Return},
+    // Merged arithmetic/compare pairs (fixnum fast path skips the push).
+    {Op::PushFixnum, Op::Add, FusedOp::PushFixnum_Add},
+    {Op::PushFixnum, Op::Sub, FusedOp::PushFixnum_Sub},
+    {Op::PushFixnum, Op::NumEq, FusedOp::PushFixnum_NumEq},
+    {Op::Local, Op::Sub, FusedOp::Local_Sub},
+    {Op::Local, Op::Mul, FusedOp::Local_Mul},
     // Merged compare-and-branch pairs (every `if` in generated code).
     {Op::NumLt, Op::JumpIfFalse, FusedOp::NumLt_JumpIfFalse},
-    {Op::NumLe, Op::JumpIfFalse, FusedOp::NumLe_JumpIfFalse},
     {Op::NumGt, Op::JumpIfFalse, FusedOp::NumGt_JumpIfFalse},
-    {Op::NumGe, Op::JumpIfFalse, FusedOp::NumGe_JumpIfFalse},
     {Op::NumEq, Op::JumpIfFalse, FusedOp::NumEq_JumpIfFalse},
     {Op::Eq, Op::JumpIfFalse, FusedOp::Eq_JumpIfFalse},
     {Op::NullP, Op::JumpIfFalse, FusedOp::NullP_JumpIfFalse},
-    {Op::PairP, Op::JumpIfFalse, FusedOp::PairP_JumpIfFalse},
-    {Op::Local, Op::Free, FusedOp::Local_Free},
-    {Op::TouchBack, Op::TouchStack, FusedOp::TouchBack_TouchStack},
-    {Op::TouchStack, Op::Add, FusedOp::TouchStack_Add},
-    {Op::Add, Op::Return, FusedOp::Add_Return},
 };
 
 constexpr auto PairIndex = [] {

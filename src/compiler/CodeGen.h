@@ -65,10 +65,10 @@ private:
 Code *generateCode(Program &P, CodeRegistry &Registry,
                    const CompilerOptions &Opts, CompileStats &Stats);
 
-/// Superinstruction selection for the threaded dispatcher: the fused
+/// Superinstruction selection for the threaded interpreter: the fused
 /// handler for the adjacent pair (\p First, \p Second), or FusedOp::None.
-/// Driven by a small static table (CodeGen.cpp) of the hottest pairs the
-/// critical-path profiler reports; purely a host-speed decision, never
+/// Driven by a small static table (CodeGen.cpp) of the pairs that carry
+/// measurable dispatch traffic; purely a host-speed decision, never
 /// affects virtual time (see FusedOp in Bytecode.h).
 FusedOp fusedPair(Op First, Op Second);
 

@@ -117,28 +117,6 @@ Engine::Engine(const EngineConfig &Config)
   if (const char *Env = std::getenv("MULT_RACE"))
     Cfg.RaceDetect = !(Env[0] == '0' && Env[1] == '\0') &&
                      std::string_view(Env) != "off";
-  // Interpreter dispatch: an explicit config wins (the parity tests set it
-  // programmatically); Auto resolves from MULT_DISPATCH, default threaded.
-  // Builds without computed goto always run the switch path.
-  {
-    DispatchMode Mode = Cfg.Dispatch;
-    if (Mode == DispatchMode::Auto) {
-      Mode = DispatchMode::Threaded;
-      if (const char *Env = std::getenv("MULT_DISPATCH")) {
-        std::string_view EnvS(Env);
-        if (EnvS == "switch")
-          Mode = DispatchMode::Switch;
-        else if (EnvS == "threaded")
-          Mode = DispatchMode::Threaded;
-        else
-          std::fprintf(stderr, "mult: ignoring MULT_DISPATCH: '%s' (want "
-                               "switch|threaded)\n",
-                       Env);
-      }
-    }
-    DispatchThreadedOn =
-        Mode == DispatchMode::Threaded && threadedLabels() != nullptr;
-  }
   TheTracer.setEnabled(Config.EnableTracing);
   if (!Config.TraceSink.empty()) {
     std::string Err;
@@ -260,7 +238,7 @@ void Engine::preFlip() { remapCellSerials(); }
 DecodedCode *Engine::ensureDecoded(const Code *C) {
   if (C->Decoded)
     return C->Decoded;
-  DecodedPool.push_back(decodeCode(*C, *threadedLabels()));
+  DecodedPool.push_back(decodeCode(*C, threadedLabels()));
   C->Decoded = DecodedPool.back().get();
   return C->Decoded;
 }
@@ -877,7 +855,7 @@ EvalResult Engine::resumeGroup(GroupId Id, Value ResumeValue) {
       StoppedStack.end());
 
   beginRun(G->RootFuture, Id);
-  RunResult RR = TheMachine.run(*this, G->RootFuture);
+  RunResult RR = TheMachine.run(*this);
   return translateRunResult(RR, Id);
 }
 
@@ -1992,7 +1970,7 @@ EvalResult Engine::runTopLevel(Code *TopCode, std::string_view Banner) {
   P0.charge(P0.Queues.pushNew(Root, P0.Clock));
 
   beginRun(G.RootFuture, Gid);
-  RunResult RR = TheMachine.run(*this, G.RootFuture);
+  RunResult RR = TheMachine.run(*this);
   // Request latency for the multi-tenant story: every top-level eval is
   // one request, including the ones that end in a breakloop.
   Telem.add(TelemIds.EvalsTotal, P0.Id);
@@ -2207,7 +2185,7 @@ Engine::evalGroups(const std::vector<GroupLaunch> &Launches) {
   if (MOutstanding) {
     beginRun(Value::nil(), InvalidGroup);
     MultiOn = true;
-    RR = TheMachine.run(*this, Value::nil());
+    RR = TheMachine.run(*this);
     MultiOn = false;
   }
 

@@ -52,22 +52,6 @@ namespace mult {
 
 class RaceDetector;
 struct DecodedCode;
-struct ThreadedLabels;
-
-/// Which execution path the interpreter uses (vm/Interpreter.cpp). Both
-/// charge identical virtual cycles and emit identical event streams — the
-/// choice is purely host speed (see DESIGN.md, "virtual cycles are
-/// sacred").
-enum class DispatchMode : uint8_t {
-  /// Resolve from MULT_DISPATCH (`switch` | `threaded`); default threaded.
-  Auto,
-  /// The portable big-switch dispatcher (the seed interpreter).
-  Switch,
-  /// Direct-threaded dispatch over pre-decoded code, with inline caches
-  /// and fused superinstructions. Falls back to Switch on compilers
-  /// without computed goto.
-  Threaded,
-};
 
 /// Construction-time configuration of a simulated Mul-T machine.
 struct EngineConfig {
@@ -162,10 +146,6 @@ struct EngineConfig {
   /// costs no virtual time). When several engines share a path, the last
   /// one destroyed wins.
   std::string Telemetry;
-  /// Interpreter dispatch mechanism. Auto resolves from the MULT_DISPATCH
-  /// environment variable; an explicit Switch/Threaded here wins over the
-  /// environment (the parity tests set both programmatically).
-  DispatchMode Dispatch = DispatchMode::Auto;
   /// Determinacy-race detection (src/analysis, MULT_RACE): instrument
   /// box/vector/dynamic-env accesses with trace events and run the online
   /// SP-relation checker against the stream. Forces tracing on (the
@@ -549,15 +529,10 @@ public:
 
   /// \name Threaded dispatch (vm/Threaded.h)
   /// @{
-  /// True when this engine interprets through the direct-threaded path
-  /// (resolved DispatchMode, and the build has computed goto).
-  bool dispatchThreaded() const { return DispatchThreadedOn; }
-  /// "threaded" or "switch"; bench labels.
-  const char *dispatchName() const {
-    return DispatchThreadedOn ? "threaded" : "switch";
-  }
+  /// The interpreter's dispatch mechanism; bench labels.
+  const char *dispatchName() const { return "threaded"; }
   /// Decodes \p C into the threaded pool on first use (cached via
-  /// Code::Decoded thereafter). Only called under threaded dispatch.
+  /// Code::Decoded thereafter).
   DecodedCode *ensureDecoded(const Code *C);
   /// @}
 
@@ -667,7 +642,6 @@ private:
   /// inline-cache slots inside hold weak closure pointers that
   /// remapWeakCaches patches on every collection.
   std::vector<std::unique_ptr<DecodedCode>> DecodedPool;
-  bool DispatchThreadedOn = false;
 
   SitePolicyTable SitePolicyTab;
   /// Site-policy memo: (code object, pc) → table entry (nullptr = no

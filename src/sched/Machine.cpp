@@ -209,7 +209,7 @@ Processor &Machine::homeFor(unsigned Preferred) {
   return Procs[Preferred]; // unreachable: at least one processor lives
 }
 
-RunResult Machine::run(Engine &E, Value RootFuture) {
+RunResult Machine::run(Engine &E) {
   // Host wall-clock for the whole run loop (RAII covers every return).
   // Nested collections also accrue to the Gc phase; subtract Gc from Run
   // to isolate the mutator. Host time never feeds virtual time.
@@ -257,7 +257,6 @@ RunResult Machine::run(Engine &E, Value RootFuture) {
   for (const Processor &P : Procs)
     Busy += P.BusyCycles;
   E.stats().CyclesExecuted = Busy;
-  (void)RootFuture;
   return R;
 }
 
@@ -296,12 +295,20 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
                      Off, E.group(Off).Banner.c_str(),
                      static_cast<unsigned long long>(Words), Share);
   };
-  auto RootStopped = [&E]() {
-    // A multi-group run has no root group; group stops there never end
-    // the run (each tenant fails independently).
-    return E.rootGroup() != InvalidGroup &&
-           E.lastStoppedGroup() == E.rootGroup() &&
-           E.group(E.rootGroup()).State == GroupState::Stopped;
+  // If the root group just stopped, ends the run at \p Clock with its
+  // condition and returns true. A multi-group run has no root group; group
+  // stops there never end the run (each tenant fails independently).
+  auto EndIfRootStopped = [&](uint64_t Clock) {
+    GroupId Root = E.rootGroup();
+    if (Root == InvalidGroup || E.lastStoppedGroup() != Root ||
+        E.group(Root).State != GroupState::Stopped)
+      return false;
+    R.Status = RunStatus::GroupStopped;
+    R.StoppedGroup = Root;
+    R.Error = E.group(Root).Condition;
+    R.ElapsedCycles = Clock - Start;
+    E.stats().ElapsedCycles = R.ElapsedCycles;
+    return true;
   };
 
   // A step that queued a task, made a seam or left no processor running
@@ -366,16 +373,10 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
           Processor &Obs = Procs[minClockProcessor()];
           E.noteFault(Obs, FaultKind::ProcKill, Victim);
           E.recoverProcessor(Obs, Dead, Start + KillMark);
-          if (RootStopped()) {
-            // An orphaned future stopped the root group: surface the
-            // processor-lost condition to the breakloop.
-            R.Status = RunStatus::GroupStopped;
-            R.StoppedGroup = E.rootGroup();
-            R.Error = E.group(E.rootGroup()).Condition;
-            R.ElapsedCycles = Obs.Clock - Start;
-            E.stats().ElapsedCycles = R.ElapsedCycles;
+          // An orphaned future may have stopped the root group: surface
+          // the processor-lost condition to the breakloop.
+          if (EndIfRootStopped(Obs.Clock))
             return R;
-          }
         }
         continue;
       }
@@ -435,16 +436,10 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
           R.Heap = SnapshotHeap();
           return R;
         }
-        if (RootStopped()) {
-          // A proc-kill landed inside the forced collection and orphaned
-          // a root-group future.
-          R.Status = RunStatus::GroupStopped;
-          R.StoppedGroup = E.rootGroup();
-          R.Error = E.group(E.rootGroup()).Condition;
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
+        // A proc-kill may have landed inside the forced collection and
+        // orphaned a root-group future.
+        if (EndIfRootStopped(P.Clock))
           return R;
-        }
         continue;
       }
     }
@@ -486,14 +481,8 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
                       T.Group,
                       static_cast<unsigned long long>(E.config().MaxCycles)));
         P.setCurrent(InvalidTask);
-        if (RootStopped()) {
-          R.Status = RunStatus::GroupStopped;
-          R.StoppedGroup = E.rootGroup();
-          R.Error = E.group(E.rootGroup()).Condition;
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
+        if (EndIfRootStopped(P.Clock))
           return R;
-        }
         continue;
       }
 
@@ -502,14 +491,8 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
       // next instruction never executed); every other group keeps running.
       if (E.tenantArmed() && E.pollTenant(P, T)) {
         P.setCurrent(InvalidTask);
-        if (RootStopped()) {
-          R.Status = RunStatus::GroupStopped;
-          R.StoppedGroup = E.rootGroup();
-          R.Error = E.group(E.rootGroup()).Condition;
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
+        if (EndIfRootStopped(P.Clock))
           return R;
-        }
         continue;
       }
 
@@ -550,14 +533,8 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
       case StepOutcome::TaskDone:
       case StepOutcome::GroupStopped:
         P.setCurrent(InvalidTask);
-        if (RootStopped()) {
-          R.Status = RunStatus::GroupStopped;
-          R.StoppedGroup = E.rootGroup();
-          R.Error = E.group(E.rootGroup()).Condition;
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
+        if (EndIfRootStopped(P.Clock))
           return R;
-        }
         break;
       case StepOutcome::NeedsGc: {
         // Heap exhaustion degrades gracefully: the task's group stops
@@ -570,16 +547,10 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
           P.setCurrent(InvalidTask);
           SameSpotTask = InvalidTask;
           FruitlessGcs = 0;
-          if (RootStopped()) {
-            R.Status = RunStatus::GroupStopped;
-            R.StoppedGroup = E.rootGroup();
-            R.Error = E.group(E.rootGroup()).Condition;
-            R.ElapsedCycles = P.Clock - Start;
-            E.stats().ElapsedCycles = R.ElapsedCycles;
-            R.Heap = SnapshotHeap();
-            return true;
-          }
-          return false;
+          if (!EndIfRootStopped(P.Clock))
+            return false;
+          R.Heap = SnapshotHeap();
+          return true;
         };
         // An injected allocation failure is not evidence of a full heap;
         // run the collection but keep the exhaustion heuristics quiet.
@@ -624,16 +595,10 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
           R.Heap = SnapshotHeap();
           return R;
         }
-        if (RootStopped()) {
-          // A proc-kill landed inside the collection and orphaned a
-          // root-group future.
-          R.Status = RunStatus::GroupStopped;
-          R.StoppedGroup = E.rootGroup();
-          R.Error = E.group(E.rootGroup()).Condition;
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
+        // A proc-kill may have landed inside the collection and orphaned
+        // a root-group future.
+        if (EndIfRootStopped(P.Clock))
           return R;
-        }
         // A collection that frees (almost) nothing cannot unblock the
         // failing allocation; stop the group instead of thrashing.
         if (!Injected && E.heap().usedWords() + 64 >= UsedBefore) {

@@ -152,9 +152,9 @@ public:
   Machine(const Machine &) = delete;
   Machine &operator=(const Machine &) = delete;
 
-  /// Runs until the future \p RootFuture resolves (or an exceptional
+  /// Runs until the engine's root future resolves (or an exceptional
   /// status). Runnable tasks must already be enqueued.
-  RunResult run(Engine &E, Value RootFuture);
+  RunResult run(Engine &E);
 
   unsigned numProcessors() const {
     return static_cast<unsigned>(Procs.size());

@@ -219,9 +219,9 @@ constexpr uint64_t opBaseCostComputed(Op O) {
   return 1;
 }
 
-/// Static per-opcode base-cost table. Both the switch interpreter's hot loop
-/// and the threaded-code pre-decoder index this instead of calling a
-/// function per instruction.
+/// Static per-opcode base-cost table. The threaded-code pre-decoder folds
+/// it into every decoded slot instead of calling a function per
+/// instruction.
 inline constexpr std::array<uint64_t, NumOpcodes> OpBaseCostTable = [] {
   std::array<uint64_t, NumOpcodes> T{};
   for (size_t I = 0; I < NumOpcodes; ++I)

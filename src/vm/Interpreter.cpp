@@ -1,20 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Interpreter implementation: one set of handler bodies (InterpBody.inc),
-/// two dispatchers.
-///
-///  - interpretSwitch: the portable seed dispatcher — fetch at the top of a
-///    while loop, one big switch.
-///  - interpretThreaded: direct-threaded dispatch over the pre-decoded
-///    DInsn stream (vm/Threaded.h) — computed goto, pre-folded base costs,
-///    global/call inline caches, fused superinstructions. Gated on
-///    MULT_COMPUTED_GOTO; builds without labels-as-values fall back to the
-///    switch path (Engine::dispatchThreaded is then always false).
-///
-/// Both expand the same InterpPrelude.inc/InterpBody.inc text, so they are
-/// bit-identical in virtual cycles, events and outcomes by construction —
-/// the "virtual cycles are sacred" invariant DispatchParityTest pins.
+/// Interpreter implementation: direct-threaded dispatch over the
+/// pre-decoded DInsn stream (vm/Threaded.h) — computed goto, pre-folded
+/// base costs, global/call inline caches, fused superinstructions. The
+/// handler bodies live in InterpBody.inc.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,41 +46,10 @@ bool isClosureV(Value V) {
   return V.isObject() && V.asObject()->tag() == TypeTag::Closure;
 }
 
-/// The threaded label table is written against this exact opcode count;
-/// adding an opcode must extend both the table and the body include.
+/// The label table is written against this exact opcode count; adding an
+/// opcode must extend both the table and the body include.
 static_assert(NumOpcodes == 51, "update the threaded handler table");
-static_assert(NumFusedOps == 52, "update the fused handler table");
-
-//===----------------------------------------------------------------------===//
-// Switch dispatcher (the seed interpreter, unchanged semantics).
-//===----------------------------------------------------------------------===//
-
-StepOutcome interpretSwitch(Engine &E, Processor &P, Task &T,
-                            uint64_t TargetClock) {
-#include "vm/InterpPrelude.inc"
-
-  while (P.Clock < TargetClock) {
-    assert(T.Pc < T.CurCode->Insns.size() && "pc ran off the template");
-    const Insn &I = T.CurCode->Insns[T.Pc];
-    P.charge(opBaseCost(I.Opcode));
-    ++P.Instructions;
-    ++S.Instructions;
-    uint32_t Base = T.Frames.back().Base;
-
-    switch (I.Opcode) {
-#define VM_THREADED 0
-#include "vm/InterpBody.inc"
-#undef VM_THREADED
-    }
-  }
-  return StepOutcome::TimeSlice;
-}
-
-//===----------------------------------------------------------------------===//
-// Direct-threaded dispatcher.
-//===----------------------------------------------------------------------===//
-
-#if MULT_COMPUTED_GOTO
+static_assert(NumFusedOps == 29, "update the fused handler table");
 
 /// The threaded interpreter proper. Doubles as the label exporter: when
 /// \p LabelsOut is non-null the function only publishes its handler table
@@ -101,8 +60,7 @@ StepOutcome interpretSwitch(Engine &E, Processor &P, Task &T,
 /// of replicating `goto *handler` at the end of every handler is one
 /// branch-predictor entry per dispatch site, and those passes would merge
 /// the replicas back into a single indirect jump (one BTB entry for every
-/// opcode transition — a misprediction storm). The switch dispatcher
-/// above keeps the stock optimization pipeline; it IS the baseline.
+/// opcode transition — a misprediction storm).
 #if defined(__GNUC__) && !defined(__clang__)
 __attribute__((optimize("no-gcse", "no-crossjumping")))
 #endif
@@ -133,57 +91,34 @@ StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
       }},
       {{
           nullptr, // FusedOp::None
-          &&L_F_Const_Return,
-          &&L_F_Const_Call,
           &&L_F_Const_CallPrim,
           &&L_F_Local_Local,
           &&L_F_Local_PushFixnum,
-          &&L_F_Local_TouchLocal,
           &&L_F_Local_TouchStack,
           &&L_F_Local_Return,
           &&L_F_Local_Call,
           &&L_F_Local_CallPrim,
+          &&L_F_Local_Free,
           &&L_F_PushFixnum_Return,
-          &&L_F_PushFixnum_Call,
-          &&L_F_PushFixnum_CallPrim,
-          &&L_F_PushFixnum_Add,
-          &&L_F_PushFixnum_Sub,
-          &&L_F_PushFixnum_Mul,
-          &&L_F_PushFixnum_NumLt,
-          &&L_F_PushFixnum_NumLe,
-          &&L_F_PushFixnum_NumGt,
-          &&L_F_PushFixnum_NumGe,
-          &&L_F_PushFixnum_NumEq,
-          &&L_F_Local_Add,
-          &&L_F_Local_Sub,
-          &&L_F_Local_Mul,
-          &&L_F_Local_NumLt,
-          &&L_F_Local_NumLe,
-          &&L_F_Local_NumGt,
-          &&L_F_Local_NumGe,
-          &&L_F_Local_NumEq,
           &&L_F_PushFixnum_Local,
-          &&L_F_TouchBack_NumEq,
-          &&L_F_TouchBack_NumLt,
+          &&L_F_Free_BoxRef,
           &&L_F_TouchBack_Add,
           &&L_F_TouchBack_Call,
+          &&L_F_TouchBack_TouchStack,
           &&L_F_TouchStack_Call,
           &&L_F_TouchStack_TouchStack,
-          &&L_F_Free_BoxRef,
+          &&L_F_TouchStack_Add,
+          &&L_F_Add_Return,
+          &&L_F_PushFixnum_Add,
+          &&L_F_PushFixnum_Sub,
+          &&L_F_PushFixnum_NumEq,
+          &&L_F_Local_Sub,
+          &&L_F_Local_Mul,
           &&L_F_NumLt_JumpIfFalse,
-          &&L_F_NumLe_JumpIfFalse,
           &&L_F_NumGt_JumpIfFalse,
-          &&L_F_NumGe_JumpIfFalse,
           &&L_F_NumEq_JumpIfFalse,
           &&L_F_Eq_JumpIfFalse,
           &&L_F_NullP_JumpIfFalse,
-          &&L_F_PairP_JumpIfFalse,
-          &&L_F_Local_Free,
-          &&L_F_TouchBack_TouchStack,
-          &&L_F_TouchStack_Add,
-          &&L_F_Add_Return,
-          &&L_F_TouchBack_NumEq_JumpIfFalse,
-          &&L_F_TouchBack_NumLt_JumpIfFalse,
       }},
   };
   if (LabelsOut) {
@@ -194,51 +129,93 @@ StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
   Engine &E = *EP;
   Processor &P = *PP;
   Task &T = *TP;
-#include "vm/InterpPrelude.inc"
+  EngineStats &S = E.stats();
+  std::vector<Value> &Stack = T.Stack;
+
+  // Raise an exception: stop the whole group (paper section 2.3).
+  auto Raise = [&](std::string Msg, uint32_t PopCount) -> StepOutcome {
+    E.stopGroup(P, T, std::move(Msg), PopCount);
+    return StepOutcome::GroupStopped;
+  };
+
+  // A touch of a future whose owning group was killed can never resolve;
+  // stop the toucher's group (restartable: resume re-raises, kill kills)
+  // instead of silently deadlocking. True if the group was stopped.
+  auto KilledOwnerStop = [&](Object *Fut) -> bool {
+    if (!Fut->slot(Object::FutGroupId).isFixnum())
+      return false;
+    auto OwnerGid =
+        static_cast<GroupId>(Fut->slot(Object::FutGroupId).asFixnum());
+    Group *Owner = E.findGroup(OwnerGid);
+    if (!Owner || Owner->State != GroupState::Killed)
+      return false;
+    E.stopGroupRestartable(
+        P, T, strFormat("touch of a future belonging to killed group %u",
+                        OwnerGid));
+    return true;
+  };
+
+  // Touch the value at \p Slot in place. Returns Ok(0), Blocked(1),
+  // NeedsGc(2) or GroupStopped(3).
+  auto TouchSlot = [&](Value &Slot) -> int {
+    ++S.TouchesExecuted;
+    if (E.faults().armed() && E.faults().shouldErrorTouch()) {
+      E.noteFault(P, FaultKind::TouchError);
+      E.stopGroupRestartable(P, T, "injected-fault: touch error");
+      return 3;
+    }
+    if (!Slot.isFuture())
+      return 0;
+    Object *Touched = Slot.pointee();
+    Value Out;
+    Object *Unresolved = nullptr;
+    uint64_t Chase = 0;
+    if (futureops::chase(Slot, Out, Unresolved, Chase)) {
+      P.charge(Chase);
+      Slot = Out;
+      if (E.tracer().enabled()) {
+        // resolveFuture stamps a negative resolve serial into FutTaskId;
+        // echo it so the profiler gets the resolver->toucher edge. A
+        // non-negative slot means the future resolved while tracing was
+        // off (serial 0 = unknown).
+        int64_t Stamp = Touched->slot(Object::FutTaskId).isFixnum()
+                            ? Touched->slot(Object::FutTaskId).asFixnum()
+                            : 0;
+        E.tracer().record(TraceEventKind::TouchHit, P.Id, P.Clock, T.Id, 0,
+                          Stamp < 0 ? static_cast<uint64_t>(-Stamp) : 0);
+      }
+      return 0;
+    }
+    P.charge(Chase);
+    if (KilledOwnerStop(Unresolved))
+      return 3;
+    if (E.tracer().enabled())
+      E.tracer().record(TraceEventKind::TouchBlock, P.Id, P.Clock, T.Id);
+    if (!futureops::blockOnFuture(E, P, T, Unresolved))
+      return 2;
+    return 1;
+  };
 
   DecodedCode *DC = T.CurCode->Decoded;
   if (!DC)
     DC = E.ensureDecoded(T.CurCode);
   DInsn *DI = nullptr;
-  uint32_t Base = 0;
-  (void)Base;
+  uint32_t Base = T.Frames.back().Base;
 
-  // First dispatch: the quantum check happens before every instruction,
-  // including the first — exactly the switch loop's `while` condition.
-  {
-    if (P.Clock >= TargetClock)
-      return StepOutcome::TimeSlice;
-    assert(T.Pc < T.CurCode->Insns.size() && "pc ran off the template");
-    DI = &DC->Stream[T.Pc];
-    P.charge(DI->Cost);
-    ++P.Instructions;
-    ++S.Instructions;
-    Base = T.Frames.back().Base;
-    goto *const_cast<void *>(DI->Handler);
-  }
-
-#define VM_THREADED 1
 #include "vm/InterpBody.inc"
-#undef VM_THREADED
 
   __builtin_unreachable();
 }
 
-#endif // MULT_COMPUTED_GOTO
-
 } // namespace
 
-const ThreadedLabels *mult::threadedLabels() {
-#if MULT_COMPUTED_GOTO
+const ThreadedLabels &mult::threadedLabels() {
   static const ThreadedLabels *L = [] {
     const ThreadedLabels *Out = nullptr;
     interpretThreaded(nullptr, nullptr, nullptr, 0, &Out);
     return Out;
   }();
-  return L;
-#else
-  return nullptr;
-#endif
+  return *L;
 }
 
 StepOutcome mult::interpretTask(Engine &E, Processor &P, Task &T,
@@ -254,9 +231,5 @@ StepOutcome mult::interpretTask(Engine &E, Processor &P, Task &T,
     T.WakeValue = Value::nil();
   }
 
-#if MULT_COMPUTED_GOTO
-  if (E.dispatchThreaded())
-    return interpretThreaded(&E, &P, &T, TargetClock, nullptr);
-#endif
-  return interpretSwitch(E, P, T, TargetClock);
+  return interpretThreaded(&E, &P, &T, TargetClock, nullptr);
 }

@@ -43,22 +43,12 @@ std::unique_ptr<DecodedCode> mult::decodeCode(const Code &C,
     default:
       break; // Call/TailCall inline caches start empty (KBits/Ptr zero).
     }
-    // Superinstruction fusion: a slot that heads one of the profiled hot
-    // pairs gets the fused handler; its second half keeps its own ordinary
-    // slot so jumps into the middle of the pair (and quantum-boundary
-    // restarts between the halves) stay trivially correct. The loop-head
-    // triple `touch-back; compare; jump-if-false` outranks any pair.
-    FusedOp F = FusedOp::None;
-    if (In.Opcode == Op::TouchBack && I + 2 < N &&
-        C.Insns[I + 2].Opcode == Op::JumpIfFalse) {
-      if (C.Insns[I + 1].Opcode == Op::NumEq)
-        F = FusedOp::TouchBack_NumEq_JumpIfFalse;
-      else if (C.Insns[I + 1].Opcode == Op::NumLt)
-        F = FusedOp::TouchBack_NumLt_JumpIfFalse;
-    }
-    if (F == FusedOp::None)
-      F = I + 1 < N ? fusedPair(In.Opcode, C.Insns[I + 1].Opcode)
-                    : FusedOp::None;
+    // Superinstruction fusion: a slot that heads one of the fusible pairs
+    // gets the fused handler; its second half keeps its own ordinary slot
+    // so jumps into the middle of the pair (and quantum-boundary restarts
+    // between the halves) stay trivially correct.
+    FusedOp F = I + 1 < N ? fusedPair(In.Opcode, C.Insns[I + 1].Opcode)
+                          : FusedOp::None;
     // Priority: a generic pair at I only saves the dispatch between the
     // halves, but it would skip slot I+1's own handler — and if I+1 heads
     // a *merged* pair (whose fast path folds the whole second instruction
@@ -68,9 +58,8 @@ std::unique_ptr<DecodedCode> mult::decodeCode(const Code &C,
         isMergedFusedPair(fusedPair(C.Insns[I + 1].Opcode,
                                     C.Insns[I + 2].Opcode)))
       F = FusedOp::None;
-    const void *H = F != FusedOp::None ? L.Fused[static_cast<size_t>(F)]
-                                       : nullptr;
-    DI.Handler = H ? H : L.Base[static_cast<size_t>(In.Opcode)];
+    DI.Handler = F != FusedOp::None ? L.Fused[static_cast<size_t>(F)]
+                                    : L.Base[static_cast<size_t>(In.Opcode)];
   }
   return D;
 }

@@ -1,16 +1,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Threaded-code pre-decoder for the direct-threaded dispatcher.
+/// Threaded-code pre-decoder for the direct-threaded interpreter.
 ///
-/// The interpreter has two execution paths over the same bytecode:
-///
-///  - the portable `switch` path (the seed interpreter, unchanged), and
-///  - a direct-threaded path: each Code is translated once into a stream of
-///    DInsn slots carrying the computed-goto handler address, the pre-folded
-///    base cost, flattened operands, and inline-cache slots. The decoded
-///    stream is cached on the Code (Code::Decoded) and never invalidated —
-///    bytecode is immutable after codegen.
+/// Each Code is translated once into a stream of DInsn slots carrying the
+/// computed-goto handler address, the pre-folded base cost, flattened
+/// operands, and inline-cache slots. The decoded stream is cached on the
+/// Code (Code::Decoded) and never invalidated — bytecode is immutable
+/// after codegen.
 ///
 /// The layout is deliberately 1:1 with the bytecode: Stream[pc] decodes
 /// Insns[pc], so Task::Pc is simultaneously the bytecode cursor and the
@@ -19,16 +16,16 @@
 /// superinstruction keeps its second half's ordinary slot intact (control
 /// that jumps into the middle of a pair just runs the plain handler).
 ///
-/// The hard invariant ("virtual cycles are sacred"): the threaded path
-/// charges exactly the same virtual cycles and emits exactly the same
-/// trace/race/fault/telemetry events as the switch path. Every device in
-/// this file — pre-folded costs, inline caches, fusion — is host-speed
-/// only. See DESIGN.md for the full parity argument.
+/// The hard invariant ("virtual cycles are sacred"): every device in this
+/// file — pre-folded costs, inline caches, fusion — is host-speed only.
+/// Virtual cycles come from the cost table; the goldens and the pinned
+/// run fingerprints (tests/DispatchParityTest.cpp) hold them fixed. See
+/// DESIGN.md, "Dispatch".
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef MULT_VM_THREADED_H
-#define MULT_VM_THREADED_H
+#ifndef MULT_THREADED_H
+#define MULT_THREADED_H
 
 #include "compiler/Bytecode.h"
 
@@ -37,13 +34,10 @@
 #include <memory>
 #include <vector>
 
-/// Computed goto (GNU "labels as values") carries the threaded dispatcher;
-/// elsewhere the engine silently falls back to the switch path, which is
-/// semantically identical (that is the whole point of the parity invariant).
-#if defined(__GNUC__) || defined(__clang__)
-#define MULT_COMPUTED_GOTO 1
-#else
-#define MULT_COMPUTED_GOTO 0
+/// The interpreter dispatches through computed goto (GNU "labels as
+/// values"); the handlers also use GNU overflow builtins.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the Mul-T interpreter needs a compiler with labels-as-values"
 #endif
 
 namespace mult {
@@ -91,9 +85,8 @@ struct ThreadedLabels {
   std::array<const void *, NumFusedOps> Fused{};
 };
 
-/// The handler table of this build's threaded interpreter, or null when the
-/// build has no computed-goto support (MULT_COMPUTED_GOTO == 0).
-const ThreadedLabels *threadedLabels();
+/// The handler table of the threaded interpreter.
+const ThreadedLabels &threadedLabels();
 
 /// Translates \p C into a threaded stream using handler table \p L. Pure:
 /// does not publish the result into C.Decoded (the Engine's ensureDecoded
@@ -103,4 +96,4 @@ std::unique_ptr<DecodedCode> decodeCode(const Code &C,
 
 } // namespace mult
 
-#endif // MULT_VM_THREADED_H
+#endif // MULT_THREADED_H

@@ -2,13 +2,17 @@
 ///
 /// \file
 /// Bytecode-level tests: disassembly, compiled-code shape, cost-model
-/// coverage, and the compiler facade's bookkeeping.
+/// coverage, the compiler facade's bookkeeping, and superinstruction
+/// selection by the threaded-code pre-decoder.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "compiler/CodeGen.h"
 #include "reader/Reader.h"
 #include "vm/CostModel.h"
+#include "vm/Threaded.h"
+
+#include <set>
 
 #include "TestUtil.h"
 
@@ -127,6 +131,76 @@ TEST(BytecodeTest, NaryArithmeticFolds) {
     ++Count;
   EXPECT_EQ(Count, 3u) << C.Listing;
   EXPECT_EQ(C.Listing.find("call-prim"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Superinstruction selection (decodeCode).
+//===----------------------------------------------------------------------===//
+
+/// Pre-decodes a straight-line Code made of \p Ops (operands zero, one
+/// fixnum constant so Const has something to flatten).
+std::unique_ptr<DecodedCode> decodeOps(std::initializer_list<Op> Ops) {
+  Code C;
+  C.Constants.push_back(Value::fixnum(0));
+  for (Op O : Ops)
+    C.Insns.push_back(Insn{O});
+  return decodeCode(C, threadedLabels());
+}
+
+const void *plainHandler(Op O) {
+  return threadedLabels().Base[static_cast<size_t>(O)];
+}
+const void *fusedHandler(FusedOp F) {
+  return threadedLabels().Fused[static_cast<size_t>(F)];
+}
+
+TEST(DecoderTest, EveryFusionRuleSelectsItsHandler) {
+  // Every fusible pair, decoded alone, heads with its fused handler; the
+  // second half keeps its plain slot. Together the pairs reach every
+  // fused op, so no handler in the label table is dead.
+  std::set<FusedOp> Reached;
+  for (size_t A = 0; A < NumOpcodes; ++A) {
+    for (size_t B = 0; B < NumOpcodes; ++B) {
+      FusedOp F = fusedPair(static_cast<Op>(A), static_cast<Op>(B));
+      if (F == FusedOp::None)
+        continue;
+      Reached.insert(F);
+      auto D = decodeOps({static_cast<Op>(A), static_cast<Op>(B)});
+      EXPECT_EQ(D->Stream[0].Handler, fusedHandler(F))
+          << opName(static_cast<Op>(A)) << "; " << opName(static_cast<Op>(B));
+      EXPECT_EQ(D->Stream[1].Handler, plainHandler(static_cast<Op>(B)))
+          << opName(static_cast<Op>(A)) << "; " << opName(static_cast<Op>(B));
+    }
+  }
+  EXPECT_EQ(Reached.size(), NumFusedOps - 1);
+  for (size_t F = 1; F < NumFusedOps; ++F)
+    EXPECT_NE(fusedHandler(static_cast<FusedOp>(F)), nullptr) << F;
+}
+
+TEST(DecoderTest, MergedPairAtNextSlotOutranksGenericPair) {
+  // `local; push-fixnum` is a generic pair, but `push-fixnum; add` is a
+  // merged one: slot 0 stays plain so execution flows into the merge.
+  auto D = decodeOps({Op::Local, Op::PushFixnum, Op::Add});
+  EXPECT_EQ(D->Stream[0].Handler, plainHandler(Op::Local));
+  EXPECT_EQ(D->Stream[1].Handler, fusedHandler(FusedOp::PushFixnum_Add));
+  EXPECT_EQ(D->Stream[2].Handler, plainHandler(Op::Add));
+  // A generic pair followed by another generic pair keeps its fusion.
+  auto G = decodeOps({Op::Local, Op::Local, Op::Local});
+  EXPECT_EQ(G->Stream[0].Handler, fusedHandler(FusedOp::Local_Local));
+  EXPECT_EQ(G->Stream[1].Handler, fusedHandler(FusedOp::Local_Local));
+}
+
+TEST(DecoderTest, UnfusedPairsDecodeToPlainHandlers) {
+  // Pairs without measurable traffic are not fused.
+  auto D = decodeOps({Op::Local, Op::NumLt});
+  EXPECT_EQ(D->Stream[0].Handler, plainHandler(Op::Local));
+  EXPECT_EQ(D->Stream[1].Handler, plainHandler(Op::NumLt));
+  // The loop-head shape `touch-back; <; jump-if-false` is no triple: the
+  // touch stays plain and the compare-and-branch pair fuses.
+  auto L = decodeOps({Op::TouchBack, Op::NumLt, Op::JumpIfFalse});
+  EXPECT_EQ(L->Stream[0].Handler, plainHandler(Op::TouchBack));
+  EXPECT_EQ(L->Stream[1].Handler, fusedHandler(FusedOp::NumLt_JumpIfFalse));
+  EXPECT_EQ(L->Stream[2].Handler, plainHandler(Op::JumpIfFalse));
 }
 
 } // namespace

@@ -123,9 +123,9 @@ TEST(CostModelTest, VirtualSecondsConversion) {
 
 TEST(CostModelTest, BaseCostTableMatchesComputedFunction) {
   // The threaded pre-decoder folds per-opcode base costs from
-  // OpBaseCostTable; the switch dispatcher reads the same table through
+  // OpBaseCostTable, and the interpreter charges future spawns through
   // opBaseCost(). Both must agree with the authoritative switch-based
-  // definition for every opcode, or the two dispatchers drift apart.
+  // definition for every opcode.
   for (size_t I = 0; I < NumOpcodes; ++I) {
     Op O = static_cast<Op>(I);
     EXPECT_EQ(OpBaseCostTable[I], opBaseCostComputed(O))

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
 namespace mult {
 namespace testutil {
 
@@ -51,6 +54,16 @@ inline std::string evalErr(Engine &E, std::string_view Src,
   EXPECT_EQ(static_cast<int>(R.K), static_cast<int>(Kind))
       << "for: " << Src << " (got `" << R.Error << "`)";
   return R.Error;
+}
+
+/// 64-bit FNV-1a of \p S: the hash the pinned-output tests record.
+inline uint64_t fnv1a64(std::string_view S) {
+  uint64_t H = 14695981039346656037ULL;
+  for (unsigned char Ch : S) {
+    H ^= Ch;
+    H *= 1099511628211ULL;
+  }
+  return H;
 }
 
 } // namespace testutil

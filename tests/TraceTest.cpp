@@ -453,15 +453,6 @@ TEST(TraceExportTest, EmptyTraceStillValid) {
   EXPECT_TRUE(JsonChecker(Json).valid()) << Json.substr(0, 400);
 }
 
-uint64_t fnv1a64(std::string_view S) {
-  uint64_t H = 14695981039346656037ULL;
-  for (unsigned char Ch : S) {
-    H ^= Ch;
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
-
 /// One line per CriticalPathReport field, sites in report order.
 std::string renderReport(const CriticalPathReport &R) {
   std::string Out;

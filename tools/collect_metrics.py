@@ -42,8 +42,8 @@ plan: fault counts and cycles are seed-deterministic. This script:
 
 Host timing has exactly one sanctioned home here: `--host` runs the
 dispatch bench (bench_dispatch, which prints ";; host-dispatch: <workload>
-<dispatcher> ns-per-vcycle=<v>" lines) several times, takes the per-key
-*median* across runs (the in-process minimum is noise-robust within a run;
+ns-per-vcycle=<v>" lines) several times, takes the per-workload *median*
+across runs (the in-process minimum is noise-robust within a run;
 the cross-run median defends against a whole run landing on a busy host),
 and records it in BENCH_host.json. A >25% regression against the previous
 BENCH_host.json WARNS loudly but never gates: host speed is a tracked
@@ -80,7 +80,7 @@ BENCHES = [
 RUN_JSON_LINE = re.compile(r"^;; run-json: (\{.*\})\s*$")
 HOST_LINE = re.compile(r"^;; host: (\S+) ")
 HOST_DISPATCH_LINE = re.compile(
-    r"^;; host-dispatch: (\S+) (switch|threaded) ns-per-vcycle=([0-9.]+)\s*$")
+    r"^;; host-dispatch: (\S+) ns-per-vcycle=([0-9.]+)\s*$")
 
 
 def assert_no_host_keys(keys, where):
@@ -235,12 +235,11 @@ def median(values):
 
 
 def run_host_bench(build_dir, runs):
-    """Run bench_dispatch `runs` times; median ns/virtual-cycle per key.
+    """Run bench_dispatch `runs` times; median ns/virtual-cycle per workload.
 
-    Returns {workload: {"switch": ns, "threaded": ns, "speedup": x}}.
-    A nonzero exit from the bench is a hard failure: the binary exits 1
-    when the two dispatchers disagree on virtual cycles, which is a
-    correctness bug, not noise.
+    Returns {workload: ns}. A nonzero exit from the bench is a hard
+    failure: the binary exits 1 when a workload's virtual cycles or result
+    differ across repetitions, which is a determinism bug, not noise.
     """
     exe = os.path.join(build_dir, "bench", "bench_dispatch")
     if not os.path.exists(exe):
@@ -252,23 +251,16 @@ def run_host_bench(build_dir, runs):
         if proc.returncode != 0:
             sys.stderr.write(proc.stdout + proc.stderr)
             fail(f"bench_dispatch exited with status {proc.returncode} "
-                 "(dispatcher parity broken?)")
+                 "(nondeterministic virtual time?)")
         found = 0
         for line in proc.stdout.splitlines():
             m = HOST_DISPATCH_LINE.match(line)
             if m:
-                key = (m.group(1), m.group(2))
-                samples.setdefault(key, []).append(float(m.group(3)))
+                samples.setdefault(m.group(1), []).append(float(m.group(2)))
                 found += 1
         if not found:
             fail("bench_dispatch printed no ';; host-dispatch:' lines")
-    result = {}
-    for (workload, dispatcher), vs in samples.items():
-        result.setdefault(workload, {})[dispatcher] = round(median(vs), 3)
-    for d in result.values():
-        if d.get("threaded"):
-            d["speedup"] = round(d["switch"] / d["threaded"], 2)
-    return result
+    return {w: round(median(vs), 3) for w, vs in samples.items()}
 
 
 def host_mode(args, commit):
@@ -282,29 +274,28 @@ def host_mode(args, commit):
     except (OSError, json.JSONDecodeError):
         pass
 
-    print(f"  {'workload':<14} {'switch':>9} {'threaded':>9} {'speedup':>8}")
+    print(f"  {'workload':<14} {'threaded':>9}")
     for workload in sorted(data):
-        d = data[workload]
-        print(f"  {workload:<14} {d['switch']:>7.3f}ns {d['threaded']:>7.3f}ns"
-              f" {d.get('speedup', 0):>7.2f}x")
+        print(f"  {workload:<14} {data[workload]:>7.3f}ns")
 
     # Regression check: warn loudly, never gate. Host ns/virtual-cycle is
     # machine-dependent; a slower container must not block a PR, but a real
     # dispatch regression should be impossible to miss in the log.
     if prev:
         for workload in sorted(data):
-            for disp in ("switch", "threaded"):
-                now = data[workload].get(disp)
-                was = prev.get(workload, {}).get(disp)
-                if not (isinstance(was, (int, float)) and was > 0 and now):
-                    continue
-                rel = (now - was) / was
-                if rel > 0.25:
-                    print(f"WARNING: {workload}/{disp} host time regressed "
-                          f"{100 * rel:+.0f}% ({was:.3f} -> {now:.3f} "
-                          "ns/vcycle) vs the previous BENCH_host.json -- "
-                          "host noise or a real dispatch regression? "
-                          "(warning only; host time never gates)")
+            now = data[workload]
+            was = prev.get(workload)
+            if isinstance(was, dict):  # older records, one key per dispatcher
+                was = was.get("threaded")
+            if not (isinstance(was, (int, float)) and was > 0 and now):
+                continue
+            rel = (now - was) / was
+            if rel > 0.25:
+                print(f"WARNING: {workload} host time regressed "
+                      f"{100 * rel:+.0f}% ({was:.3f} -> {now:.3f} "
+                      "ns/vcycle) vs the previous BENCH_host.json -- "
+                      "host noise or a real dispatch regression? "
+                      "(warning only; host time never gates)")
 
     os.makedirs(args.out_dir, exist_ok=True)
     record = {"commit": commit, "runs": args.host_runs, "workloads": data}
@@ -446,7 +437,7 @@ def main():
                          "--tenant)")
     ap.add_argument("--host", action="store_true",
                     help="run bench_dispatch and record median host "
-                         "ns/virtual-cycle per dispatcher in BENCH_host.json "
+                         "ns/virtual-cycle per workload in BENCH_host.json "
                          "(warns on >25%% regression, never gates; host keys "
                          "stay out of golden files)")
     ap.add_argument("--host-runs", metavar="N", type=int, default=5,
