@@ -505,7 +505,8 @@ void Engine::finishTask(Task &T) {
 
 Object *Engine::tryAlloc(Processor &P, TypeTag Tag, uint32_t SizeWords,
                          uint64_t &Cycles, uint8_t Flags) {
-  if (Injector.armed() && Injector.shouldFailAlloc()) {
+  if (Injector.armed() && Injector.hitEither(FaultClause::AllocFailAt,
+                                             FaultClause::AllocFailEvery)) {
     // Behaves exactly like a full heap: the VM requests a collection and
     // retries the instruction, which succeeds (the injector marks the
     // failure so the machine's exhaustion heuristics ignore this round).
@@ -605,20 +606,9 @@ bool Engine::collectGarbage() {
     if (!PendingGcKills.empty()) {
       std::vector<PendingGcKill> Kills;
       Kills.swap(PendingGcKills);
-      for (const PendingGcKill &K : Kills) {
-        Processor &Dead = TheMachine.processor(K.Victim);
-        if (Dead.Dead)
-          continue;
-        Dead.Dead = true;
-        if (Dead.TraceIdling) {
-          Dead.TraceIdling = false;
-          if (TheTracer.enabled())
-            TheTracer.record(TraceEventKind::IdleEnd, Dead.Id, Dead.Clock);
-        }
-        Processor &Obs = TheMachine.homeFor(K.Victim);
-        noteFault(Obs, FaultKind::ProcKill, K.Victim);
-        recoverProcessor(Obs, Dead, TheMachine.runStartClock() + K.Mark);
-      }
+      for (const PendingGcKill &K : Kills)
+        if (!TheMachine.processor(K.Victim).Dead)
+          TheMachine.failStop(*this, K.Victim, K.Mark, true);
     }
   } else {
     PendingGcKills.clear();
@@ -632,25 +622,19 @@ bool Engine::pollGcKill(uint64_t Clock, unsigned &Victim) {
   if (!Injector.armed() || !TheMachine.inRun())
     return false;
   uint64_t Start = TheMachine.runStartClock();
-  uint64_t Rel = Clock > Start ? Clock - Start : 0;
-  unsigned V;
-  uint64_t Mark;
-  if (!Injector.takeProcKill(Rel, V, Mark))
+  FaultMark M;
+  if (!Injector.takeMark(FaultClause::ProcKills,
+                         Clock > Start ? Clock - Start : 0, M))
     return false;
-  // Mirror the machine's quantum-poll guards: bogus processor ids and
-  // kills that would leave no live processor are consumed as no-ops.
-  if (V >= TheMachine.numProcessors() || TheMachine.processor(V).Dead)
-    return false;
-  unsigned Doomed = 0;
-  for (const PendingGcKill &K : PendingGcKills) {
-    if (K.Victim == V)
+  // The machine's quantum-poll guards, counting the kills already pending
+  // in this collection; a victim doomed twice dies once.
+  for (const PendingGcKill &K : PendingGcKills)
+    if (K.Victim == M.Target)
       return false;
-    ++Doomed;
-  }
-  if (TheMachine.liveProcessors() <= Doomed + 1)
+  if (TheMachine.killIsNoop(M.Target, unsigned(PendingGcKills.size())))
     return false;
-  PendingGcKills.push_back({V, Mark});
-  Victim = V;
+  PendingGcKills.push_back({M.Target, M.At});
+  Victim = M.Target;
   return true;
 }
 
@@ -1713,7 +1697,7 @@ bool Engine::checkByzantineReturn(Processor &P, Task &T) {
   // The draw is consumed on every armed finishing return, whether or not
   // a lie is pending, so the cross-check schedule is independent of the
   // lie schedule (and bit-deterministic under a fixed seed).
-  bool Check = ChecksArmed && Injector.shouldCrossCheck();
+  bool Check = ChecksArmed && Injector.hit(FaultClause::CrossCheckProb);
 
   constexpr int64_t kLieXor = 0x2a;
   if (Lie && !Check) {

@@ -51,7 +51,7 @@ lazyfutures::StealResult lazyfutures::trySteal(Engine &E, Processor &P) {
     // off (modelling a lost race on the victim's stack), leaving the seam
     // with its owner. Graceful degradation: the owner later returns through
     // the seam at inline cost, so the program still completes.
-    if (E.faults().armed() && E.faults().shouldFailSeamSplit()) {
+    if (E.faults().armed() && E.faults().hit(FaultClause::SeamSplitFailAt)) {
       P.charge(cost::QueueLockHold);
       E.noteFault(P, FaultKind::SeamSplitFail, Ref.Serial);
       return StealResult{StealResult::Kind::Nothing, InvalidTask};

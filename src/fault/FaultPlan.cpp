@@ -1,7 +1,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fault-plan spec parsing and formatting.
+/// Fault-plan spec parsing and formatting, driven by MULT_FAULT_CLAUSES:
+/// each clause's field type picks its parser, formatter and post-parse
+/// order from the overload sets below.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,66 +16,11 @@
 
 namespace mult {
 
-const char *faultKindName(FaultKind K) {
-  switch (K) {
-  case FaultKind::AllocFail:
-    return "alloc-fail";
-  case FaultKind::SpuriousGc:
-    return "spurious-gc";
-  case FaultKind::SpawnError:
-    return "spawn-error";
-  case FaultKind::TouchError:
-    return "touch-error";
-  case FaultKind::StealFail:
-    return "steal-fail";
-  case FaultKind::QueueClamp:
-    return "queue-clamp";
-  case FaultKind::Stall:
-    return "stall";
-  case FaultKind::AdaptClamp:
-    return "adapt-clamp";
-  case FaultKind::AdaptReset:
-    return "adapt-reset";
-  case FaultKind::ProcKill:
-    return "proc-kill";
-  case FaultKind::SeamSplitFail:
-    return "seam-split-fail";
-  case FaultKind::ProcLie:
-    return "proc-lie";
-  case FaultKind::QuotaSqueeze:
-    return "quota-squeeze";
-  case FaultKind::AdmitBurst:
-    return "admit-burst";
-  }
-  return "unknown-fault";
-}
-
-bool FaultPlan::empty() const {
-  return AllocFailAt.empty() && AllocFailEvery == 0 && GcAtCycles.empty() &&
-         SpawnErrorAt.empty() && TouchErrorAt.empty() && StealFailProb == 0.0 &&
-         StealFailAt.empty() && !QueueCap && Stalls.empty() &&
-         AdaptClamps.empty() && AdaptResetAt.empty() && ProcKills.empty() &&
-         ProcLies.empty() && CrossCheckProb < 0.0 &&
-         SeamSplitFailAt.empty() && QuotaSqueezes.empty() &&
-         AdmitBursts.empty();
-}
-
 namespace {
 
-void sortUnique(std::vector<uint64_t> &V) {
-  std::sort(V.begin(), V.end());
-  V.erase(std::unique(V.begin(), V.end()), V.end());
-}
-
-std::string joinList(const std::vector<uint64_t> &V) {
-  std::string S;
-  for (size_t I = 0; I < V.size(); ++I) {
-    if (I)
-      S += ",";
-    S += std::to_string(V[I]);
-  }
-  return S;
-}
+/// Largest run-relative cycle a stall window may end at: one bit of
+/// headroom keeps run start + end a representable clock.
+constexpr uint64_t kMaxStallEnd = (1ull << 63) - 1;
 
 std::vector<std::string_view> splitOn(std::string_view S, char Sep) {
   std::vector<std::string_view> Parts;
@@ -98,7 +45,10 @@ std::string_view trim(std::string_view S) {
   return S;
 }
 
-bool parseU64(std::string_view S, uint64_t &Out) {
+/// A decimal in [Min, Max].
+bool parseNumber(std::string_view S, uint64_t Min, uint64_t Max,
+                 uint64_t &Out) {
+  S = trim(S);
   if (S.empty())
     return false;
   uint64_t V = 0;
@@ -110,182 +60,169 @@ bool parseU64(std::string_view S, uint64_t &Out) {
       return false;
     V = V * 10 + Digit;
   }
-  Out = V;
-  return true;
-}
-
-bool parseU64List(std::string_view S, std::vector<uint64_t> &Out) {
-  for (std::string_view Part : splitOn(S, ',')) {
-    uint64_t V;
-    if (!parseU64(trim(Part), V))
-      return false;
-    Out.push_back(V);
-  }
-  return !Out.empty();
-}
-
-bool parseProb(std::string_view S, double &Out) {
-  std::string Buf(S);
-  char *End = nullptr;
-  double V = std::strtod(Buf.c_str(), &End);
-  if (End != Buf.c_str() + Buf.size() || V < 0.0 || V > 1.0)
+  if (V < Min || V > Max)
     return false;
   Out = V;
   return true;
 }
 
-/// One stall window: PROC@BEGIN+LENGTH.
-bool parseStall(std::string_view S, FaultPlan::StallWindow &Out) {
+// One list entry per shape. Min bounds the entry's first number.
+
+bool parseItem(std::string_view S, uint64_t Min, uint64_t &Out) {
+  return parseNumber(S, Min, ~0ull, Out);
+}
+
+/// X@C, X <= 0xffff.
+bool parseItem(std::string_view S, uint64_t Min, FaultPlan::MarkAt &Out) {
+  size_t At = S.find('@');
+  uint64_t X;
+  if (At == std::string_view::npos ||
+      !parseNumber(S.substr(0, At), Min, 0xffff, X) ||
+      !parseNumber(S.substr(At + 1), 0, ~0ull, Out.AtCycles))
+    return false;
+  Out.Proc = unsigned(X);
+  return true;
+}
+
+/// P@B+L, P <= 0xffff, L >= 1, B + L <= kMaxStallEnd.
+bool parseItem(std::string_view S, uint64_t Min,
+               FaultPlan::StallWindow &Out) {
   size_t At = S.find('@');
   if (At == std::string_view::npos)
     return false;
   size_t Plus = S.find('+', At + 1);
-  if (Plus == std::string_view::npos)
-    return false;
-  uint64_t Proc, Begin, Length;
-  if (!parseU64(trim(S.substr(0, At)), Proc) ||
-      !parseU64(trim(S.substr(At + 1, Plus - At - 1)), Begin) ||
-      !parseU64(trim(S.substr(Plus + 1)), Length))
-    return false;
-  if (Proc > 0xffff || Length == 0)
+  uint64_t Proc;
+  if (Plus == std::string_view::npos ||
+      !parseNumber(S.substr(0, At), Min, 0xffff, Proc) ||
+      !parseNumber(S.substr(At + 1, Plus - At - 1), 0, kMaxStallEnd,
+                   Out.Begin) ||
+      !parseNumber(S.substr(Plus + 1), 1, kMaxStallEnd - Out.Begin,
+                   Out.Length))
     return false;
   Out.Proc = unsigned(Proc);
-  Out.Begin = Begin;
-  Out.Length = Length;
   return true;
 }
 
-std::string formatProb(double P) {
-  std::string S = strFormat("%g", P);
-  return S;
-}
-
-/// One processor kill: PROC@CYCLES.
-bool parseProcKill(std::string_view S, FaultPlan::ProcKillAt &Out) {
+/// N@V, V <= 2^32-1.
+bool parseItem(std::string_view S, uint64_t Min,
+               FaultPlan::AdaptClampAt &Out) {
   size_t At = S.find('@');
-  if (At == std::string_view::npos)
+  uint64_t Value;
+  if (At == std::string_view::npos ||
+      !parseNumber(S.substr(0, At), Min, ~0ull, Out.Window) ||
+      !parseNumber(S.substr(At + 1), 0, 0xffffffffull, Value))
     return false;
-  uint64_t Proc, Cycles;
-  if (!parseU64(trim(S.substr(0, At)), Proc) ||
-      !parseU64(trim(S.substr(At + 1)), Cycles))
-    return false;
-  if (Proc > 0xffff)
-    return false;
-  Out.Proc = unsigned(Proc);
-  Out.AtCycles = Cycles;
-  return true;
-}
-
-/// One adapt clamp: WINDOW@VALUE.
-bool parseAdaptClamp(std::string_view S, FaultPlan::AdaptClampAt &Out) {
-  size_t At = S.find('@');
-  if (At == std::string_view::npos)
-    return false;
-  uint64_t Window, Value;
-  if (!parseU64(trim(S.substr(0, At)), Window) ||
-      !parseU64(trim(S.substr(At + 1)), Value))
-    return false;
-  if (Window == 0 || Value > 0xffffffffull)
-    return false;
-  Out.Window = Window;
   Out.Value = uint32_t(Value);
   return true;
 }
 
+// One clause value per field type; a list clause appends its entries.
+
+bool parseValue(std::string_view S, uint64_t Min, uint64_t &Out) {
+  return parseItem(S, Min, Out);
+}
+
+bool parseValue(std::string_view S, uint64_t Min,
+                std::optional<uint32_t> &Out) {
+  uint64_t V;
+  if (!parseNumber(S, Min, 0xffffffffull, V))
+    return false;
+  Out = uint32_t(V);
+  return true;
+}
+
+/// A probability: a number in [0, 1] (not NaN, not empty).
+bool parseValue(std::string_view S, uint64_t, double &Out) {
+  std::string Buf(S);
+  char *End = nullptr;
+  double V = std::strtod(Buf.c_str(), &End);
+  if (Buf.empty() || End != Buf.c_str() + Buf.size() ||
+      !(V >= 0.0 && V <= 1.0))
+    return false;
+  Out = V;
+  return true;
+}
+
+template <class T>
+bool parseValue(std::string_view S, uint64_t Min, std::vector<T> &Out) {
+  for (std::string_view Part : splitOn(S, ',')) {
+    T Item;
+    if (!parseItem(trim(Part), Min, Item))
+      return false;
+    Out.push_back(Item);
+  }
+  return true;
+}
+
+void formatItem(std::string &S, uint64_t V) { S += std::to_string(V); }
+
+void formatItem(std::string &S, const FaultPlan::MarkAt &M) {
+  S += strFormat("%u@%llu", M.Proc, (unsigned long long)M.AtCycles);
+}
+
+void formatItem(std::string &S, const FaultPlan::StallWindow &W) {
+  S += strFormat("%u@%llu+%llu", W.Proc, (unsigned long long)W.Begin,
+                 (unsigned long long)W.Length);
+}
+
+void formatItem(std::string &S, const FaultPlan::AdaptClampAt &A) {
+  S += strFormat("%llu@%u", (unsigned long long)A.Window, A.Value);
+}
+
+void formatValue(std::string &S, uint64_t V) { formatItem(S, V); }
+
+void formatValue(std::string &S, const std::optional<uint32_t> &V) {
+  formatItem(S, *V);
+}
+
+void formatValue(std::string &S, double P) { S += strFormat("%g", P); }
+
+template <class T>
+void formatValue(std::string &S, const std::vector<T> &L) {
+  for (size_t I = 0; I < L.size(); ++I) {
+    if (I)
+      S += ",";
+    formatItem(S, L[I]);
+  }
+}
+
+/// Ordinal and cycle lists: sorted, duplicates dropped.
+void normalize(std::vector<uint64_t> &L) {
+  std::sort(L.begin(), L.end());
+  L.erase(std::unique(L.begin(), L.end()), L.end());
+}
+
+/// Marks, stalls and clamps: stable-sorted by key, duplicates kept.
+template <class T> void normalize(std::vector<T> &L) {
+  std::stable_sort(L.begin(), L.end(), [](const T &A, const T &B) {
+    return clauseKey(A) < clauseKey(B);
+  });
+}
+
+template <class T> void normalize(T &) {}
+
 } // namespace
 
+bool FaultPlan::empty() const {
+  const FaultPlan Unset;
+#define X(KEY, TYPE, FIELD, INIT, MIN, KIND)                                   \
+  if (FaultKind::KIND != FaultKind::None && FIELD != Unset.FIELD)              \
+    return false;
+  MULT_FAULT_CLAUSES(X)
+#undef X
+  return true;
+}
+
 std::string FaultPlan::format() const {
+  const FaultPlan Unset;
   std::string S;
-  auto Clause = [&](const std::string &C) {
-    if (!S.empty())
-      S += ";";
-    S += C;
-  };
-  if (Seed != FaultPlan().Seed)
-    Clause("seed=" + std::to_string(Seed));
-  if (!AllocFailAt.empty())
-    Clause("alloc-fail=" + joinList(AllocFailAt));
-  if (AllocFailEvery)
-    Clause("alloc-fail-every=" + std::to_string(AllocFailEvery));
-  if (!GcAtCycles.empty())
-    Clause("gc-at=" + joinList(GcAtCycles));
-  if (!SpawnErrorAt.empty())
-    Clause("spawn-error=" + joinList(SpawnErrorAt));
-  if (!TouchErrorAt.empty())
-    Clause("touch-error=" + joinList(TouchErrorAt));
-  if (StealFailProb != 0.0)
-    Clause("steal-fail=" + formatProb(StealFailProb));
-  if (!StealFailAt.empty())
-    Clause("steal-fail-at=" + joinList(StealFailAt));
-  if (QueueCap)
-    Clause("queue-cap=" + std::to_string(*QueueCap));
-  if (!Stalls.empty()) {
-    std::string L;
-    for (size_t I = 0; I < Stalls.size(); ++I) {
-      if (I)
-        L += ",";
-      L += strFormat("%u@%llu+%llu", Stalls[I].Proc,
-                     (unsigned long long)Stalls[I].Begin,
-                     (unsigned long long)Stalls[I].Length);
-    }
-    Clause("stall=" + L);
+#define X(KEY, TYPE, FIELD, INIT, MIN, KIND)                                   \
+  if (FIELD != Unset.FIELD) {                                                  \
+    S += S.empty() ? KEY "=" : ";" KEY "=";                                    \
+    formatValue(S, FIELD);                                                     \
   }
-  if (!AdaptClamps.empty()) {
-    std::string L;
-    for (size_t I = 0; I < AdaptClamps.size(); ++I) {
-      if (I)
-        L += ",";
-      L += strFormat("%llu@%u", (unsigned long long)AdaptClamps[I].Window,
-                     AdaptClamps[I].Value);
-    }
-    Clause("adapt-clamp=" + L);
-  }
-  if (!AdaptResetAt.empty())
-    Clause("adapt-reset=" + joinList(AdaptResetAt));
-  if (!ProcKills.empty()) {
-    std::string L;
-    for (size_t I = 0; I < ProcKills.size(); ++I) {
-      if (I)
-        L += ",";
-      L += strFormat("%u@%llu", ProcKills[I].Proc,
-                     (unsigned long long)ProcKills[I].AtCycles);
-    }
-    Clause("proc-kill=" + L);
-  }
-  if (!ProcLies.empty()) {
-    std::string L;
-    for (size_t I = 0; I < ProcLies.size(); ++I) {
-      if (I)
-        L += ",";
-      L += strFormat("%u@%llu", ProcLies[I].Proc,
-                     (unsigned long long)ProcLies[I].AtCycles);
-    }
-    Clause("proc-lie=" + L);
-  }
-  if (CrossCheckProb >= 0.0)
-    Clause("cross-check=" + formatProb(CrossCheckProb));
-  if (!SeamSplitFailAt.empty())
-    Clause("seam-split-fail=" + joinList(SeamSplitFailAt));
-  if (!QuotaSqueezes.empty()) {
-    std::string L;
-    for (size_t I = 0; I < QuotaSqueezes.size(); ++I) {
-      if (I)
-        L += ",";
-      L += strFormat("%u@%llu", QuotaSqueezes[I].Proc,
-                     (unsigned long long)QuotaSqueezes[I].AtCycles);
-    }
-    Clause("quota-squeeze=" + L);
-  }
-  if (!AdmitBursts.empty()) {
-    std::string L;
-    for (size_t I = 0; I < AdmitBursts.size(); ++I) {
-      if (I)
-        L += ",";
-      L += strFormat("%u@%llu", AdmitBursts[I].Proc,
-                     (unsigned long long)AdmitBursts[I].AtCycles);
-    }
-    Clause("admit-burst=" + L);
-  }
+  MULT_FAULT_CLAUSES(X)
+#undef X
   return S;
 }
 
@@ -302,148 +239,25 @@ bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
     }
     std::string_view Key = trim(C.substr(0, Eq));
     std::string_view Val = trim(C.substr(Eq + 1));
-    bool Ok;
-    if (Key == "seed") {
-      Ok = parseU64(Val, Out.Seed);
-    } else if (Key == "alloc-fail") {
-      Ok = parseU64List(Val, Out.AllocFailAt);
-      Ok = Ok && std::find(Out.AllocFailAt.begin(), Out.AllocFailAt.end(),
-                           0ull) == Out.AllocFailAt.end();
-    } else if (Key == "alloc-fail-every") {
-      Ok = parseU64(Val, Out.AllocFailEvery) && Out.AllocFailEvery != 0;
-    } else if (Key == "gc-at") {
-      Ok = parseU64List(Val, Out.GcAtCycles);
-    } else if (Key == "spawn-error") {
-      Ok = parseU64List(Val, Out.SpawnErrorAt);
-      Ok = Ok && std::find(Out.SpawnErrorAt.begin(), Out.SpawnErrorAt.end(),
-                           0ull) == Out.SpawnErrorAt.end();
-    } else if (Key == "touch-error") {
-      Ok = parseU64List(Val, Out.TouchErrorAt);
-      Ok = Ok && std::find(Out.TouchErrorAt.begin(), Out.TouchErrorAt.end(),
-                           0ull) == Out.TouchErrorAt.end();
-    } else if (Key == "steal-fail") {
-      Ok = parseProb(Val, Out.StealFailProb);
-    } else if (Key == "steal-fail-at") {
-      Ok = parseU64List(Val, Out.StealFailAt);
-      Ok = Ok && std::find(Out.StealFailAt.begin(), Out.StealFailAt.end(),
-                           0ull) == Out.StealFailAt.end();
-    } else if (Key == "queue-cap") {
-      uint64_t Cap;
-      Ok = parseU64(Val, Cap) && Cap <= 0xffffffffull;
-      if (Ok)
-        Out.QueueCap = uint32_t(Cap);
-    } else if (Key == "stall") {
-      Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ',')) {
-        StallWindow W;
-        if (!parseStall(trim(Part), W)) {
-          Ok = false;
-          break;
-        }
-        Out.Stalls.push_back(W);
-      }
-    } else if (Key == "adapt-clamp") {
-      Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ',')) {
-        AdaptClampAt A;
-        if (!parseAdaptClamp(trim(Part), A)) {
-          Ok = false;
-          break;
-        }
-        Out.AdaptClamps.push_back(A);
-      }
-    } else if (Key == "adapt-reset") {
-      Ok = parseU64List(Val, Out.AdaptResetAt);
-      Ok = Ok && std::find(Out.AdaptResetAt.begin(), Out.AdaptResetAt.end(),
-                           0ull) == Out.AdaptResetAt.end();
-    } else if (Key == "proc-kill") {
-      Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ',')) {
-        ProcKillAt K;
-        if (!parseProcKill(trim(Part), K)) {
-          Ok = false;
-          break;
-        }
-        Out.ProcKills.push_back(K);
-      }
-    } else if (Key == "proc-lie") {
-      Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ',')) {
-        ProcKillAt L;
-        if (!parseProcKill(trim(Part), L)) {
-          Ok = false;
-          break;
-        }
-        Out.ProcLies.push_back(L);
-      }
-    } else if (Key == "quota-squeeze") {
-      Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ',')) {
-        ProcKillAt Q; // G@C: the Proc field carries the group id
-        if (!parseProcKill(trim(Part), Q)) {
-          Ok = false;
-          break;
-        }
-        Out.QuotaSqueezes.push_back(Q);
-      }
-    } else if (Key == "admit-burst") {
-      Ok = !Val.empty();
-      for (std::string_view Part : splitOn(Val, ',')) {
-        ProcKillAt B; // N@C: the Proc field carries the burst size
-        if (!parseProcKill(trim(Part), B) || B.Proc == 0) {
-          Ok = false;
-          break;
-        }
-        Out.AdmitBursts.push_back(B);
-      }
-    } else if (Key == "cross-check") {
-      Ok = parseProb(Val, Out.CrossCheckProb);
-    } else if (Key == "seam-split-fail") {
-      Ok = parseU64List(Val, Out.SeamSplitFailAt);
-      Ok = Ok && std::find(Out.SeamSplitFailAt.begin(),
-                           Out.SeamSplitFailAt.end(),
-                           0ull) == Out.SeamSplitFailAt.end();
-    } else {
+    std::optional<bool> Ok; // unset: no clause has this key
+#define X(KEY, TYPE, FIELD, INIT, MIN, KIND)                                   \
+  if (Key == KEY)                                                              \
+    Ok = parseValue(Val, MIN, Out.FIELD);
+    MULT_FAULT_CLAUSES(X)
+#undef X
+    if (!Ok) {
       Err = strFormat("unknown fault clause '%.*s'", int(Key.size()),
                       Key.data());
       return false;
     }
-    if (!Ok) {
+    if (!*Ok) {
       Err = strFormat("bad value in clause '%.*s'", int(C.size()), C.data());
       return false;
     }
   }
-  sortUnique(Out.AllocFailAt);
-  sortUnique(Out.GcAtCycles);
-  sortUnique(Out.SpawnErrorAt);
-  sortUnique(Out.TouchErrorAt);
-  sortUnique(Out.StealFailAt);
-  sortUnique(Out.AdaptResetAt);
-  sortUnique(Out.SeamSplitFailAt);
-  std::stable_sort(Out.Stalls.begin(), Out.Stalls.end(),
-                   [](const StallWindow &A, const StallWindow &B) {
-                     return A.Begin < B.Begin;
-                   });
-  std::stable_sort(Out.AdaptClamps.begin(), Out.AdaptClamps.end(),
-                   [](const AdaptClampAt &A, const AdaptClampAt &B) {
-                     return A.Window < B.Window;
-                   });
-  std::stable_sort(Out.ProcKills.begin(), Out.ProcKills.end(),
-                   [](const ProcKillAt &A, const ProcKillAt &B) {
-                     return A.AtCycles < B.AtCycles;
-                   });
-  std::stable_sort(Out.ProcLies.begin(), Out.ProcLies.end(),
-                   [](const ProcKillAt &A, const ProcKillAt &B) {
-                     return A.AtCycles < B.AtCycles;
-                   });
-  std::stable_sort(Out.QuotaSqueezes.begin(), Out.QuotaSqueezes.end(),
-                   [](const ProcKillAt &A, const ProcKillAt &B) {
-                     return A.AtCycles < B.AtCycles;
-                   });
-  std::stable_sort(Out.AdmitBursts.begin(), Out.AdmitBursts.end(),
-                   [](const ProcKillAt &A, const ProcKillAt &B) {
-                     return A.AtCycles < B.AtCycles;
-                   });
+#define X(KEY, TYPE, FIELD, INIT, MIN, KIND) normalize(Out.FIELD);
+  MULT_FAULT_CLAUSES(X)
+#undef X
   return true;
 }
 

@@ -1,11 +1,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fault-injector counter machinery.
+/// Fault-injector cursors.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "fault/Injector.h"
+
+#include <algorithm>
 
 namespace mult {
 
@@ -14,40 +16,65 @@ void FaultInjector::configure(const FaultPlan &P) {
   Armed = false;
   Rng = Prng(Plan.Seed);
   LieRng = Prng(Plan.Seed ^ kLieStream);
-  AllocN = SpawnN = TouchN = StealN = SeamSplitN = 0;
-  AllocIdx = GcIdx = SpawnIdx = TouchIdx = StealIdx = SeamSplitIdx = 0;
-  AdaptClampIdx = AdaptResetIdx = ProcKillIdx = ProcLieIdx = 0;
-  QuotaSqueezeIdx = AdmitBurstIdx = 0;
+  std::fill(std::begin(Cursors), std::end(Cursors), Cursor());
   StallDone.assign(Plan.Stalls.size(), false);
   PendingInjectedAllocFail = false;
 }
 
 namespace {
 
-/// Advances \p Idx past every entry of \p Sorted that is <= \p N and
-/// reports whether \p N itself was listed.
-bool hitOrdinal(const std::vector<uint64_t> &Sorted, size_t &Idx, uint64_t N) {
-  bool Hit = false;
-  while (Idx < Sorted.size() && Sorted[Idx] <= N) {
-    if (Sorted[Idx] == N)
-      Hit = true;
-    ++Idx;
-  }
+/// Advances \p Next past every entry of \p Sorted keyed <= \p N and
+/// returns the last one keyed exactly \p N (null if none).
+template <class T>
+const T *consumeUpTo(const std::vector<T> &Sorted, size_t &Next, uint64_t N) {
+  const T *Hit = nullptr;
+  for (; Next < Sorted.size() && clauseKey(Sorted[Next]) <= N; ++Next)
+    if (clauseKey(Sorted[Next]) == N)
+      Hit = &Sorted[Next];
   return Hit;
+}
+
+/// The entry at \p Next if it is keyed <= \p RelClock, consuming it.
+template <class T>
+const T *takeDue(const std::vector<T> &Sorted, size_t &Next,
+                 uint64_t RelClock) {
+  if (Next >= Sorted.size() || clauseKey(Sorted[Next]) > RelClock)
+    return nullptr;
+  return &Sorted[Next++];
+}
+
+bool draw(Prng &R, double P) {
+  return P > 0.0 && double(R.next() >> 11) * 0x1.0p-53 < P;
 }
 
 } // namespace
 
-bool FaultInjector::shouldFailAlloc() {
-  if (!Armed)
-    return false;
-  ++AllocN;
-  bool Fail = hitOrdinal(Plan.AllocFailAt, AllocIdx, AllocN);
-  if (Plan.AllocFailEvery && AllocN % Plan.AllocFailEvery == 0)
-    Fail = true;
-  if (Fail)
+bool FaultInjector::hit(FaultClause C) {
+  uint64_t N = ++Cursors[size_t(C)].Count;
+  bool Hit;
+  if (C == FaultClause::StealFailProb)
+    Hit = draw(Rng, Plan.StealFailProb);
+  else if (C == FaultClause::CrossCheckProb)
+    Hit = draw(LieRng, crossCheckProb());
+  else if (C == FaultClause::AllocFailEvery)
+    Hit = Plan.AllocFailEvery && N % Plan.AllocFailEvery == 0;
+  else
+    Hit = hit(C, N);
+  if (Hit && kClauseKind[size_t(C)] == FaultKind::AllocFail)
     PendingInjectedAllocFail = true;
-  return Fail;
+  return Hit;
+}
+
+bool FaultInjector::hit(FaultClause C, uint64_t Ordinal, uint32_t *ValueOut) {
+  size_t &Next = Cursors[size_t(C)].Next;
+  if (const auto *L = Plan.field<std::vector<uint64_t>>(C))
+    return consumeUpTo(*L, Next, Ordinal);
+  const FaultPlan::AdaptClampAt *A =
+      consumeUpTo(*Plan.field<std::vector<FaultPlan::AdaptClampAt>>(C), Next,
+                  Ordinal);
+  if (A && ValueOut)
+    *ValueOut = A->Value;
+  return A;
 }
 
 bool FaultInjector::consumeInjectedAllocFail() {
@@ -56,138 +83,45 @@ bool FaultInjector::consumeInjectedAllocFail() {
   return Was;
 }
 
-bool FaultInjector::takeForcedGc(uint64_t RelClock, uint64_t &MarkOut) {
-  if (!Armed || GcIdx >= Plan.GcAtCycles.size() ||
-      Plan.GcAtCycles[GcIdx] > RelClock)
-    return false;
-  MarkOut = Plan.GcAtCycles[GcIdx];
-  ++GcIdx;
-  return true;
-}
-
-bool FaultInjector::shouldErrorSpawn() {
-  if (!Armed)
-    return false;
-  ++SpawnN;
-  return hitOrdinal(Plan.SpawnErrorAt, SpawnIdx, SpawnN);
-}
-
-bool FaultInjector::shouldErrorTouch() {
-  if (!Armed)
-    return false;
-  ++TouchN;
-  return hitOrdinal(Plan.TouchErrorAt, TouchIdx, TouchN);
-}
-
-bool FaultInjector::shouldFailSteal() {
-  if (!Armed)
-    return false;
-  ++StealN;
-  bool Fail = hitOrdinal(Plan.StealFailAt, StealIdx, StealN);
-  if (Plan.StealFailProb > 0.0) {
-    // One PRNG draw per probe keeps the stream aligned with the probe
-    // ordinal regardless of which probes the ordinal list already fails.
-    double Draw = double(Rng.next() >> 11) * 0x1.0p-53;
-    if (Draw < Plan.StealFailProb)
-      Fail = true;
+bool FaultInjector::takeMark(FaultClause C, uint64_t RelClock,
+                             FaultMark &Out) {
+  size_t &Next = Cursors[size_t(C)].Next;
+  Out = FaultMark{kClauseKind[size_t(C)]};
+  if (const auto *L = Plan.field<std::vector<uint64_t>>(C)) {
+    const uint64_t *Cycle = takeDue(*L, Next, RelClock);
+    if (Cycle)
+      Out.At = *Cycle;
+    return Cycle;
   }
-  return Fail;
+  const FaultPlan::MarkAt *M =
+      takeDue(*Plan.field<std::vector<FaultPlan::MarkAt>>(C), Next, RelClock);
+  if (M) {
+    Out.Target = M->Proc;
+    Out.At = M->AtCycles;
+  }
+  return M;
 }
 
-bool FaultInjector::takeStall(unsigned Proc, uint64_t RelClock,
-                              uint64_t &EndRelOut) {
-  if (!Armed)
-    return false;
-  for (size_t I = 0; I < Plan.Stalls.size(); ++I) {
-    const FaultPlan::StallWindow &W = Plan.Stalls[I];
-    if (StallDone[I] || W.Proc != Proc || W.Begin > RelClock)
+std::optional<FaultMark> FaultInjector::nextMark(unsigned Proc,
+                                                 uint64_t RelClock) {
+  FaultMark M;
+  for (FaultClause C : kMarkPollOrder) {
+    if (C != FaultClause::Stalls) {
+      if (takeMark(C, RelClock, M))
+        return M;
       continue;
-    StallDone[I] = true;
-    EndRelOut = W.Begin + W.Length;
-    if (EndRelOut <= RelClock)
-      continue; // window already elapsed entirely; nothing to stall
-    return true;
-  }
-  return false;
-}
-
-bool FaultInjector::takeAdaptClamp(uint64_t Ordinal, uint32_t &ValueOut) {
-  if (!Armed)
-    return false;
-  bool Hit = false;
-  while (AdaptClampIdx < Plan.AdaptClamps.size() &&
-         Plan.AdaptClamps[AdaptClampIdx].Window <= Ordinal) {
-    if (Plan.AdaptClamps[AdaptClampIdx].Window == Ordinal) {
-      Hit = true;
-      ValueOut = Plan.AdaptClamps[AdaptClampIdx].Value;
     }
-    ++AdaptClampIdx;
+    for (size_t I = 0; I < Plan.Stalls.size(); ++I) {
+      const FaultPlan::StallWindow &W = Plan.Stalls[I];
+      if (StallDone[I] || W.Proc != Proc || W.Begin > RelClock)
+        continue;
+      StallDone[I] = true;
+      if (W.Begin + W.Length > RelClock)
+        return FaultMark{FaultKind::Stall, Proc, W.Begin,
+                         W.Begin + W.Length};
+    }
   }
-  return Hit;
-}
-
-bool FaultInjector::takeAdaptReset(uint64_t Ordinal) {
-  if (!Armed)
-    return false;
-  return hitOrdinal(Plan.AdaptResetAt, AdaptResetIdx, Ordinal);
-}
-
-bool FaultInjector::takeProcKill(uint64_t RelClock, unsigned &ProcOut,
-                                 uint64_t &AtOut) {
-  if (!Armed || ProcKillIdx >= Plan.ProcKills.size() ||
-      Plan.ProcKills[ProcKillIdx].AtCycles > RelClock)
-    return false;
-  ProcOut = Plan.ProcKills[ProcKillIdx].Proc;
-  AtOut = Plan.ProcKills[ProcKillIdx].AtCycles;
-  ++ProcKillIdx;
-  return true;
-}
-
-bool FaultInjector::takeProcLie(uint64_t RelClock, unsigned &ProcOut,
-                                uint64_t &AtOut) {
-  if (!Armed || ProcLieIdx >= Plan.ProcLies.size() ||
-      Plan.ProcLies[ProcLieIdx].AtCycles > RelClock)
-    return false;
-  ProcOut = Plan.ProcLies[ProcLieIdx].Proc;
-  AtOut = Plan.ProcLies[ProcLieIdx].AtCycles;
-  ++ProcLieIdx;
-  return true;
-}
-
-bool FaultInjector::shouldCrossCheck() {
-  if (!crossChecksArmed())
-    return false;
-  double Draw = double(LieRng.next() >> 11) * 0x1.0p-53;
-  return Draw < crossCheckProb();
-}
-
-bool FaultInjector::shouldFailSeamSplit() {
-  if (!Armed)
-    return false;
-  ++SeamSplitN;
-  return hitOrdinal(Plan.SeamSplitFailAt, SeamSplitIdx, SeamSplitN);
-}
-
-bool FaultInjector::takeQuotaSqueeze(uint64_t RelClock, unsigned &GroupOut,
-                                     uint64_t &AtOut) {
-  if (!Armed || QuotaSqueezeIdx >= Plan.QuotaSqueezes.size() ||
-      Plan.QuotaSqueezes[QuotaSqueezeIdx].AtCycles > RelClock)
-    return false;
-  GroupOut = Plan.QuotaSqueezes[QuotaSqueezeIdx].Proc;
-  AtOut = Plan.QuotaSqueezes[QuotaSqueezeIdx].AtCycles;
-  ++QuotaSqueezeIdx;
-  return true;
-}
-
-bool FaultInjector::takeAdmitBurst(uint64_t RelClock, unsigned &CountOut,
-                                   uint64_t &AtOut) {
-  if (!Armed || AdmitBurstIdx >= Plan.AdmitBursts.size() ||
-      Plan.AdmitBursts[AdmitBurstIdx].AtCycles > RelClock)
-    return false;
-  CountOut = Plan.AdmitBursts[AdmitBurstIdx].Proc;
-  AtOut = Plan.AdmitBursts[AdmitBurstIdx].AtCycles;
-  ++AdmitBurstIdx;
-  return true;
+  return std::nullopt;
 }
 
 } // namespace mult

@@ -3,12 +3,13 @@
 /// \file
 /// Deterministic fault injector.
 ///
-/// The injector owns a FaultPlan plus the run-time counters that decide
-/// when each clause fires. All decisions are pure functions of the plan,
+/// The injector owns a FaultPlan plus one cursor per clause that decides
+/// when the clause fires. All decisions are pure functions of the plan,
 /// the plan's seed, and the order in which the engine consults the
 /// injector — which is itself deterministic in virtual time — so a fault
 /// schedule replays exactly. The injector stays disarmed during engine
-/// bootstrap (the prelude must load unmolested) and is armed right after.
+/// bootstrap (the prelude must load unmolested) and is armed right after;
+/// every injection site tests armed() before it asks anything else.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,14 +20,24 @@
 #include "support/Prng.h"
 
 #include <cstdint>
+#include <iterator>
+#include <optional>
 
 namespace mult {
+
+/// A virtual-time mark that came due.
+struct FaultMark {
+  FaultKind Kind = FaultKind::None;
+  unsigned Target = 0; ///< X of an X@C mark; the stalled processor
+  uint64_t At = 0;     ///< the mark's run-relative cycle (stall: its begin)
+  uint64_t Until = 0;  ///< stall only: run-relative cycle the window ends
+};
 
 class FaultInjector {
 public:
   FaultInjector() : Rng(FaultPlan().Seed) {}
 
-  /// Installs \p P and resets every counter. Does not arm.
+  /// Installs \p P and resets every cursor. Does not arm.
   void configure(const FaultPlan &P);
 
   void arm() { Armed = !Plan.empty(); }
@@ -34,59 +45,45 @@ public:
   bool armed() const { return Armed; }
   const FaultPlan &plan() const { return Plan; }
 
-  /// True when the current mutator allocation must fail. Marks the
-  /// failure as pending so the scheduler's heap-exhaustion heuristics
-  /// can tell an injected failure from a genuinely full heap.
-  bool shouldFailAlloc();
+  /// Counts one more event at clause \p C's site and reports whether the
+  /// clause fires on it: an ordinal list fires on the listed 1-based
+  /// ordinals, alloc-fail-every on multiples of its period, and a
+  /// probability clause on a seed-deterministic draw (steal-fail and
+  /// cross-check each draw from their own stream). An alloc-fail-kind hit
+  /// also marks the failure pending, so the scheduler's heap-exhaustion
+  /// heuristics can tell it from a genuinely full heap.
+  bool hit(FaultClause C);
 
-  /// Consumes the pending-injected-allocation flag set by
-  /// shouldFailAlloc(). The machine calls this once per NeedsGc round.
+  /// hit() on both clauses (both count the event) and reports either.
+  bool hitEither(FaultClause A, FaultClause B) {
+    bool HitA = hit(A);
+    return hit(B) || HitA;
+  }
+
+  /// For a list the caller numbers itself (adapt-reset, adapt-clamp by
+  /// machine-wide window ordinal): consumes every entry up to \p Ordinal
+  /// and reports whether \p Ordinal is listed. An adapt-clamp hit sets
+  /// \p ValueOut to the forced threshold.
+  bool hit(FaultClause C, uint64_t Ordinal, uint32_t *ValueOut = nullptr);
+
+  /// Consumes the pending-injected-allocation flag hit() set. The machine
+  /// calls this once per NeedsGc round.
   bool consumeInjectedAllocFail();
 
-  /// If a forced collection is due at run-relative cycle \p RelClock,
-  /// consumes its mark and returns true (\p MarkOut = the mark).
-  bool takeForcedGc(uint64_t RelClock, uint64_t &MarkOut);
+  /// If mark clause \p C (X@C marks, or gc-at) has its next mark due at
+  /// run-relative cycle \p RelClock, consumes that one mark into \p Out.
+  /// The mark's own cycle (Out.At) may be earlier than \p RelClock: the
+  /// poll is quantum-granular.
+  bool takeMark(FaultClause C, uint64_t RelClock, FaultMark &Out);
 
-  /// True when the current future spawn must raise an injected error.
-  bool shouldErrorSpawn();
-
-  /// True when the current touch instruction must raise an injected
-  /// error.
-  bool shouldErrorTouch();
-
-  /// True when the current steal probe must fail.
-  bool shouldFailSteal();
+  /// The first mark due at \p RelClock when processor \p Proc is stepped,
+  /// in kMarkPollOrder; at most one per call, so stacked marks fire on
+  /// consecutive polls. A stall window matches only its own processor; one
+  /// that elapsed before its processor was stepped is consumed silently.
+  std::optional<FaultMark> nextMark(unsigned Proc, uint64_t RelClock);
 
   /// Queue-capacity clamp, if any.
   const std::optional<uint32_t> &queueCap() const { return Plan.QueueCap; }
-
-  /// If processor \p Proc has a stall window opening at or before
-  /// run-relative cycle \p RelClock, consumes it and returns true with
-  /// \p EndRelOut = the run-relative cycle the window closes.
-  bool takeStall(unsigned Proc, uint64_t RelClock, uint64_t &EndRelOut);
-
-  /// If the closing adaptation window \p Ordinal (machine-wide, 1-based)
-  /// has an adapt-clamp clause, consumes it and returns true with
-  /// \p ValueOut = the forced threshold.
-  bool takeAdaptClamp(uint64_t Ordinal, uint32_t &ValueOut);
-
-  /// If the closing adaptation window \p Ordinal has an adapt-reset
-  /// clause, consumes it and returns true.
-  bool takeAdaptReset(uint64_t Ordinal);
-
-  /// If a proc-kill clause is due at or before run-relative cycle
-  /// \p RelClock, consumes it and returns true with \p ProcOut = the
-  /// processor to fail-stop and \p AtOut = the clause's run-relative
-  /// mark (the cycle the processor is deemed dead *from*, which the
-  /// quantum-granular poll may observe late). At most one kill per
-  /// call; the machine polls every quantum, so stacked kills fire on
-  /// consecutive polls.
-  bool takeProcKill(uint64_t RelClock, unsigned &ProcOut, uint64_t &AtOut);
-
-  /// Like takeProcKill, but for proc-lie (byzantine) marks: consumes at
-  /// most one due mark per call and names the processor that will
-  /// corrupt its next finishing future resolve.
-  bool takeProcLie(uint64_t RelClock, unsigned &ProcOut, uint64_t &AtOut);
 
   /// Effective cross-check sampling probability: the plan's explicit
   /// value, or 0.25 when proc-lie clauses are present and none was given.
@@ -99,26 +96,6 @@ public:
   /// True when cross-check sampling can ever fire.
   bool crossChecksArmed() const { return Armed && crossCheckProb() > 0.0; }
 
-  /// One seed-deterministic draw against crossCheckProb(). Uses a
-  /// dedicated PRNG stream so cross-check draws never perturb the
-  /// steal-fail stream (and vice versa).
-  bool shouldCrossCheck();
-
-  /// True when the current lazy-future seam-split attempt must fail.
-  bool shouldFailSeamSplit();
-
-  /// If a quota-squeeze clause is due at or before run-relative cycle
-  /// \p RelClock, consumes it and returns true with \p GroupOut = the
-  /// group whose heap quota to clamp. At most one per call, like
-  /// takeProcKill.
-  bool takeQuotaSqueeze(uint64_t RelClock, unsigned &GroupOut,
-                        uint64_t &AtOut);
-
-  /// If an admit-burst clause is due at or before run-relative cycle
-  /// \p RelClock, consumes it and returns true with \p CountOut = the
-  /// number of synthetic launch probes to push through the gate.
-  bool takeAdmitBurst(uint64_t RelClock, unsigned &CountOut, uint64_t &AtOut);
-
 private:
   FaultPlan Plan;
   bool Armed = false;
@@ -129,23 +106,11 @@ private:
   /// plan seed stay decorrelated.
   static constexpr uint64_t kLieStream = 0x6c69652d73747265ull;
 
-  uint64_t AllocN = 0;
-  uint64_t SpawnN = 0;
-  uint64_t TouchN = 0;
-  uint64_t StealN = 0;
-  uint64_t SeamSplitN = 0;
-  size_t AllocIdx = 0; ///< next unconsumed entry of Plan.AllocFailAt
-  size_t GcIdx = 0;    ///< next unconsumed entry of Plan.GcAtCycles
-  size_t SpawnIdx = 0;
-  size_t TouchIdx = 0;
-  size_t StealIdx = 0;
-  size_t SeamSplitIdx = 0;
-  size_t ProcKillIdx = 0; ///< next unconsumed entry of Plan.ProcKills
-  size_t ProcLieIdx = 0;  ///< next unconsumed entry of Plan.ProcLies
-  size_t AdaptClampIdx = 0; ///< next unconsumed entry of Plan.AdaptClamps
-  size_t AdaptResetIdx = 0; ///< next unconsumed entry of Plan.AdaptResetAt
-  size_t QuotaSqueezeIdx = 0; ///< next unconsumed entry of Plan.QuotaSqueezes
-  size_t AdmitBurstIdx = 0;   ///< next unconsumed entry of Plan.AdmitBursts
+  struct Cursor {
+    uint64_t Count = 0; ///< events counted at the clause's site
+    size_t Next = 0;    ///< first unconsumed entry of the clause's list
+  };
+  Cursor Cursors[std::size(kClauseKind)];
   std::vector<bool> StallDone; ///< parallel to Plan.Stalls
   bool PendingInjectedAllocFail = false;
 };

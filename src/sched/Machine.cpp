@@ -65,7 +65,7 @@ void Machine::closeAdaptiveWindow(Engine &E, Processor &P) {
   W.Processors = numProcessors();
 
   if (E.faults().armed()) {
-    if (E.faults().takeAdaptReset(Ordinal)) {
+    if (E.faults().hit(FaultClause::AdaptResetAt, Ordinal)) {
       // Discard the window's samples and any pending votes.
       E.noteFault(P, FaultKind::AdaptReset, Ordinal);
       A.PendingDir = 0;
@@ -74,7 +74,7 @@ void Machine::closeAdaptiveWindow(Engine &E, Processor &P) {
       return;
     }
     uint32_t Forced;
-    if (E.faults().takeAdaptClamp(Ordinal, Forced)) {
+    if (E.faults().hit(FaultClause::AdaptClamps, Ordinal, &Forced)) {
       unsigned Old = A.T;
       A.T = std::clamp(Forced, Adaptive.MinT, Adaptive.MaxT);
       A.PendingDir = 0;
@@ -209,6 +209,21 @@ Processor &Machine::homeFor(unsigned Preferred) {
   return Procs[Preferred]; // unreachable: at least one processor lives
 }
 
+Processor &Machine::failStop(Engine &E, unsigned Victim, uint64_t Mark,
+                             bool InCollection) {
+  Processor &Dead = Procs[Victim];
+  Dead.Dead = true;
+  if (Dead.TraceIdling) {
+    Dead.TraceIdling = false;
+    E.tracer().record(TraceEventKind::IdleEnd, Dead.Id, Dead.Clock);
+  }
+  Processor &Obs =
+      InCollection ? homeFor(Victim) : Procs[minClockProcessor()];
+  E.noteFault(Obs, FaultKind::ProcKill, Victim);
+  E.recoverProcessor(Obs, Dead, RunStart + Mark);
+  return Obs;
+}
+
 RunResult Machine::run(Engine &E) {
   // Host wall-clock for the whole run loop (RAII covers every return).
   // Nested collections also accrue to the Gc phase; subtract Gc from Run
@@ -295,6 +310,19 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
                      Off, E.group(Off).Banner.c_str(),
                      static_cast<unsigned long long>(Words), Share);
   };
+  // Ends the run at \p Clock with a structured heap-exhausted result, for
+  // a collection that could not run or could not finish (\p Why, unless
+  // the heap names its own wedge reason).
+  auto HeapExhausted = [&](uint64_t Clock, const char *Why) {
+    R.Status = RunStatus::HeapExhausted;
+    R.Error = "heap exhausted: " +
+              (E.heap().wedged() ? E.heap().wedgedReason() : Why) +
+              OffenderSuffix();
+    R.ElapsedCycles = Clock - Start;
+    E.stats().ElapsedCycles = R.ElapsedCycles;
+    R.Heap = SnapshotHeap();
+    return R;
+  };
   // If the root group just stopped, ends the run at \p Clock with its
   // condition and returns true. A multi-group run has no root group; group
   // stops there never end the run (each tenant fails independently).
@@ -353,93 +381,64 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
     if (E.tenantArmed())
       E.supervisorTick(P);
 
+    // Fault-plan marks due at this step fire here, one per step, in
+    // kMarkPollOrder (fault/FaultPlan.h). Polled at quantum granularity on
+    // the min-clock processor, so a mark never lands mid-instruction and
+    // the schedule around it stays deterministic.
     if (E.faults().armed()) {
-      // Fail-stop processor kill. Polled at quantum granularity on the
-      // min-clock processor, so a kill never lands mid-instruction or
-      // mid-GC; the schedule around it stays deterministic. Killing the
-      // last live processor (or a dead/bogus target) is consumed with no
-      // effect — an unrunnable machine helps nobody.
-      unsigned Victim;
-      uint64_t KillMark;
-      if (E.faults().takeProcKill(P.Clock - Start, Victim, KillMark)) {
-        if (Victim < Procs.size() && !Procs[Victim].Dead &&
-            liveProcessors() > 1) {
-          Processor &Dead = Procs[Victim];
-          Dead.Dead = true;
-          if (Dead.current() == InvalidTask && Dead.TraceIdling) {
-            Dead.TraceIdling = false;
-            E.tracer().record(TraceEventKind::IdleEnd, Dead.Id, Dead.Clock);
+      if (std::optional<FaultMark> M =
+              E.faults().nextMark(P.Id, P.Clock - Start)) {
+        switch (M->Kind) {
+        case FaultKind::ProcKill:
+          // Fail-stop. A mark aimed at a dead or bogus processor, or at
+          // the last live one, is consumed with no effect.
+          if (!killIsNoop(M->Target)) {
+            Processor &Obs = failStop(E, M->Target, M->At, false);
+            // An orphaned future may have stopped the root group: surface
+            // the processor-lost condition to the breakloop.
+            if (EndIfRootStopped(Obs.Clock))
+              return R;
           }
-          Processor &Obs = Procs[minClockProcessor()];
-          E.noteFault(Obs, FaultKind::ProcKill, Victim);
-          E.recoverProcessor(Obs, Dead, Start + KillMark);
-          // An orphaned future may have stopped the root group: surface
-          // the processor-lost condition to the breakloop.
-          if (EndIfRootStopped(Obs.Clock))
+          break;
+        case FaultKind::ProcLie:
+          // Byzantine fault: the processor corrupts the next future value
+          // it resolves at a task-finishing return (a lie from a dead
+          // processor reaches nobody).
+          if (M->Target < Procs.size() && !Procs[M->Target].Dead)
+            Procs[M->Target].Lying = true;
+          break;
+        case FaultKind::Stall: {
+          // The board drops off the bus until the window ends. The
+          // skipped cycles are idle time, so the clock still tiles.
+          uint64_t Jump = M->Until - (P.Clock - Start);
+          E.noteFault(P, FaultKind::Stall, Jump);
+          P.Clock += Jump;
+          P.IdleCycles += Jump;
+          E.stats().IdleCycles += Jump;
+          break;
+        }
+        case FaultKind::QuotaSqueeze:
+          // As if an operator halved a tenant's heap envelope mid-run.
+          E.noteFault(P, FaultKind::QuotaSqueeze, M->Target);
+          E.applyQuotaSqueeze(P, M->Target);
+          break;
+        case FaultKind::AdmitBurst:
+          // N probe launches hit the admission gate at once.
+          E.noteFault(P, FaultKind::AdmitBurst, M->Target);
+          E.admitSyntheticBurst(P, M->Target);
+          break;
+        case FaultKind::SpuriousGc:
+          E.noteFault(P, FaultKind::SpuriousGc, M->At);
+          if (!E.collectGarbage())
+            return HeapExhausted(P.Clock, "cannot start a collection");
+          // A proc-kill may have landed inside the collection and
+          // orphaned a root-group future.
+          if (EndIfRootStopped(P.Clock))
             return R;
+          break;
+        default:
+          break;
         }
-        continue;
-      }
-      // Byzantine fault: arm the processor to corrupt the next future
-      // value it resolves at a task-finishing return. Marks aimed at
-      // dead or bogus processors are consumed with no effect (a lie from
-      // a dead processor reaches nobody).
-      unsigned Liar;
-      uint64_t LieMark;
-      if (E.faults().takeProcLie(P.Clock - Start, Liar, LieMark)) {
-        if (Liar < Procs.size() && !Procs[Liar].Dead)
-          Procs[Liar].Lying = true;
-        continue;
-      }
-      // Processor stall window: the board drops off the bus for a while.
-      // The skipped cycles are idle time, so the clock still tiles.
-      uint64_t StallEndRel;
-      if (E.faults().takeStall(P.Id, P.Clock - Start, StallEndRel)) {
-        uint64_t Jump = Start + StallEndRel - P.Clock;
-        E.noteFault(P, FaultKind::Stall, Jump);
-        P.Clock += Jump;
-        P.IdleCycles += Jump;
-        E.stats().IdleCycles += Jump;
-        continue;
-      }
-      // Quota squeeze: clamp a group's heap quota to half its current
-      // account, as if an operator tightened a tenant's envelope mid-run.
-      unsigned SqueezeG;
-      uint64_t SqueezeMark;
-      if (E.faults().takeQuotaSqueeze(P.Clock - Start, SqueezeG,
-                                      SqueezeMark)) {
-        E.noteFault(P, FaultKind::QuotaSqueeze, SqueezeG);
-        E.applyQuotaSqueeze(P, SqueezeG);
-        continue;
-      }
-      // Synthetic admission burst: N probe launches hit the gate at once,
-      // exercising the admit/queue/reject partition deterministically.
-      unsigned BurstN;
-      uint64_t BurstMark;
-      if (E.faults().takeAdmitBurst(P.Clock - Start, BurstN, BurstMark)) {
-        E.noteFault(P, FaultKind::AdmitBurst, BurstN);
-        E.admitSyntheticBurst(P, BurstN);
-        continue;
-      }
-      // Forced spurious collection at a virtual-time mark.
-      uint64_t GcMark;
-      if (E.faults().takeForcedGc(P.Clock - Start, GcMark)) {
-        E.noteFault(P, FaultKind::SpuriousGc, GcMark);
-        if (!E.collectGarbage()) {
-          R.Status = RunStatus::HeapExhausted;
-          R.Error = "heap exhausted: " +
-                    (E.heap().wedged() ? E.heap().wedgedReason()
-                                       : "cannot start a collection") +
-                    OffenderSuffix();
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
-          R.Heap = SnapshotHeap();
-          return R;
-        }
-        // A proc-kill may have landed inside the forced collection and
-        // orphaned a root-group future.
-        if (EndIfRootStopped(P.Clock))
-          return R;
         continue;
       }
     }
@@ -582,19 +581,10 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
           }
         }
         size_t UsedBefore = E.heap().usedWords();
-        if (!E.collectGarbage()) {
-          // Nothing recoverable remains (to-space overflow wedges the
-          // heap mid-copy): report a structured fatal result.
-          R.Status = RunStatus::HeapExhausted;
-          R.Error = "heap exhausted: " +
-                    (E.heap().wedged() ? E.heap().wedgedReason()
-                                       : "semispace too small for live data") +
-                    OffenderSuffix();
-          R.ElapsedCycles = P.Clock - Start;
-          E.stats().ElapsedCycles = R.ElapsedCycles;
-          R.Heap = SnapshotHeap();
-          return R;
-        }
+        // Nothing recoverable remains when this fails (to-space overflow
+        // wedges the heap mid-copy).
+        if (!E.collectGarbage())
+          return HeapExhausted(P.Clock, "semispace too small for live data");
         // A proc-kill may have landed inside the collection and orphaned
         // a root-group future.
         if (EndIfRootStopped(P.Clock))

@@ -217,6 +217,23 @@ public:
   /// of sitting on a dead queue forever.
   Processor &homeFor(unsigned Preferred);
 
+  /// True when a proc-kill of \p Victim must be consumed with no effect:
+  /// the target is bogus or already dead, or killing it would leave no
+  /// live processor once \p Doomed kills already pending take effect.
+  bool killIsNoop(unsigned Victim, unsigned Doomed = 0) const {
+    return Victim >= Procs.size() || Procs[Victim].Dead ||
+           liveProcessors() <= Doomed + 1;
+  }
+
+  /// Fail-stops processor \p Victim (a kill killIsNoop let through) at
+  /// run-relative \p Mark: marks it dead, closes its idle trace slice and
+  /// recovers its work through Engine::recoverProcessor on an observer,
+  /// which is returned. The caller picks the observer, from the live
+  /// processors left: the min-clock one for a kill polled between quanta,
+  /// homeFor(Victim) for one that fired \p InCollection.
+  Processor &failStop(Engine &E, unsigned Victim, uint64_t Mark,
+                      bool InCollection);
+
 private:
   /// The live processor with the smallest (clock, id) key; a parked
   /// processor's key is its wake clock.

@@ -114,7 +114,9 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
     // Injected probe failure: the probe happens (lock acquired, queue
     // looked at) but comes back empty-handed, preserving the
     // Steals + StealsFailed == StealAttempts identity.
-    if (E.faults().armed() && E.faults().shouldFailSteal()) {
+    if (E.faults().armed() &&
+        E.faults().hitEither(FaultClause::StealFailAt,
+                             FaultClause::StealFailProb)) {
       ++S.StealAttempts;
       ++S.StealsFailed;
       ++P.StealAttempts;

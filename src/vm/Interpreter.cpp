@@ -159,7 +159,7 @@ StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
   // NeedsGc(2) or GroupStopped(3).
   auto TouchSlot = [&](Value &Slot) -> int {
     ++S.TouchesExecuted;
-    if (E.faults().armed() && E.faults().shouldErrorTouch()) {
+    if (E.faults().armed() && E.faults().hit(FaultClause::TouchErrorAt)) {
       E.noteFault(P, FaultKind::TouchError);
       E.stopGroupRestartable(P, T, "injected-fault: touch error");
       return 3;

@@ -119,6 +119,87 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
       << "ordinals are 1-based";
   EXPECT_FALSE(FaultPlan::parse("steal-fail=1.5", P, Err));
   EXPECT_FALSE(FaultPlan::parse("stall=1@5", P, Err)) << "missing +LEN";
+  for (const char *Spec :
+       {"steal-fail=nan", "cross-check=nan", "steal-fail=", "cross-check="}) {
+    EXPECT_FALSE(FaultPlan::parse(Spec, P, Err)) << Spec;
+    EXPECT_EQ(Err, std::string("bad value in clause '") + Spec + "'");
+  }
+}
+
+TEST(FaultPlanTest, FormatsEveryClauseCanonically) {
+  // All 18 clauses, scrambled: format() emits them in the canonical order
+  // with lists sorted (ordinals and cycles deduped, marks stable-sorted).
+  FaultPlan P;
+  std::string Err;
+  ASSERT_TRUE(FaultPlan::parse(
+      "admit-burst=4@900,2@100; quota-squeeze=1@700; seam-split-fail=9,3,3;"
+      " cross-check=0.5; proc-lie=2@300; proc-kill=3@800,1@200;"
+      " adapt-reset=7,2; adapt-clamp=5@16,2@0; stall=1@100+50,0@0+10;"
+      " queue-cap=8; steal-fail-at=6,4; steal-fail=0.25; touch-error=4;"
+      " spawn-error=2,1; gc-at=500,250; alloc-fail-every=100;"
+      " alloc-fail=3,1,3; seed=7",
+      P, Err))
+      << Err;
+  EXPECT_EQ(P.format(),
+            "seed=7;alloc-fail=1,3;alloc-fail-every=100;gc-at=250,500;"
+            "spawn-error=1,2;touch-error=4;steal-fail=0.25;steal-fail-at=4,6;"
+            "queue-cap=8;stall=0@0+10,1@100+50;adapt-clamp=2@0,5@16;"
+            "adapt-reset=2,7;proc-kill=1@200,3@800;proc-lie=2@300;"
+            "cross-check=0.5;seam-split-fail=3,9;quota-squeeze=1@700;"
+            "admit-burst=2@100,4@900");
+}
+
+TEST(FaultPlanTest, KeepsDuplicateMarks) {
+  FaultPlan P;
+  std::string Err;
+  ASSERT_TRUE(FaultPlan::parse("proc-kill=1@5,1@5", P, Err)) << Err;
+  EXPECT_EQ(P.ProcKills.size(), 2u);
+  EXPECT_EQ(P.format(), "proc-kill=1@5,1@5");
+}
+
+TEST(FaultPlanTest, RejectsEachValueRule) {
+  FaultPlan P;
+  std::string Err;
+  auto Rejects = [&](const std::string &Spec) {
+    EXPECT_FALSE(FaultPlan::parse(Spec, P, Err)) << Spec;
+    EXPECT_EQ(Err, "bad value in clause '" + Spec + "'");
+  };
+  Rejects("admit-burst=0@100");
+  Rejects("stall=1@5+0");
+  Rejects("adapt-clamp=0@4");
+  Rejects("queue-cap=4294967296");
+  ASSERT_TRUE(FaultPlan::parse("queue-cap=4294967295", P, Err)) << Err;
+  for (const char *Key :
+       {"proc-kill", "proc-lie", "quota-squeeze", "admit-burst"}) {
+    Rejects(std::string(Key) + "=65536@10");
+    ASSERT_TRUE(FaultPlan::parse(std::string(Key) + "=65535@10", P, Err))
+        << Err;
+  }
+  Rejects("stall=65536@10+5");
+  ASSERT_TRUE(FaultPlan::parse("stall=65535@10+5", P, Err)) << Err;
+
+  EXPECT_FALSE(FaultPlan::parse("seed", P, Err));
+  EXPECT_EQ(Err, "clause 'seed' has no '='");
+  EXPECT_FALSE(FaultPlan::parse("gc-at=1; frobnicate=1", P, Err));
+  EXPECT_EQ(Err, "unknown fault clause 'frobnicate'");
+}
+
+TEST(FaultPlanTest, RejectsStallWindowsEndingPastTheClockRange) {
+  // A window's end (B + L) must fit in 63 bits, so the run start plus the
+  // end stays a representable clock.
+  FaultPlan P;
+  std::string Err;
+  EXPECT_TRUE(FaultPlan::parse("stall=0@0+9223372036854775807", P, Err))
+      << Err;
+  EXPECT_TRUE(FaultPlan::parse("stall=0@9223372036854775806+1", P, Err))
+      << Err;
+  for (const char *Spec : {"stall=0@1+9223372036854775807",
+                           "stall=0@9223372036854775807+1",
+                           "stall=0@0+18446744073709551000",
+                           "stall=0@18446744073709551615+1"}) {
+    EXPECT_FALSE(FaultPlan::parse(Spec, P, Err)) << Spec;
+    EXPECT_EQ(Err, std::string("bad value in clause '") + Spec + "'");
+  }
 }
 
 TEST(FaultPlanTest, EmptySpecIsEmptyPlan) {
@@ -248,6 +329,39 @@ TEST(FaultTest, StallWindowCountsAsIdleTime) {
     EXPECT_EQ(P.ClockAtReset + P.BusyCycles + P.IdleCycles + P.GcCycles,
               P.Clock)
         << "cycle accounting leak on processor " << I;
+  }
+}
+
+TEST(FaultTest, StallsNeverMoveAClockBackwards) {
+  // Every stall the parser accepts, the edge of its range included, only
+  // ever moves its processor's clock forward, and busy + idle + GC cycles
+  // still tile every clock. Windows whose end would wrap the clock are
+  // rejected up front.
+  for (const char *Spec :
+       {"stall=1@0+9223372036854775807", "stall=2@100+5000,3@0+1",
+        "stall=0@50+20000,0@60+5", "stall=3@9223372036854775806+1",
+        "stall=0@0+18446744073709551000", "stall=1@0+18446744073709551000"}) {
+    FaultPlan Plan;
+    std::string Err;
+    if (!FaultPlan::parse(Spec, Plan, Err))
+      continue;
+    Engine E(faultConfig(4, Spec));
+    E.resetStats();
+    EXPECT_EQ(evalFixnum(E, R"lisp(
+      (define (fib n)
+        (if (< n 2) n
+            (+ (touch (future (fib (- n 1)))) (fib (- n 2)))))
+      (fib 10)
+    )lisp"),
+              55)
+        << Spec;
+    for (unsigned I = 0; I < 4; ++I) {
+      const Processor &P = E.machine().processor(I);
+      EXPECT_GE(P.Clock, P.ClockAtReset) << Spec << ", processor " << I;
+      EXPECT_EQ(P.ClockAtReset + P.BusyCycles + P.IdleCycles + P.GcCycles,
+                P.Clock)
+          << Spec << ", processor " << I;
+    }
   }
 }
 

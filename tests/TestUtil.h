@@ -8,12 +8,16 @@
 #ifndef MULT_TESTS_TESTUTIL_H
 #define MULT_TESTS_TESTUTIL_H
 
+#include "analysis/RaceDetect.h"
 #include "core/Engine.h"
+#include "obs/Trace.h"
 #include "runtime/Printer.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <sstream>
 #include <string_view>
 
 namespace mult {
@@ -64,6 +68,122 @@ inline uint64_t fnv1a64(std::string_view S) {
     H *= 1099511628211ULL;
   }
   return H;
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned run fingerprints
+//===----------------------------------------------------------------------===//
+
+/// Everything observable about one engine run.
+struct RunFingerprint {
+  std::string Result;       ///< printed value (or error text)
+  uint64_t ElapsedCycles;   ///< virtual time of the run
+  uint64_t Instructions;    ///< architectural instruction count
+  uint64_t CyclesExecuted;  ///< busy cycles charged
+  uint64_t IdleCycles;
+  uint64_t TasksCreated;
+  uint64_t FuturesResolved;
+  uint64_t TouchesExecuted;
+  uint64_t TouchesBlocked;
+  uint64_t Steals;
+  uint64_t StealAttempts;
+  uint64_t Dispatches;
+  uint64_t FaultsInjected;
+  uint64_t Collections;     ///< GC runs
+  uint64_t GcPauseCycles;   ///< total GC pause time
+  uint64_t Races;           ///< race detector verdict (0 if unarmed)
+  std::string Trace;        ///< serialized event stream ("" if untraced)
+};
+
+/// One "name value" line per scalar field; the trace hash stands in for
+/// the (possibly long) event stream.
+inline std::string renderFields(const RunFingerprint &F) {
+  std::ostringstream OS;
+  OS << "result " << F.Result << "\nelapsed-cycles " << F.ElapsedCycles
+     << "\ninstructions " << F.Instructions << "\ncycles-executed "
+     << F.CyclesExecuted << "\nidle-cycles " << F.IdleCycles
+     << "\ntasks-created " << F.TasksCreated << "\nfutures-resolved "
+     << F.FuturesResolved << "\ntouches " << F.TouchesExecuted
+     << "\ntouches-blocked " << F.TouchesBlocked << "\nsteals " << F.Steals
+     << "\nsteal-attempts " << F.StealAttempts << "\ndispatches "
+     << F.Dispatches << "\nfaults " << F.FaultsInjected << "\ncollections "
+     << F.Collections << "\ngc-pause " << F.GcPauseCycles << "\nraces "
+     << F.Races << "\ntrace " << F.Trace.size() << " chars, fnv1a64 "
+     << std::hex << fnv1a64(F.Trace) << "\n";
+  return OS.str();
+}
+
+/// The pinned hash: every field, then the full serialized trace.
+inline uint64_t fingerprintHash(const RunFingerprint &F) {
+  return fnv1a64(renderFields(F) + F.Trace);
+}
+
+inline std::string serializeTrace(const Tracer &Tr) {
+  std::ostringstream OS;
+  for (const TraceEvent &E : Tr.events())
+    OS << unsigned(E.Proc) << ' ' << traceEventKindName(E.Kind) << ' '
+       << E.Clock << ' ' << E.A << ' ' << E.B << ' ' << E.C << '\n';
+  return OS.str();
+}
+
+struct RunOpts {
+  unsigned Procs = 1;
+  bool Trace = false;
+  std::string Faults;
+  bool RaceDetect = false;
+  uint64_t HeapWords = 0; ///< 0 = default size
+  std::vector<std::string> Prelude; ///< forms evaluated before the program
+  std::function<void(EngineConfig &)> Configure; ///< further config tweaks
+};
+
+inline RunFingerprint runOnce(const std::string &Program, const RunOpts &O) {
+  EngineConfig C = config(O.Procs);
+  C.EnableTracing = O.Trace;
+  C.Faults = O.Faults;
+  C.RaceDetect = O.RaceDetect;
+  if (O.HeapWords)
+    C.HeapWords = O.HeapWords;
+  if (O.Configure)
+    O.Configure(C);
+  Engine E(C);
+  for (const std::string &Form : O.Prelude)
+    evalOk(E, Form);
+  E.resetStats();
+  EvalResult R = E.eval(Program);
+
+  RunFingerprint F;
+  F.Result = R.ok() ? valueToString(R.Val) : "ERROR: " + R.Error;
+  const EngineStats &S = E.stats();
+  F.ElapsedCycles = S.ElapsedCycles;
+  F.Instructions = S.Instructions;
+  F.CyclesExecuted = S.CyclesExecuted;
+  F.IdleCycles = S.IdleCycles;
+  F.TasksCreated = S.TasksCreated;
+  F.FuturesResolved = S.FuturesResolved;
+  F.TouchesExecuted = S.TouchesExecuted;
+  F.TouchesBlocked = S.TouchesBlocked;
+  F.Steals = S.Steals;
+  F.StealAttempts = S.StealAttempts;
+  F.Dispatches = S.Dispatches;
+  F.FaultsInjected = S.FaultsInjected;
+  F.Collections = E.gcStats().Collections;
+  F.GcPauseCycles = E.gcStats().TotalPauseCycles;
+  F.Races = E.raceDetector() ? E.raceDetector()->raceCount() : 0;
+  if (O.Trace)
+    F.Trace = serializeTrace(E.tracer());
+  return F;
+}
+
+/// Runs \p Program and expects its fingerprint hash to equal \p Pin, the
+/// hash recorded for the same run from the reference implementation.
+inline void expectPinned(uint64_t Pin, const std::string &Program,
+                  const RunOpts &O = {}) {
+  RunFingerprint F = runOnce(Program, O);
+  uint64_t Got = fingerprintHash(F);
+  EXPECT_EQ(Got, Pin) << "fingerprint drifted from its pinned reference ("
+                      << O.Procs << " procs), got 0x" << std::hex << Got
+                      << ":\n"
+                      << renderFields(F);
 }
 
 } // namespace testutil
