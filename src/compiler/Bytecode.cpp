@@ -13,60 +13,8 @@
 using namespace mult;
 
 const char *mult::opName(Op O) {
-  switch (O) {
-  case Op::Const: return "const";
-  case Op::PushFixnum: return "push-fixnum";
-  case Op::PushNil: return "push-nil";
-  case Op::PushTrue: return "push-true";
-  case Op::PushFalse: return "push-false";
-  case Op::PushUnspecified: return "push-unspecified";
-  case Op::Local: return "local";
-  case Op::SetLocal: return "set-local";
-  case Op::Slide: return "slide";
-  case Op::Free: return "free";
-  case Op::Pop: return "pop";
-  case Op::MakeBox: return "make-box";
-  case Op::BoxRef: return "box-ref";
-  case Op::BoxSet: return "box-set";
-  case Op::GlobalRef: return "global-ref";
-  case Op::GlobalSet: return "global-set";
-  case Op::GlobalDefine: return "global-define";
-  case Op::Closure: return "closure";
-  case Op::Jump: return "jump";
-  case Op::JumpIfFalse: return "jump-if-false";
-  case Op::Call: return "call";
-  case Op::TailCall: return "tail-call";
-  case Op::Return: return "return";
-  case Op::TouchStack: return "touch-stack";
-  case Op::TouchLocal: return "touch-local";
-  case Op::TouchBack: return "touch-back";
-  case Op::FutureOp: return "future";
-  case Op::Add: return "add";
-  case Op::Sub: return "sub";
-  case Op::Mul: return "mul";
-  case Op::Quotient: return "quotient";
-  case Op::Remainder: return "remainder";
-  case Op::NumLt: return "lt";
-  case Op::NumLe: return "le";
-  case Op::NumGt: return "gt";
-  case Op::NumGe: return "ge";
-  case Op::NumEq: return "num-eq";
-  case Op::Eq: return "eq";
-  case Op::Cons: return "cons";
-  case Op::Car: return "car";
-  case Op::Cdr: return "cdr";
-  case Op::SetCar: return "set-car";
-  case Op::SetCdr: return "set-cdr";
-  case Op::NullP: return "null?";
-  case Op::PairP: return "pair?";
-  case Op::Not: return "not";
-  case Op::VectorRef: return "vector-ref";
-  case Op::VectorSet: return "vector-set";
-  case Op::VectorLength: return "vector-length";
-  case Op::CallPrim: return "call-prim";
-  case Op::PrimApplyVar: return "prim-apply-var";
-  }
-  return "bad-op";
+  auto I = static_cast<size_t>(O);
+  return I < NumOpcodes ? OpInfos[I].Mnemonic : "bad-op";
 }
 
 std::string mult::disassemble(const Code &C) {
@@ -77,38 +25,25 @@ std::string mult::disassemble(const Code &C) {
   for (size_t I = 0; I < C.Insns.size(); ++I) {
     const Insn &In = C.Insns[I];
     OS << strFormat("  %4zu  %-16s", I, opName(In.Opcode));
-    switch (In.Opcode) {
-    case Op::Const:
-    case Op::GlobalRef:
-    case Op::GlobalSet:
-    case Op::GlobalDefine:
+    switch (opShape(In.Opcode)) {
+    case OperandShape::Const:
+    case OperandShape::Global:
       OS << In.A << "  ; ";
       printValue(OS, C.Constants[static_cast<size_t>(In.A)]);
       break;
-    case Op::Closure:
+    case OperandShape::Closure:
       OS << In.A << ", free " << In.B;
       break;
-    case Op::TouchBack:
+    case OperandShape::Slot:
       OS << In.A << ", slot " << In.B;
       break;
-    case Op::CallPrim:
+    case OperandShape::Argc:
       OS << In.A << ", argc " << In.B;
       break;
-    case Op::PushFixnum:
-    case Op::Local:
-    case Op::SetLocal:
-    case Op::Slide:
-    case Op::PrimApplyVar:
-    case Op::Free:
-    case Op::Jump:
-    case Op::JumpIfFalse:
-    case Op::Call:
-    case Op::TailCall:
-    case Op::TouchStack:
-    case Op::TouchLocal:
+    case OperandShape::A:
       OS << In.A;
       break;
-    default:
+    case OperandShape::None:
       break;
     }
     OS << '\n';

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cassert>
+#include <initializer_list>
 
 using namespace mult;
 
@@ -541,58 +542,16 @@ Compiler::Result Compiler::compile(Value Datum) {
 
 namespace {
 
-/// The static fusion table: the adjacent pairs that carry measurable
-/// dispatch traffic on the benchmark workloads. Ordering is irrelevant;
-/// the lookup below folds the rules into a dense pair-indexed array once.
-struct FusionRule {
-  Op First, Second;
-  FusedOp Fused;
-};
-
-constexpr FusionRule FusionTable[] = {
-    // Generic pairs: a push or touch head falling into its consumer (the
-    // codegen emits TouchBack before the arith that consumes the variable,
-    // and TouchStack right before calls).
-    {Op::Const, Op::CallPrim, FusedOp::Const_CallPrim},
-    {Op::Local, Op::Local, FusedOp::Local_Local},
-    {Op::Local, Op::PushFixnum, FusedOp::Local_PushFixnum},
-    {Op::Local, Op::TouchStack, FusedOp::Local_TouchStack},
-    {Op::Local, Op::Return, FusedOp::Local_Return},
-    {Op::Local, Op::Call, FusedOp::Local_Call},
-    {Op::Local, Op::TailCall, FusedOp::Local_Call},
-    {Op::Local, Op::CallPrim, FusedOp::Local_CallPrim},
-    {Op::Local, Op::Free, FusedOp::Local_Free},
-    {Op::PushFixnum, Op::Return, FusedOp::PushFixnum_Return},
-    {Op::PushFixnum, Op::Local, FusedOp::PushFixnum_Local},
-    {Op::Free, Op::BoxRef, FusedOp::Free_BoxRef},
-    {Op::TouchBack, Op::Add, FusedOp::TouchBack_Add},
-    {Op::TouchBack, Op::Call, FusedOp::TouchBack_Call},
-    {Op::TouchBack, Op::TailCall, FusedOp::TouchBack_Call},
-    {Op::TouchBack, Op::TouchStack, FusedOp::TouchBack_TouchStack},
-    {Op::TouchStack, Op::Call, FusedOp::TouchStack_Call},
-    {Op::TouchStack, Op::TailCall, FusedOp::TouchStack_Call},
-    {Op::TouchStack, Op::TouchStack, FusedOp::TouchStack_TouchStack},
-    {Op::TouchStack, Op::Add, FusedOp::TouchStack_Add},
-    {Op::Add, Op::Return, FusedOp::Add_Return},
-    // Merged arithmetic/compare pairs (fixnum fast path skips the push).
-    {Op::PushFixnum, Op::Add, FusedOp::PushFixnum_Add},
-    {Op::PushFixnum, Op::Sub, FusedOp::PushFixnum_Sub},
-    {Op::PushFixnum, Op::NumEq, FusedOp::PushFixnum_NumEq},
-    {Op::Local, Op::Sub, FusedOp::Local_Sub},
-    {Op::Local, Op::Mul, FusedOp::Local_Mul},
-    // Merged compare-and-branch pairs (every `if` in generated code).
-    {Op::NumLt, Op::JumpIfFalse, FusedOp::NumLt_JumpIfFalse},
-    {Op::NumGt, Op::JumpIfFalse, FusedOp::NumGt_JumpIfFalse},
-    {Op::NumEq, Op::JumpIfFalse, FusedOp::NumEq_JumpIfFalse},
-    {Op::Eq, Op::JumpIfFalse, FusedOp::Eq_JumpIfFalse},
-    {Op::NullP, Op::JumpIfFalse, FusedOp::NullP_JumpIfFalse},
-};
-
+/// MULT_FUSED_OPS folded into a dense pair-indexed array.
 constexpr auto PairIndex = [] {
   std::array<FusedOp, NumOpcodes * NumOpcodes> T{};
-  for (const FusionRule &R : FusionTable)
-    T[static_cast<size_t>(R.First) * NumOpcodes +
-      static_cast<size_t>(R.Second)] = R.Fused;
+  using enum Op;
+#define X(NAME, MERGED, HEAD, ...)                                             \
+  for (Op Second : {__VA_ARGS__})                                              \
+    T[static_cast<size_t>(HEAD) * NumOpcodes + static_cast<size_t>(Second)] = \
+        FusedOp::NAME;
+  MULT_FUSED_OPS(X)
+#undef X
   return T;
 }();
 

@@ -67,9 +67,9 @@ Code *generateCode(Program &P, CodeRegistry &Registry,
 
 /// Superinstruction selection for the threaded interpreter: the fused
 /// handler for the adjacent pair (\p First, \p Second), or FusedOp::None.
-/// Driven by a small static table (CodeGen.cpp) of the pairs that carry
+/// Driven by MULT_FUSED_OPS (Bytecode.h), the pairs that carry
 /// measurable dispatch traffic; purely a host-speed decision, never
-/// affects virtual time (see FusedOp in Bytecode.h).
+/// affects virtual time.
 FusedOp fusedPair(Op First, Op Second);
 
 /// The end-to-end compiler facade.

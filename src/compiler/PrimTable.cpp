@@ -37,40 +37,21 @@ std::optional<PrimId> mult::lookupPrim(std::string_view Name) {
   return It->second;
 }
 
+static constexpr FastOp FastOps[] = {
+#define MULT_FAST_OP(NAME, LISP, ARITY, STRICT, NONFUTURE, ETA)                \
+  {LISP, {Op::NAME, ARITY, STRICT, NONFUTURE}, ETA},
+#define X(NAME, MNEMONIC, COST, SHAPE, ...)                                    \
+  __VA_OPT__(MULT_FAST_OP(NAME, __VA_ARGS__))
+    MULT_OPCODES(X)
+#undef X
+#undef MULT_FAST_OP
+};
+
+std::span<const FastOp> mult::fastOps() { return FastOps; }
+
 std::optional<FastOpInfo> mult::lookupFastOp(std::string_view Name) {
-  struct Entry {
-    std::string_view Name;
-    FastOpInfo Info;
-  };
-  // StrictMask bit i touches operand i (0 = pushed first / deepest).
-  // Storing operations (cons, set-car!, vector-set!) are non-strict in the
-  // stored value, per paper section 1.1.
-  static const Entry Entries[] = {
-      {"+", {Op::Add, 2, 0b11, true}},
-      {"-", {Op::Sub, 2, 0b11, true}},
-      {"*", {Op::Mul, 2, 0b11, true}},
-      {"quotient", {Op::Quotient, 2, 0b11, true}},
-      {"remainder", {Op::Remainder, 2, 0b11, true}},
-      {"<", {Op::NumLt, 2, 0b11, true}},
-      {"<=", {Op::NumLe, 2, 0b11, true}},
-      {">", {Op::NumGt, 2, 0b11, true}},
-      {">=", {Op::NumGe, 2, 0b11, true}},
-      {"=", {Op::NumEq, 2, 0b11, true}},
-      {"eq?", {Op::Eq, 2, 0b11, true}},
-      {"cons", {Op::Cons, 2, 0b00, true}},
-      {"car", {Op::Car, 1, 0b1, false}},
-      {"cdr", {Op::Cdr, 1, 0b1, false}},
-      {"set-car!", {Op::SetCar, 2, 0b01, true}},
-      {"set-cdr!", {Op::SetCdr, 2, 0b01, true}},
-      {"null?", {Op::NullP, 1, 0b1, true}},
-      {"pair?", {Op::PairP, 1, 0b1, true}},
-      {"not", {Op::Not, 1, 0b1, true}},
-      {"vector-ref", {Op::VectorRef, 2, 0b11, false}},
-      {"vector-set!", {Op::VectorSet, 3, 0b011, true}},
-      {"vector-length", {Op::VectorLength, 1, 0b1, true}},
-  };
-  for (const Entry &E : Entries)
-    if (E.Name == Name)
-      return E.Info;
+  for (const FastOp &F : FastOps)
+    if (F.Name == Name)
+      return F.Info;
   return std::nullopt;
 }

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 
 namespace mult {
@@ -119,13 +120,24 @@ const PrimInfo &primInfo(PrimId Id);
 /// Finds a called primitive by Lisp name.
 std::optional<PrimId> lookupPrim(std::string_view Name);
 
-/// Description of an open-coded primitive.
+/// Description of an open-coded primitive (the Lisp-binding columns of a
+/// MULT_OPCODES row, compiler/Bytecode.h).
 struct FastOpInfo {
   Op Opcode;
   int Arity;            ///< Exact stack arity of the opcode.
   uint32_t StrictMask;  ///< Bit i set: operand i is implicitly touched.
   bool ResultNonFuture; ///< The op's own result can never be a future.
 };
+
+/// One open-coded primitive binding.
+struct FastOp {
+  std::string_view Name; ///< Lisp name.
+  FastOpInfo Info;
+  bool EtaWrapped; ///< Bound to a compiled eta-wrapper as a first-class value.
+};
+
+/// Every open-coded primitive, in opcode order.
+std::span<const FastOp> fastOps();
 
 /// Finds an open-coded primitive by Lisp name. Multi-arity arithmetic
 /// (`(+ a b c)`) is folded to chains of the binary opcode by the code

@@ -331,35 +331,16 @@ void Engine::installPrimitiveWrappers() {
   // Give every primitive a closure binding so primitive names work as
   // first-class values, e.g. (map car lst) or (apply + xs).
   //
-  // Fixed-arity open-coded primitives get compiled eta-expansions; called
-  // primitives (and the n-ary arithmetic, via the hidden %+ %- %* prims)
-  // get hand-built variadic wrappers whose body is one PrimApplyVar.
-  struct EtaSpec {
-    std::string Name;
-    int Arity;
-  };
-  std::vector<EtaSpec> Etas;
-  static const char *FixedFastOps[] = {
-      "car", "cdr", "cons", "quotient", "remainder",
-      "<", "<=", ">", ">=", "=", "eq?", "null?", "pair?", "not",
-      "set-car!", "set-cdr!", "vector-ref", "vector-set!",
-      "vector-length"};
-  for (const char *Name : FixedFastOps) {
-    auto Fast = lookupFastOp(Name);
-    assert(Fast && "fast op missing from table");
-    Etas.push_back({Name, Fast->Arity});
-  }
-  Etas.push_back({"touch", 1});
-
-  for (const EtaSpec &W : Etas) {
-    std::string Params, Call;
-    for (int I = 0; I < W.Arity; ++I) {
+  // Open-coded primitives whose MULT_OPCODES row sets the eta column, and
+  // touch, get compiled fixed-arity eta-expansions; called primitives (and
+  // the n-ary arithmetic, via the hidden %+ %- %* prims) get hand-built
+  // variadic wrappers whose body is one PrimApplyVar.
+  auto InstallEta = [&](std::string_view Name, int Arity) {
+    std::string Params;
+    for (int I = 0; I < Arity; ++I)
       Params += strFormat(" x%d", I);
-      Call += strFormat(" x%d", I);
-    }
     std::string Src =
-        strFormat("(lambda (%s) (%s%s))", Params.c_str(), W.Name.c_str(),
-                  Call.c_str());
+        "(lambda (" + Params + ") (" + std::string(Name) + Params + "))";
     Reader Rd(Builder, Src);
     ReadResult RR = Rd.read();
     assert(RR.ok() && "wrapper source must parse");
@@ -378,8 +359,12 @@ void Engine::installPrimitiveWrappers() {
         CR.TopCode->Constants[static_cast<size_t>(ClosureInsn->A)];
     Object *Clo = TheHeap.allocatePermanent(TypeTag::Closure, 1);
     Clo->setSlot(0, Tpl);
-    Syms.intern(W.Name)->setGlobalValue(Value::object(Clo));
-  }
+    Syms.intern(Name)->setGlobalValue(Value::object(Clo));
+  };
+  for (const FastOp &F : fastOps())
+    if (F.EtaWrapped)
+      InstallEta(F.Name, F.Info.Arity);
+  InstallEta("touch", 1);
 
   // Variadic wrappers. Names starting with % are internal and get no
   // binding; + - * bind to the %-prefixed n-ary equivalents.

@@ -29,6 +29,7 @@ inline constexpr uint64_t Push = 1;
 inline constexpr uint64_t LocalLoad = 1;
 inline constexpr uint64_t FreeLoad = 1;
 inline constexpr uint64_t Pop = 1;
+inline constexpr uint64_t Slide = 1;
 inline constexpr uint64_t BoxRef = 1;
 inline constexpr uint64_t BoxSet = 2;
 inline constexpr uint64_t MakeBoxBase = 2; ///< plus allocation
@@ -130,104 +131,15 @@ inline constexpr uint64_t CallPrimBase = 4;
 
 } // namespace cost
 
-/// Cost of one straight-line instruction, computed by enumeration. This is
-/// the authoritative definition; it exists alongside OpBaseCostTable so a
-/// unit test can verify the two agree for every opcode.
-constexpr uint64_t opBaseCostComputed(Op O) {
-  switch (O) {
-  case Op::Const:
-  case Op::PushFixnum:
-  case Op::PushNil:
-  case Op::PushTrue:
-  case Op::PushFalse:
-  case Op::PushUnspecified:
-    return cost::Push;
-  case Op::Local:
-  case Op::SetLocal:
-    return cost::LocalLoad;
-  case Op::Slide:
-    return 1;
-  case Op::PrimApplyVar:
-    return cost::CallPrimBase;
-  case Op::Free:
-    return cost::FreeLoad;
-  case Op::Pop:
-    return cost::Pop;
-  case Op::MakeBox:
-    return cost::MakeBoxBase;
-  case Op::BoxRef:
-    return cost::BoxRef;
-  case Op::BoxSet:
-    return cost::BoxSet;
-  case Op::GlobalRef:
-    return cost::GlobalRef;
-  case Op::GlobalSet:
-  case Op::GlobalDefine:
-    return cost::GlobalSet;
-  case Op::Closure:
-    return cost::ClosureBase;
-  case Op::Jump:
-    return cost::Jump;
-  case Op::JumpIfFalse:
-    return cost::JumpIfFalse;
-  case Op::Call:
-    return cost::Call;
-  case Op::TailCall:
-    return cost::TailCall;
-  case Op::Return:
-    return cost::Return;
-  case Op::TouchStack:
-  case Op::TouchLocal:
-  case Op::TouchBack:
-    return cost::Touch;
-  case Op::FutureOp:
-    return cost::FutureEntry;
-  case Op::Add:
-  case Op::Sub:
-  case Op::Mul:
-  case Op::Quotient:
-  case Op::Remainder:
-    return cost::Arith;
-  case Op::NumLt:
-  case Op::NumLe:
-  case Op::NumGt:
-  case Op::NumGe:
-  case Op::NumEq:
-  case Op::Eq:
-    return cost::Compare;
-  case Op::Cons:
-    return cost::ConsBase;
-  case Op::Car:
-  case Op::Cdr:
-    return cost::CarCdr;
-  case Op::SetCar:
-  case Op::SetCdr:
-    return cost::SetCarCdr;
-  case Op::NullP:
-  case Op::PairP:
-  case Op::Not:
-    return cost::Predicate;
-  case Op::VectorRef:
-    return cost::VectorRef;
-  case Op::VectorSet:
-    return cost::VectorSet;
-  case Op::VectorLength:
-    return cost::VectorLen;
-  case Op::CallPrim:
-    return cost::CallPrimBase;
-  }
-  return 1;
-}
-
-/// Static per-opcode base-cost table. The threaded-code pre-decoder folds
+/// Static per-opcode base-cost table, expanded from the cost column of
+/// MULT_OPCODES (compiler/Bytecode.h). The threaded-code pre-decoder folds
 /// it into every decoded slot instead of calling a function per
 /// instruction.
-inline constexpr std::array<uint64_t, NumOpcodes> OpBaseCostTable = [] {
-  std::array<uint64_t, NumOpcodes> T{};
-  for (size_t I = 0; I < NumOpcodes; ++I)
-    T[I] = opBaseCostComputed(static_cast<Op>(I));
-  return T;
-}();
+inline constexpr std::array<uint64_t, NumOpcodes> OpBaseCostTable = {
+#define X(NAME, MNEMONIC, COST, ...) cost::COST,
+    MULT_OPCODES(X)
+#undef X
+};
 
 /// Cost of one straight-line instruction (allocation and blocking costs
 /// are charged separately by the interpreter). Table lookup, no call.

@@ -46,11 +46,6 @@ bool isClosureV(Value V) {
   return V.isObject() && V.asObject()->tag() == TypeTag::Closure;
 }
 
-/// The label table is written against this exact opcode count; adding an
-/// opcode must extend both the table and the body include.
-static_assert(NumOpcodes == 51, "update the threaded handler table");
-static_assert(NumFusedOps == 29, "update the fused handler table");
-
 /// The threaded interpreter proper. Doubles as the label exporter: when
 /// \p LabelsOut is non-null the function only publishes its handler table
 /// (computed-goto labels are addressable solely from inside the function
@@ -67,58 +62,20 @@ __attribute__((optimize("no-gcse", "no-crossjumping")))
 StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
                               uint64_t TargetClock,
                               const ThreadedLabels **LabelsOut) {
-  // Handler addresses, indexed by Op (order must match the enum) and by
-  // FusedOp. Fused[None] stays null.
+  // Handler addresses, indexed by Op and by FusedOp, generated from the
+  // opcode and superinstruction tables (compiler/Bytecode.h).
+  // Fused[None] stays null.
   static const ThreadedLabels Labels = {
       {{
-          &&L_Const,        &&L_PushFixnum,  &&L_PushNil,
-          &&L_PushTrue,     &&L_PushFalse,   &&L_PushUnspecified,
-          &&L_Local,        &&L_SetLocal,    &&L_Slide,
-          &&L_Free,         &&L_Pop,         &&L_MakeBox,
-          &&L_BoxRef,       &&L_BoxSet,      &&L_GlobalRef,
-          &&L_GlobalSet,    &&L_GlobalDefine, &&L_Closure,
-          &&L_Jump,         &&L_JumpIfFalse, &&L_Call,
-          &&L_TailCall,     &&L_Return,      &&L_TouchStack,
-          &&L_TouchLocal,   &&L_TouchBack,   &&L_FutureOp,
-          &&L_Add,          &&L_Sub,         &&L_Mul,
-          &&L_Quotient,     &&L_Remainder,   &&L_NumLt,
-          &&L_NumLe,        &&L_NumGt,       &&L_NumGe,
-          &&L_NumEq,        &&L_Eq,          &&L_Cons,
-          &&L_Car,          &&L_Cdr,         &&L_SetCar,
-          &&L_SetCdr,       &&L_NullP,       &&L_PairP,
-          &&L_Not,          &&L_VectorRef,   &&L_VectorSet,
-          &&L_VectorLength, &&L_CallPrim,    &&L_PrimApplyVar,
+#define X(NAME, ...) &&L_##NAME,
+          MULT_OPCODES(X)
+#undef X
       }},
       {{
           nullptr, // FusedOp::None
-          &&L_F_Const_CallPrim,
-          &&L_F_Local_Local,
-          &&L_F_Local_PushFixnum,
-          &&L_F_Local_TouchStack,
-          &&L_F_Local_Return,
-          &&L_F_Local_Call,
-          &&L_F_Local_CallPrim,
-          &&L_F_Local_Free,
-          &&L_F_PushFixnum_Return,
-          &&L_F_PushFixnum_Local,
-          &&L_F_Free_BoxRef,
-          &&L_F_TouchBack_Add,
-          &&L_F_TouchBack_Call,
-          &&L_F_TouchBack_TouchStack,
-          &&L_F_TouchStack_Call,
-          &&L_F_TouchStack_TouchStack,
-          &&L_F_TouchStack_Add,
-          &&L_F_Add_Return,
-          &&L_F_PushFixnum_Add,
-          &&L_F_PushFixnum_Sub,
-          &&L_F_PushFixnum_NumEq,
-          &&L_F_Local_Sub,
-          &&L_F_Local_Mul,
-          &&L_F_NumLt_JumpIfFalse,
-          &&L_F_NumGt_JumpIfFalse,
-          &&L_F_NumEq_JumpIfFalse,
-          &&L_F_Eq_JumpIfFalse,
-          &&L_F_NullP_JumpIfFalse,
+#define X(NAME, ...) &&L_F_##NAME,
+          MULT_FUSED_OPS(X)
+#undef X
       }},
   };
   if (LabelsOut) {

@@ -27,15 +27,13 @@ std::unique_ptr<DecodedCode> mult::decodeCode(const Code &C,
     DI.A = In.A;
     DI.B = In.B;
     DI.Cost = OpBaseCostTable[static_cast<size_t>(In.Opcode)];
-    switch (In.Opcode) {
-    case Op::Const:
-    case Op::Closure:
+    switch (opShape(In.Opcode)) {
+    case OperandShape::Const:
+    case OperandShape::Closure:
       // Constants are permanent objects or immediates; raw bits are stable.
       DI.KBits = C.Constants[static_cast<size_t>(In.A)].bits();
       break;
-    case Op::GlobalRef:
-    case Op::GlobalSet:
-    case Op::GlobalDefine:
+    case OperandShape::Global:
       // The global cell is a slot of the (permanent) symbol; caching the
       // symbol pointer removes the constant-pool indirection per access.
       DI.Ptr = C.Constants[static_cast<size_t>(In.A)].asObject();

@@ -121,22 +121,13 @@ TEST(CostModelTest, VirtualSecondsConversion) {
   EXPECT_LT(Us, 230.0);
 }
 
-TEST(CostModelTest, BaseCostTableMatchesComputedFunction) {
+TEST(CostModelTest, EveryOpcodeHasANonzeroBaseCost) {
   // The threaded pre-decoder folds per-opcode base costs from
-  // OpBaseCostTable, and the interpreter charges future spawns through
-  // opBaseCost(). Both must agree with the authoritative switch-based
-  // definition for every opcode.
-  for (size_t I = 0; I < NumOpcodes; ++I) {
-    Op O = static_cast<Op>(I);
-    EXPECT_EQ(OpBaseCostTable[I], opBaseCostComputed(O))
-        << "opcode #" << I << " (" << opName(O) << ")";
-    EXPECT_EQ(opBaseCost(O), opBaseCostComputed(O))
-        << "opcode #" << I << " (" << opName(O) << ")";
-  }
-  // Every opcode has a nonzero charge: a zero entry means the table and
-  // the enum are out of sync (a new opcode missed the cost switch).
+  // OpBaseCostTable, expanded from the opcode table's cost column. Every
+  // opcode must charge something: a zero entry is a missing cost.
   for (size_t I = 0; I < NumOpcodes; ++I)
-    EXPECT_GE(OpBaseCostTable[I], 1u) << "opcode #" << I;
+    EXPECT_GE(OpBaseCostTable[I], 1u)
+        << "opcode #" << I << " (" << opName(static_cast<Op>(I)) << ")";
 }
 
 TEST(CostModelTest, InstructionCountsAreExact) {

@@ -7,6 +7,10 @@
 
 #include "TestUtil.h"
 
+#include "compiler/PrimTable.h"
+
+#include <map>
+
 using namespace mult;
 using namespace mult::testutil;
 
@@ -260,6 +264,55 @@ TEST_F(EvalTest, PrimitivesAsValues) {
   EXPECT_EQ(evalPrint(E, "(map + '(1 2) )"), "(1 2)");
   EXPECT_EQ(evalFixnum(E, "(let ((f car)) (f '(9 8)))"), 9);
   EXPECT_EQ(evalFixnum(E, "(apply quotient (list 9 2))"), 4);
+
+  // Every eta-wrapped open-coded primitive is bound to a procedure that
+  // applies at its table arity. `c` and `v` are fresh cells the mutators
+  // write; `Observe` reads the effect back (default: the call's result).
+  struct Case {
+    std::vector<const char *> Args;
+    const char *Want;
+    const char *Observe = "r";
+  };
+  const std::map<std::string_view, Case> Cases = {
+      {"quotient", {{"17", "5"}, "3"}},
+      {"remainder", {{"17", "5"}, "2"}},
+      {"<", {{"1", "2"}, "#t"}},
+      {"<=", {{"3", "2"}, "#f"}},
+      {">", {{"1", "2"}, "#f"}},
+      {">=", {{"3", "2"}, "#t"}},
+      {"=", {{"2", "2"}, "#t"}},
+      {"eq?", {{"'a", "'a"}, "#t"}},
+      {"cons", {{"1", "2"}, "(1 . 2)"}},
+      {"car", {{"c"}, "1"}},
+      {"cdr", {{"c"}, "(2)"}},
+      {"set-car!", {{"c", "9"}, "(9 2)", "c"}},
+      {"set-cdr!", {{"c", "'(5)"}, "(1 5)", "c"}},
+      {"null?", {{"'()"}, "#t"}},
+      {"pair?", {{"c"}, "#t"}},
+      {"not", {{"#f"}, "#t"}},
+      {"vector-ref", {{"v", "1"}, "2"}},
+      {"vector-set!", {{"v", "0", "7"}, "#(7 2 3)", "v"}},
+      {"vector-length", {{"v"}, "3"}},
+  };
+  size_t Wrapped = 0;
+  for (const FastOp &F : fastOps()) {
+    if (!F.EtaWrapped)
+      continue;
+    ++Wrapped;
+    auto It = Cases.find(F.Name);
+    ASSERT_NE(It, Cases.end()) << F.Name << " has no case";
+    const Case &C = It->second;
+    ASSERT_EQ(C.Args.size(), static_cast<size_t>(F.Info.Arity)) << F.Name;
+    std::string Name(F.Name), Args;
+    for (const char *A : C.Args)
+      Args += std::string(" ") + A;
+    std::string Src = "(let ((c (list 1 2)) (v (vector 1 2 3)))"
+                      " (let ((r (apply " + Name + " (list" + Args + "))))" +
+                      " " + C.Observe + "))";
+    EXPECT_EQ(evalPrint(E, Src), C.Want) << Src;
+    EXPECT_EQ(evalPrint(E, "(procedure? " + Name + ")"), "#t");
+  }
+  EXPECT_EQ(Wrapped, Cases.size());
 }
 
 TEST_F(EvalTest, Errors) {

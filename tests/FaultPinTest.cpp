@@ -79,6 +79,11 @@ const PinnedPlan Plans[] = {
      0x03360796e2de3cdcULL, true, false},
 };
 
+/// Print a plan as its name. gtest's default byte dump would show the
+/// addresses of Name and Spec, which move with ASLR, and ctest takes the
+/// printed parameter into each test's name.
+void PrintTo(const PinnedPlan &P, std::ostream *OS) { *OS << P.Name; }
+
 class FaultPinTest : public ::testing::TestWithParam<PinnedPlan> {};
 
 TEST_P(FaultPinTest, TracedFourProcessorRun) {

@@ -274,7 +274,7 @@ def host_mode(args, commit):
     except (OSError, json.JSONDecodeError):
         pass
 
-    print(f"  {'workload':<14} {'threaded':>9}")
+    print(f"  {'workload':<14} {'ns/vcycle':>9}")
     for workload in sorted(data):
         print(f"  {workload:<14} {data[workload]:>7.3f}ns")
 
@@ -285,8 +285,6 @@ def host_mode(args, commit):
         for workload in sorted(data):
             now = data[workload]
             was = prev.get(workload)
-            if isinstance(was, dict):  # older records, one key per dispatcher
-                was = was.get("threaded")
             if not (isinstance(was, (int, float)) and was > 0 and now):
                 continue
             rel = (now - was) / was
