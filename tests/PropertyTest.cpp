@@ -14,6 +14,7 @@
 #include "support/StrUtil.h"
 
 #include <algorithm>
+#include <cstdint>
 
 using namespace mult;
 using namespace mult::testutil;
@@ -26,6 +27,10 @@ struct MachineParam {
   int Threshold; ///< -1 = infinity
   bool Lazy;
   bool OptimizeTouches;
+  /// Explicit, zeroed padding. gtest prints the parameter as a byte dump
+  /// into each ctest name; implicit padding bytes would be uninitialized
+  /// there and make the names differ from build to build.
+  uint8_t Padding[2] = {0, 0};
 
   std::string name() const {
     std::string S = strFormat("p%u", Procs);
@@ -37,6 +42,8 @@ struct MachineParam {
     return S;
   }
 };
+static_assert(sizeof(MachineParam) == 2 * sizeof(int) + 4,
+              "MachineParam must have no implicit padding");
 
 EngineConfig toConfig(const MachineParam &P) {
   EngineConfig C;

@@ -1,21 +1,17 @@
 #!/usr/bin/env python3
 """CI driver for the determinacy-race detector (MULT_RACE=1).
 
-Two halves, both required for a green run:
+Bench sweep: every paper-table bench run must be race-free under the
+online detector (the "races" section of its ';; run-json:' record), AND
+every golden key -- cycle counts and latency histograms alike -- must be
+bit-identical to tools/golden_metrics.json. Trace recording costs zero
+virtual time, so arming the detector must not move a single cycle; any
+drift here means the detector (or its tracer hooks) leaked cost into the
+simulation.
 
-  1. Bench sweep: every paper-table bench run must be race-free under the
-     online detector (the "races" section of its ';; run-json:' record),
-     AND every golden key -- cycle counts and latency histograms alike --
-     must be bit-identical to tools/golden_metrics.json. Trace recording
-     costs zero virtual time, so arming the detector must not move a
-     single cycle; any drift here means the detector (or its tracer
-     hooks) leaked cost into the simulation.
-
-  2. Racy-program suite: each tests/race/racy_*.lisp must be flagged
-     (>= 1 race, report naming BOTH accesses), and each
-     tests/race/clean_*.lisp must be race-free, at every processor
-     count in --procs (default 1, 4, 16). Races are logical
-     (series-parallel) facts, so they must be detected even at 1 proc.
+The racy/clean program suite (tests/race/*.lisp at 1, 4 and 16
+processors) is a tier-1 ctest case, Programs/RaceDetectSuiteTest.*
+(label oracle), not part of this script.
 
 Typical use:
 
@@ -23,19 +19,12 @@ Typical use:
 """
 
 import argparse
-import glob
 import json
 import os
-import re
 import subprocess
 import sys
 
 from collect_metrics import BENCHES, merge_metrics, record_metrics, run_records
-
-# searched, not matched: REPL output lines carry a "mul-t> " prompt prefix
-RACES_LINE = re.compile(r"\braces: (\d+)")
-# One side of a race report: "write by task 3 (spawned at f+4) at cycle ..."
-ACCESS_LINE = re.compile(r"\b(read|write)\s+by task \d+ \(.*\) at cycle \d+")
 
 FAILURES = []
 
@@ -45,11 +34,10 @@ def flag(msg):
     FAILURES.append(msg)
 
 
-def run(cmd, env, stdin_text=None):
+def run(cmd, env):
     try:
         return subprocess.run(
             cmd,
-            input=stdin_text,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
@@ -108,93 +96,17 @@ def check_benches(build_dir, golden_path):
           f"{golden_path}")
 
 
-def check_program(repl, path, procs):
-    """Run one tests/race/*.lisp through the REPL; return (races, report_ok)."""
-    env = dict(os.environ)
-    env["MULT_RACE"] = "1"
-    with open(path) as f:
-        text = f.read()
-    # Threshold 1000000: the engine inlines when queue depth >= threshold,
-    # so a huge threshold forces eager task spawning (real parallelism).
-    proc = run([repl, str(procs), "1000000"], env,
-               stdin_text=text + "\n:races\n:exit\n")
-    if proc is None:
-        return None, False
-    if proc.returncode != 0:
-        flag(f"{path} (procs={procs}): repl exited {proc.returncode}")
-        return None, False
-    if "error:" in proc.stdout:
-        flag(f"{path} (procs={procs}): eval error:\n{proc.stdout}")
-        return None, False
-    races = None
-    accesses = 0
-    for line in proc.stdout.splitlines():
-        m = RACES_LINE.search(line)
-        if m:
-            races = int(m.group(1))
-        elif ACCESS_LINE.search(line):
-            accesses += 1
-    if races is None:
-        flag(f"{path} (procs={procs}): no ';; races:' line in :races output")
-        return None, False
-    # A valid report names both racing accesses: two access lines per race.
-    return races, accesses >= 2
-
-
-def check_suite(build_dir, suite_dir, proc_counts):
-    repl = os.path.join(build_dir, "examples", "repl")
-    if not os.path.exists(repl):
-        flag(f"repl binary missing: {repl}")
-        return
-    programs = sorted(glob.glob(os.path.join(suite_dir, "*.lisp")))
-    if not programs:
-        flag(f"no programs found in {suite_dir}")
-        return
-    for path in programs:
-        name = os.path.basename(path)
-        racy = name.startswith("racy_")
-        if not racy and not name.startswith("clean_"):
-            flag(f"{path}: suite files must be racy_*.lisp or clean_*.lisp")
-            continue
-        for procs in proc_counts:
-            races, report_ok = check_program(repl, path, procs)
-            if races is None:
-                continue
-            if racy:
-                if races == 0:
-                    flag(f"{name} (procs={procs}): racy program NOT flagged")
-                elif not report_ok:
-                    flag(f"{name} (procs={procs}): race report does not "
-                         f"name both accesses")
-                else:
-                    print(f"race_check: {name} (procs={procs}): "
-                          f"flagged ({races} races)")
-            else:
-                if races != 0:
-                    flag(f"{name} (procs={procs}): control program "
-                         f"falsely flagged ({races} races)")
-                else:
-                    print(f"race_check: {name} (procs={procs}): race-free")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--build-dir", default="build")
     ap.add_argument("--golden", default=None,
                     help="golden metrics file (default: tools/golden_metrics.json)")
-    ap.add_argument("--suite-dir", default=None,
-                    help="racy/clean program directory (default: tests/race)")
-    ap.add_argument("--procs", default="1,4,16",
-                    help="comma-separated processor counts for the suite")
     args = ap.parse_args()
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     golden = args.golden or os.path.join(root, "tools", "golden_metrics.json")
-    suite = args.suite_dir or os.path.join(root, "tests", "race")
-    proc_counts = [int(p) for p in args.procs.split(",") if p]
 
     check_benches(args.build_dir, golden)
-    check_suite(args.build_dir, suite, proc_counts)
 
     if FAILURES:
         print(f"race_check: {len(FAILURES)} failure(s)", file=sys.stderr)
