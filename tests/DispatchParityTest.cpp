@@ -122,8 +122,8 @@ TEST_P(DispatchParityProcsTest, ParallelFuturesTraced) {
   RunOpts O;
   O.Procs = GetParam();
   O.Trace = true;
-  expectPinned(pinFor(O.Procs, 0xc1fa00427fa63b78ULL, 0x8a7ee6846565aa6fULL,
-                      0x4f7fae19c026b68eULL),
+  expectPinned(pinFor(O.Procs, 0xc1fa00427fa63b78ULL, 0xa62ac46baee5e01fULL,
+                      0x8505f06b63fd5f57ULL),
                ParallelFutures, O);
 }
 
@@ -132,8 +132,8 @@ TEST_P(DispatchParityProcsTest, GcUnderLoadTraced) {
   O.Procs = GetParam();
   O.Trace = true;
   O.HeapWords = 1 << 16; // small heap: several collections mid-run
-  expectPinned(pinFor(O.Procs, 0x9f501a777694df2bULL, 0x8f6eed1a51ea77a8ULL,
-                      0x99c59935f24cfbf5ULL),
+  expectPinned(pinFor(O.Procs, 0x9f501a777694df2bULL, 0x2c818bfca9586633ULL,
+                      0x8a49d2762887decbULL),
                R"lisp(
     (begin
       (define (build n) (if (= n 0) '() (cons n (build (- n 1)))))
@@ -193,7 +193,7 @@ TEST(DispatchParityTest, AllocFaultPlanParity) {
   O.Procs = 4;
   O.Faults = "seed=11; steal-fail=0.3; stall=1@5000+400";
   O.Trace = true;
-  expectPinned(0xfb8967313ad179cbULL, ParallelFutures, O);
+  expectPinned(0x662b0f8022f1bac7ULL, ParallelFutures, O);
 }
 
 //===----------------------------------------------------------------------===//
@@ -210,7 +210,7 @@ TEST(DispatchParityTest, RaceDetectorSameVerdict) {
   // real machine, deterministic here. The detector does not yet watch
   // global set!, so the pinned verdict is 0 races; instrumenting it will
   // move this pin on purpose.
-  expectPinned(0x5aae4daf915507baULL, R"lisp(
+  expectPinned(0xef2925b3f4128d69ULL, R"lisp(
     (begin
       (define shared 0)
       (define (bump n)

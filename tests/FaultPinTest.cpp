@@ -33,50 +33,50 @@ struct PinnedPlan {
 const PinnedPlan Plans[] = {
     // The 13 curated surviving plans, in file order.
     {"OrphanKill", "proc-kill=3@4000",
-     0xc95175b4ccdc9876ULL, false, false},
+     0x0b57ec9c35482aefULL, false, false},
     {"SingleKill", "proc-kill=1@4000",
-     0x7ce3a489753468f4ULL, false, false},
+     0x461bc645acfb9072ULL, false, false},
     {"TwoKillsUnderStealFail", "proc-kill=2@1500,0@9000; steal-fail=0.2",
-     0x74206578b22f64ddULL, false, false},
+     0x89d3216c03061f29ULL, false, false},
     {"KillAtGcRendezvous", "proc-kill=3@2500; gc-at=2500; alloc-fail-every=31",
-     0xf27e7c2b50a66eecULL, false, false},
+     0xfdf99385e122cebbULL, false, false},
     {"LieChecked", "proc-lie=1@4000; cross-check=1",
-     0x108ea3db648a6c2aULL, false, false},
+     0x9fb755591ee0b47fULL, false, false},
     {"KillInsideCollection", "gc-at=3000; proc-kill=1@3200",
-     0xe08136d0071a0da3ULL, false, false},
+     0x418590158fa9e954ULL, false, false},
     {"KillDuringRespawn", "proc-kill=1@4000,2@4064",
-     0x97bc1e6a656cf87dULL, false, false},
+     0x56e040ae9be4e3a6ULL, false, false},
     {"LieUnchecked", "proc-lie=2@2000; cross-check=0",
-     0x2cd359be7fe44477ULL, false, false},
+     0x4034fd429c6e9f75ULL, false, false},
     {"QuotaSqueeze", "quota-squeeze=1@3000",
-     0x04f41ae44a638e8aULL, false, false},
+     0xf2431c1d66c8da3aULL, false, false},
     {"DoubleQuotaSqueeze", "quota-squeeze=1@2000,1@6000",
-     0x9267b204693392f6ULL, false, false},
+     0x823ec0d13e323e27ULL, false, false},
     {"AdmitBurst", "admit-burst=8@2000",
-     0xfc4793014c0ab0bbULL, false, false},
+     0x5517d435e01b9056ULL, false, false},
     {"SqueezeThenBurst", "quota-squeeze=1@2500; admit-burst=8@4000",
-     0x4270960c0aaedefbULL, false, false},
+     0x3fd37a04d2862d81ULL, false, false},
     {"SqueezeThenKill", "quota-squeeze=1@3000; proc-kill=2@3100",
-     0x7cd7ae31eecca600ULL, false, false},
+     0xca11d0956a1f6b36ULL, false, false},
     // One plan per clause the surviving plans do not exercise.
     {"AllocFail", "alloc-fail=3,40,41",
-     0xfe7a8597a8d1e3cbULL, false, false},
+     0xce2c36476e9f5d55ULL, false, false},
     {"SpawnError", "spawn-error=25",
-     0xd3d368b6a9e87e4fULL, false, false},
+     0x087a9e2e9960377dULL, false, false},
     {"TouchError", "touch-error=30",
-     0x80f6d22cbc97f290ULL, false, false},
+     0x15e53209757bf73aULL, false, false},
     {"StealFailAt", "steal-fail-at=1,2,5,9",
-     0x81c5ecdef5aab94fULL, false, false},
+     0xc16c08c8ef12e676ULL, false, false},
     {"QueueCap", "queue-cap=0",
-     0x3a8cbb0655e71e0fULL, false, false},
+     0x777e829df414bd51ULL, false, false},
     {"Stall", "stall=1@1000+3000,2@500+200",
-     0x164d6e72ee25c82bULL, false, false},
+     0x745ac4deeb56745aULL, false, false},
     {"AdaptClamp", "adapt-clamp=40@8,45@0",
-     0x8da96687efe7910fULL, false, true},
+     0xcab5494247e83f2cULL, false, true},
     {"AdaptReset", "adapt-reset=41,42,47",
-     0x0211761d4ed724ffULL, false, true},
+     0x3cead38dee776b81ULL, false, true},
     {"SeamSplitFail", "seam-split-fail=1,2,4",
-     0x03360796e2de3cdcULL, true, false},
+     0xc6e166e1ebe722a0ULL, true, false},
 };
 
 /// Print a plan as its name. gtest's default byte dump would show the
