@@ -105,8 +105,8 @@ inline void reportRun(Engine &E, const std::string &Tag) {
     dumpMetrics(OS, buildMetrics(E.machine(), E.stats(), E.gcStats(),
                                  E.tracer(), E.raceDetector(),
                                  &E.telemetry(), E.config().CheckpointEvery));
-    // The stable parse target for tools/collect_metrics.py and
-    // tools/race_check.py: one JSON record per run, deterministic per
+    // The stable parse target for tools/collect_metrics.py and its
+    // per-bench oracle cases: one JSON record per run, deterministic per
     // commit, with a section per armed layer.
     RunLayers L;
     L.Faults = E.faults().armed();

@@ -65,7 +65,7 @@ const Mode Modes[] = {
     {"lazy futures", std::nullopt, true},
 };
 
-void sweep(const char *Name, const char *Prog) {
+void sweep(const char *Name, const char *Key, const char *Prog) {
   std::printf("\n  %s (virtual seconds; futures created):\n", Name);
   std::printf("    %-16s %10s %18s %10s %8s\n", "mode", "1 proc",
               "8 procs", "speedup", "futures");
@@ -74,7 +74,7 @@ void sweep(const char *Name, const char *Prog) {
     double S1 = runVirtualSeconds(E1, "", Prog);
     Engine E8(machine(8, M.T, M.Lazy));
     double S8 = runVirtualSeconds(E8, "", Prog);
-    reportRun(E8, strFormat("lazy_%s_p8", M.Name));
+    reportRun(E8, strFormat("lazy_%s_%s_p8", Key, M.Name));
     std::printf("    %-16s %10s %10s (%llu st) %9.2fx %8llu\n", M.Name,
                 formatSeconds(S1).c_str(), formatSeconds(S8).c_str(),
                 static_cast<unsigned long long>(E8.stats().SeamsStolen),
@@ -88,8 +88,8 @@ void sweep(const char *Name, const char *Prog) {
 int main() {
   printTitle("Lazy futures: the paper's proposed revocable inlining "
              "(section 3)");
-  sweep("divide-and-conquer tree", TreeProgram);
-  sweep("bursty task creation", BurstyProgram);
+  sweep("divide-and-conquer tree", "tree", TreeProgram);
+  sweep("bursty task creation", "bursty", BurstyProgram);
 
   std::printf("\n  parent-child welding (the section-3 semaphore "
               "example):\n");

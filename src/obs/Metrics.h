@@ -143,7 +143,8 @@ struct RunLayers {
 /// ";; run-json: {...}\n": the tag, the "core" counters, the virtual-time
 /// latency histograms, one section per armed layer ("faults",
 /// "checkpoint", "tenant" with its own histograms) and "races" when \p RD
-/// is given. tools/collect_metrics.py and tools/race_check.py parse it.
+/// is given. tools/collect_metrics.py parses it: the per-bench oracle
+/// cases compare the records of dormant and traced, race-armed runs.
 void writeRunJson(OutStream &OS, std::string_view Tag, const EngineStats &S,
                   const Telemetry &T, const RaceDetector *RD, RunLayers L);
 

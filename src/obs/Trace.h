@@ -80,8 +80,10 @@ enum class TraceEventKind : uint8_t {
                   ///< C = the future's resolve serial (0 when the future
                   ///< was resolved while tracing was off).
   TouchBlock,     ///< Touch found an unresolved future. A = task id.
-  StealAttempt,   ///< One queue probe. A = victim processor,
-                  ///< B = 1 success, 0 failure (empty or vetting rejected).
+  StealAttempt,   ///< A probe that stole a task. A = victim processor,
+                  ///< B = 1. Failed probes are counted (StealsFailed), not
+                  ///< traced, so idle processors park under tracing; an
+                  ///< injected failure traces FaultInjected.
   InlineDecision, ///< `future` policy choice. A = 0 inlined, 1 real task,
                   ///< 2 lazy seam. B = future-site id. For lazy seams,
                   ///< C = the seam serial (SeamSteal echoes it).

@@ -255,11 +255,11 @@ RunResult Machine::run(Engine &E) {
   // task is queued anywhere, no lazy seam exists and some processor is
   // still running parks instead of repeating that sweep: an empty probe
   // is lock-free and of constant cost (CostModel.h), so its sweeps are
-  // charged in closed form when it is settled (see settle). Runs where
-  // anything observes individual probes or polls every iteration keep the
-  // per-sweep loop.
-  ParkingAllowed = !E.tracer().enabled() && !E.raceDetectEnabled() &&
-                   !E.faults().armed() && !E.tenantArmed();
+  // charged in closed form when it is settled (see settle). An empty
+  // probe records no trace event, so traced and race-armed runs park
+  // too. Fault plans (which may fail any probe) and the tenant layer
+  // (which polls every iteration) keep the per-sweep loop.
+  ParkingAllowed = !E.faults().armed() && !E.tenantArmed();
   SweepProbes = 2 * uint64_t(liveProcessors() - 1);
   SweepBusy = 2 * cost::QueueEmptyCheck + SweepProbes * cost::StealProbe;
   SweepCycles = SweepBusy + cost::IdleTick;

@@ -110,10 +110,12 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
   // must count again, or the Steals/StealAttempts ratio overstates
   // success. Every probe ends in exactly one of Steals (Accept took it)
   // or StealsFailed (queue empty, or the popped task was parked/dropped).
+  // Only a probe that took a task is traced: idle processors park under
+  // tracing, and their empty sweeps are charged without being stepped.
   auto StealFrom = [&](Processor &Victim, bool FromNewQueue) -> TaskId {
     // Injected probe failure: the probe happens (lock acquired, queue
     // looked at) but comes back empty-handed, preserving the
-    // Steals + StealsFailed == StealAttempts identity.
+    // Steals + StealsFailed == StealAttempts identity. noteFault traces it.
     if (E.faults().armed() &&
         E.faults().hitEither(FaultClause::StealFailAt,
                              FaultClause::StealFailProb)) {
@@ -123,9 +125,6 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
       ++P.StealsFailed;
       Cycles += cost::QueueLockHold;
       E.noteFault(P, FaultKind::StealFail, Victim.Id);
-      if (Tr.enabled())
-        Tr.record(TraceEventKind::StealAttempt, P.Id, P.Clock + Cycles,
-                  Victim.Id, 0);
       return InvalidTask;
     }
     for (;;) {
@@ -141,9 +140,6 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
       if (Id == InvalidTask) {
         ++S.StealsFailed;
         ++P.StealsFailed;
-        if (Tr.enabled())
-          Tr.record(TraceEventKind::StealAttempt, P.Id, P.Clock + Cycles,
-                    Victim.Id, 0);
         return InvalidTask;
       }
       TaskId Got = Accept(Id, FromNewQueue, /*Stolen=*/true);
@@ -160,9 +156,6 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
       }
       ++S.StealsFailed; // popped a task the vet parked or dropped
       ++P.StealsFailed;
-      if (Tr.enabled())
-        Tr.record(TraceEventKind::StealAttempt, P.Id, P.Clock + Cycles,
-                  Victim.Id, 0);
     }
   };
 

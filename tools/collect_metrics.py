@@ -31,14 +31,23 @@ virtual time), so any drift between commits is a real semantic or
 cost-model change, never host noise. The same holds under an armed fault
 plan: fault counts and cycles are seed-deterministic. This script:
 
-  * runs the paper-table benches plus the inlining-threshold sweep and
-    collects the tag -> cycles map,
-  * writes it to <out-dir>/BENCH_<sha>.json for the current commit,
-  * optionally diffs it against a golden file (--check, exit 1 on ANY
+  * runs the paper-table benches plus the inlining-threshold sweep (or
+    the one bench binary named by --bench) and collects the
+    tag -> cycles map,
+  * writes it to <out-dir>/BENCH_<sha>.json for the current commit
+    (not with --bench: one bench is not a commit's record),
+  * optionally checks it against a golden file (--check, exit 1 on ANY
     drift -- virtual time has no tolerance band),
   * optionally rewrites the golden file (--update-golden),
   * renders the accumulated BENCH_*.json history as a markdown or CSV
     trend table (--render).
+
+--check is the virtual-time oracle; tier-1 runs it as one ctest case per
+bench binary (`ctest -L oracle`). Each bench's dormant keys must equal
+its section of the golden file (a bench with none has no golden keys),
+and a MULT_TRACE=1 MULT_RACE=1 rerun must print the same run-json
+records once their "races" sections, each with 0 races, are dropped:
+tracing and race detection cost no virtual time.
 
 Host timing has exactly one sanctioned home here: `--host` runs the
 dispatch bench (bench_dispatch, which prints ";; host-dispatch: <workload>
@@ -53,12 +62,15 @@ Typical uses:
 
     tools/collect_metrics.py --build-dir build
     tools/collect_metrics.py --build-dir build --check tools/golden_metrics.json
+    tools/collect_metrics.py --build-dir build --bench bench_table4_apps \
+        --check tools/golden_metrics.json
     tools/collect_metrics.py --build-dir build --update-golden tools/golden_metrics.json
     tools/collect_metrics.py --render markdown
     tools/collect_metrics.py --build-dir build --host
 """
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -79,6 +91,7 @@ BENCHES = [
 
 RUN_JSON_LINE = re.compile(r"^;; run-json: (\{.*\})\s*$")
 HOST_LINE = re.compile(r"^;; host: (\S+) ")
+HOST_SETUP = re.compile(r" setup-ns=[0-9]+ ")
 HOST_DISPATCH_LINE = re.compile(
     r"^;; host-dispatch: (\S+) ns-per-vcycle=([0-9.]+)\s*$")
 
@@ -164,9 +177,8 @@ def merge_metrics(into, new, where):
         into[key] = value
 
 
-def run_benches(build_dir, faults=None, checkpoint=None, tenant=None,
-                supervise=None):
-    """Run every bench with MULT_METRICS=1 and return the metrics map.
+def bench_env(faults=None, checkpoint=None, tenant=None, supervise=None):
+    """The environment the benches run in, and the layers it arms.
 
     With faults set, every bench runs under that MULT_FAULTS plan; with
     checkpoint set, MULT_CHECKPOINT arms the checkpointed-recovery policy
@@ -185,7 +197,7 @@ def run_benches(build_dir, faults=None, checkpoint=None, tenant=None,
     # MULT_QUOTA/MULT_SUPERVISE change virtual time once a quota trips
     # (stops, grace GCs), so they are stripped unless --tenant/--supervise
     # ask for them.
-    # MULT_RACE is virtual-time-neutral too (tools/race_check.py relies
+    # MULT_RACE is virtual-time-neutral too (--check's armed run relies
     # on that), but it slows the host and its "races" section is not this
     # dashboard's input, so strip it as well.
     for var in ("MULT_TRACE", "MULT_PROFILE", "MULT_TRACE_MODE",
@@ -203,29 +215,66 @@ def run_benches(build_dir, faults=None, checkpoint=None, tenant=None,
     armed = {layer for layer, on in (("faults", faults),
                                      ("checkpoint", checkpoint),
                                      ("tenant", tenant or supervise)) if on}
-    cycles = {}
-    for bench in BENCHES:
-        exe = os.path.join(build_dir, "bench", bench)
-        if not os.path.exists(exe):
-            fail(f"bench binary not found: {exe} (build the repo first)")
-        print(f"  running {bench} ...", flush=True)
-        proc = subprocess.run([exe], env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stdout + proc.stderr)
-            fail(f"{bench} exited with status {proc.returncode}")
-        records = run_records(proc.stdout)
-        for rec in records:
-            merge_metrics(cycles, record_metrics(rec, armed, bench), bench)
-        if not records:
-            fail(f"{bench} printed no ';; run-json:' records -- "
-                 "was it built without MULT_METRICS support?")
-        # Host wall-clock line: every bench must print one, but its values
-        # are noise and are deliberately dropped.
-        if not any(map(HOST_LINE.match, proc.stdout.splitlines())):
-            fail(f"{bench} printed no ';; host:' line -- every bench must "
-                 "report its host wall-clock phases")
-    assert_no_host_keys(cycles, "the collected metrics map")
-    return cycles
+    return env, armed
+
+
+def run_bench(build_dir, bench, env, need_records):
+    """Runs one bench binary; returns its run-json records.
+
+    A bench that prints records must also print ';; host:' lines, each
+    carrying setup-ns=; their values are noise and are dropped.
+    """
+    exe = os.path.join(build_dir, "bench", bench)
+    if not os.path.exists(exe):
+        fail(f"bench binary not found: {exe} (build the repo first)")
+    print(f"  running {bench} ...", flush=True)
+    proc = subprocess.run([exe], env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        fail(f"{bench} exited with status {proc.returncode}")
+    records = run_records(proc.stdout)
+    if need_records and not records:
+        fail(f"{bench} printed no ';; run-json:' records -- "
+             "was it built without MULT_METRICS support?")
+    host = [l for l in proc.stdout.splitlines() if HOST_LINE.match(l)]
+    if records and not host:
+        fail(f"{bench} printed no ';; host:' line -- every bench must "
+             "report its host wall-clock phases")
+    if any(not HOST_SETUP.search(l) for l in host):
+        fail(f"{bench} printed a ';; host:' line without setup-ns=")
+    return records
+
+
+def flat_record(rec):
+    """A run-json record as {"section.key": value} (and its "tag")."""
+    out = {"tag": rec.get("tag")} if rec else {}
+    for name, section in rec.items():
+        if isinstance(section, dict):
+            out.update((f"{name}.{k}", v) for k, v in section.items())
+    return out
+
+
+def check_armed(build_dir, bench, env, dormant):
+    """The oracle's second run: with the tracer and the race detector
+    armed, the bench's records must equal the dormant ones once the
+    "races" section is dropped, and every "races" count must be 0.
+    Returns the number of failures."""
+    armed = run_bench(build_dir, bench,
+                      dict(env, MULT_TRACE="1", MULT_RACE="1"), False)
+    racy = [r["tag"] for r in armed if r.pop("races", {"races": -1})["races"]]
+    for tag in racy:
+        print(f"  RACES    {tag}: races reported, or no races section")
+    for d, a in itertools.zip_longest(dormant, armed, fillvalue={}):
+        fd, fa = flat_record(d), flat_record(a)
+        changed = [f"{k}: {fd.get(k)} -> {fa.get(k)}"
+                   for k in sorted(set(fd) | set(fa)) if fd.get(k) != fa.get(k)]
+        if changed:
+            print(f"  ARMED    {fd.get('tag', fa.get('tag'))}: "
+                  + "; ".join(changed))
+    failures = len(racy) + (armed != dormant)
+    print(f"{'FAIL' if failures else 'OK'}: {bench}'s {len(armed)} "
+          "MULT_TRACE=1 MULT_RACE=1 records against its dormant ones")
+    return failures
 
 
 def median(values):
@@ -303,14 +352,21 @@ def host_mode(args, commit):
     print(f"  wrote {out_path}")
 
 
-def check_against_golden(cycles, golden_path):
-    """Exact diff against the golden file. Returns the number of drifts."""
+def load_golden(golden_path):
+    """The golden file's sections: {bench: {key: value}}."""
     try:
         with open(golden_path) as f:
-            golden = json.load(f)["cycles"]
+            golden = json.load(f)["benches"]
     except (OSError, KeyError, json.JSONDecodeError) as e:
         fail(f"cannot read golden file {golden_path}: {e}")
-    assert_no_host_keys(golden, f"the golden file {golden_path}")
+    for section in golden.values():
+        assert_no_host_keys(section, f"the golden file {golden_path}")
+    return golden
+
+
+def check_against_golden(cycles, golden, golden_path):
+    """Exact diff of one bench's keys against its golden section. Returns
+    the number of drifts."""
     drifts = 0
     for tag in sorted(set(golden) | set(cycles)):
         want, got = golden.get(tag), cycles.get(tag)
@@ -408,7 +464,14 @@ def main():
     ap.add_argument("--commit", default=None,
                     help="commit label (default: git rev-parse --short HEAD)")
     ap.add_argument("--check", metavar="GOLDEN",
-                    help="diff against a golden metrics file; exit 1 on drift")
+                    help="the oracle: diff each bench against its section "
+                         "of a golden metrics file, then require a "
+                         "MULT_TRACE=1 MULT_RACE=1 rerun to print the same "
+                         "records with no races; exit 1 on any difference")
+    ap.add_argument("--bench", metavar="NAME", default=None,
+                    help="run only this bench binary (any bench_* under "
+                         "<build-dir>/bench) and write no history record; "
+                         "tier-1 runs --bench NAME --check GOLDEN per bench")
     ap.add_argument("--update-golden", metavar="GOLDEN",
                     help="rewrite the golden metrics file from this run")
     ap.add_argument("--render", choices=["markdown", "csv"], default=None,
@@ -472,29 +535,47 @@ def main():
         print(f"  tenant quota: {args.tenant}")
     if args.supervise:
         print(f"  supervise policy: {args.supervise}")
-    cycles = run_benches(args.build_dir, faults=args.faults,
-                         checkpoint=args.checkpoint, tenant=args.tenant,
-                         supervise=args.supervise)
+    env, armed = bench_env(args.faults, args.checkpoint, args.tenant,
+                           args.supervise)
+    golden = load_golden(args.check) if args.check else {}
+    per_bench, cycles, failures = {}, {}, 0
+    for bench in [args.bench] if args.bench else BENCHES:
+        records = run_bench(args.build_dir, bench, env, bench in BENCHES)
+        metrics = per_bench[bench] = {}
+        for rec in records:
+            merge_metrics(metrics, record_metrics(rec, armed, bench), bench)
+        merge_metrics(cycles, metrics, bench)
+        if not args.check:
+            continue
+        if bench in BENCHES or bench in golden:
+            failures += check_against_golden(
+                metrics, golden.get(bench, {}), args.check)
+        failures += check_armed(args.build_dir, bench, env, records)
+    assert_no_host_keys(cycles, "the collected metrics map")
     print(f"  {len(cycles)} metrics collected")
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    history = load_history(args.out_dir)
-    sequence = max((e.get("sequence", 0) for e in history), default=0) + 1
-    record = {"commit": commit, "sequence": sequence, "cycles": cycles}
-    out_path = os.path.join(args.out_dir, f"BENCH_{commit}.json")
-    with open(out_path, "w") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"  wrote {out_path}")
+    if not args.bench:
+        os.makedirs(args.out_dir, exist_ok=True)
+        history = load_history(args.out_dir)
+        sequence = max((e.get("sequence", 0) for e in history),
+                       default=0) + 1
+        record = {"commit": commit, "sequence": sequence, "cycles": cycles}
+        out_path = os.path.join(args.out_dir, f"BENCH_{commit}.json")
+        with open(out_path, "w") as f:
+            json.dump(record, f, indent=2, sort_keys=True)
+            f.write("\n")
+        print(f"  wrote {out_path}")
 
     if args.update_golden:
+        sections = load_golden(args.update_golden) if args.bench else {}
+        sections.update(per_bench)
         with open(args.update_golden, "w") as f:
-            json.dump({"cycles": cycles}, f, indent=2, sort_keys=True)
+            json.dump({"benches": sections}, f, indent=2, sort_keys=True)
             f.write("\n")
         print(f"  wrote {args.update_golden}")
 
     if args.check:
-        sys.exit(1 if check_against_golden(cycles, args.check) else 0)
+        sys.exit(1 if failures else 0)
 
 
 if __name__ == "__main__":
