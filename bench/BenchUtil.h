@@ -96,6 +96,15 @@ inline EngineConfig machine(unsigned Procs,
   return C;
 }
 
+/// The layer sections \p E's run-json records carry: one per armed layer.
+inline RunLayers runLayers(Engine &E) {
+  RunLayers L;
+  L.Faults = E.faults().armed();
+  L.Checkpoint = E.config().CheckpointEvery != 0;
+  L.Tenant = E.tenantArmed();
+  return L;
+}
+
 /// Post-run observability hook: metrics to stdout and/or a Chrome-trace
 /// JSON file named after \p Tag, per the environment switches above.
 inline void reportRun(Engine &E, const std::string &Tag) {
@@ -108,11 +117,8 @@ inline void reportRun(Engine &E, const std::string &Tag) {
     // The stable parse target for tools/collect_metrics.py and its
     // per-bench oracle cases: one JSON record per run, deterministic per
     // commit, with a section per armed layer.
-    RunLayers L;
-    L.Faults = E.faults().armed();
-    L.Checkpoint = E.config().CheckpointEvery != 0;
-    L.Tenant = E.tenantArmed();
-    writeRunJson(OS, Tag, E.stats(), E.telemetry(), E.raceDetector(), L);
+    writeRunJson(OS, Tag, E.stats(), E.telemetry(), E.raceDetector(),
+                 runLayers(E));
     OS.flush();
   }
   if (profileRequested()) {

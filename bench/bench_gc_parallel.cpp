@@ -27,7 +27,8 @@ struct GcNumbers {
 };
 
 /// Builds live data via \p SetupBody, then forces one collection.
-GcNumbers collectOnce(unsigned Procs, const std::string &Setup) {
+GcNumbers collectOnce(const char *Key, unsigned Procs,
+                      const std::string &Setup) {
   EngineConfig C = machine(Procs);
   C.HeapWords = size_t(1) << 20;
   Engine E(C);
@@ -40,6 +41,7 @@ GcNumbers collectOnce(unsigned Procs, const std::string &Setup) {
   EvalResult G = E.eval("(%gc)");
   if (!G.ok())
     std::exit(1);
+  reportRun(E, strFormat("gc_%s_p%u", Key, Procs));
   const Gc::Stats &S = E.gcStats();
   return GcNumbers{S.Last.PauseCycles, S.Last.WorkCycles,
                    S.Last.MaxProcWorkCycles, S.Last.WordsCopied};
@@ -62,13 +64,13 @@ std::string oneRootSetup() {
          "(define keep (build 3840))";
 }
 
-void sweep(const char *Name, const std::string &Setup) {
+void sweep(const char *Key, const char *Name, const std::string &Setup) {
   std::printf("\n  %s:\n", Name);
   std::printf("    %-6s %12s %10s %12s %10s\n", "procs", "pause(cyc)",
               "speedup", "work(cyc)", "balance");
   uint64_t Pause1 = 0;
   for (unsigned P : {1u, 2u, 4u, 8u}) {
-    GcNumbers N = collectOnce(P, Setup);
+    GcNumbers N = collectOnce(Key, P, Setup);
     if (P == 1)
       Pause1 = N.Pause;
     // balance = average per-processor work / busiest processor's work:
@@ -86,9 +88,10 @@ void sweep(const char *Name, const std::string &Setup) {
 
 int main() {
   printTitle("Parallel stop-and-copy GC (paper section 2.1.2)");
-  sweep("live data spread over 96 roots (background-job heap)",
+  sweep("many_roots", "live data spread over 96 roots (background-job heap)",
         manyRootsSetup());
-  sweep("live data in one giant structure (the paper's imbalance caveat)",
+  sweep("one_root",
+        "live data in one giant structure (the paper's imbalance caveat)",
         oneRootSetup());
   printRule();
   std::printf("  paper: \"once an object is moved by a particular "

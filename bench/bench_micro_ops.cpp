@@ -20,9 +20,13 @@ using namespace multbench;
 namespace {
 
 void BM_EngineConstruction(benchmark::State &State) {
+  unsigned I = 0;
   for (auto _ : State) {
     Engine E(machine(1));
     benchmark::DoNotOptimize(&E);
+    State.PauseTiming();
+    reportRun(E, strFormat("micro_construction_%u", I++));
+    State.ResumeTiming();
   }
 }
 BENCHMARK(BM_EngineConstruction)->Unit(benchmark::kMillisecond)->Iterations(20);
@@ -35,6 +39,7 @@ void BM_CompileSmallForm(benchmark::State &State) {
     Compiler::Result R = E.compiler().compile(RR.Datum);
     benchmark::DoNotOptimize(R.TopCode);
   }
+  reportRun(E, "micro_compile");
 }
 BENCHMARK(BM_CompileSmallForm)->Iterations(2000);
 
@@ -47,6 +52,7 @@ void BM_EvalArithmeticLoop(benchmark::State &State) {
     benchmark::DoNotOptimize(R.Val.bits());
   }
   State.SetItemsProcessed(State.iterations() * 1000);
+  reportRun(E, "micro_arith");
 }
 BENCHMARK(BM_EvalArithmeticLoop)->Iterations(500);
 
@@ -59,6 +65,7 @@ void BM_ConsAllocation(benchmark::State &State) {
     benchmark::DoNotOptimize(R.Val.bits());
   }
   State.SetItemsProcessed(State.iterations() * 500);
+  reportRun(E, "micro_cons");
 }
 BENCHMARK(BM_ConsAllocation)->Iterations(500);
 
@@ -68,6 +75,7 @@ void BM_FutureCreateResolveTouch(benchmark::State &State) {
     EvalResult R = E.eval("(touch (future 0))");
     benchmark::DoNotOptimize(R.Val.bits());
   }
+  reportRun(E, "micro_future");
 }
 BENCHMARK(BM_FutureCreateResolveTouch)->Iterations(2000);
 
@@ -77,6 +85,7 @@ void BM_FutureInlined(benchmark::State &State) {
     EvalResult R = E.eval("(touch (future 0))");
     benchmark::DoNotOptimize(R.Val.bits());
   }
+  reportRun(E, "micro_future_inlined");
 }
 BENCHMARK(BM_FutureInlined)->Iterations(2000);
 
@@ -92,11 +101,13 @@ void BM_TouchCheckHot(benchmark::State &State) {
     benchmark::DoNotOptimize(R.Val.bits());
   }
   State.SetItemsProcessed(State.iterations() * 1000);
+  reportRun(E, "micro_touch");
 }
 BENCHMARK(BM_TouchCheckHot)->Iterations(500);
 
 void BM_WorkStealingFanout(benchmark::State &State) {
   // 32 tasks drained across 8 virtual processors.
+  unsigned I = 0;
   for (auto _ : State) {
     Engine E(machine(8));
     EvalResult R = E.eval(
@@ -106,6 +117,9 @@ void BM_WorkStealingFanout(benchmark::State &State) {
         "(+ a (touch (car l))))))"
         "(drain (spawn 32) 0)");
     benchmark::DoNotOptimize(R.Val.bits());
+    State.PauseTiming();
+    reportRun(E, strFormat("micro_fanout_%u", I++));
+    State.ResumeTiming();
   }
 }
 BENCHMARK(BM_WorkStealingFanout)->Unit(benchmark::kMillisecond)->Iterations(20);
@@ -123,6 +137,7 @@ void BM_GarbageCollection(benchmark::State &State) {
     EvalResult R = E.eval("(%gc)");
     benchmark::DoNotOptimize(R.Val.bits());
   }
+  reportRun(E, "micro_gc");
 }
 BENCHMARK(BM_GarbageCollection)->Unit(benchmark::kMicrosecond)->Iterations(500);
 
@@ -132,6 +147,7 @@ void BM_LazyFutureSeams(benchmark::State &State) {
     EvalResult R = E.eval("(touch (future 0))");
     benchmark::DoNotOptimize(R.Val.bits());
   }
+  reportRun(E, "micro_lazy");
 }
 BENCHMARK(BM_LazyFutureSeams)->Iterations(2000);
 

@@ -37,7 +37,10 @@ double run(const Workload &W, bool Touches, bool Optimize) {
   C.EmitTouchChecks = Touches;
   C.OptimizeTouches = Optimize;
   Engine E(C);
-  return runVirtualSeconds(E, W.Setup, W.Expr);
+  double Seconds = runVirtualSeconds(E, W.Setup, W.Expr);
+  reportRun(E, strFormat("touch_%s_%s", W.Name,
+                         !Touches ? "t3" : Optimize ? "opt" : "raw"));
+  return Seconds;
 }
 
 } // namespace

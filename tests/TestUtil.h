@@ -93,6 +93,7 @@ struct RunFingerprint {
   uint64_t GcPauseCycles;   ///< total GC pause time
   uint64_t Races;           ///< race detector verdict (0 if unarmed)
   std::string Trace;        ///< serialized event stream ("" if untraced)
+  std::string Launches;     ///< evalGroups results, one line per launch
 };
 
 /// One "name value" line per scalar field; the trace hash stands in for
@@ -110,6 +111,9 @@ inline std::string renderFields(const RunFingerprint &F) {
      << F.Collections << "\ngc-pause " << F.GcPauseCycles << "\nraces "
      << F.Races << "\ntrace " << F.Trace.size() << " chars, fnv1a64 "
      << std::hex << fnv1a64(F.Trace) << "\n";
+  // Rendered only for evalGroups runs, so eval-run pins keep their hash.
+  if (!F.Launches.empty())
+    OS << "launches\n" << F.Launches;
   return OS.str();
 }
 
@@ -134,7 +138,15 @@ struct RunOpts {
   uint64_t HeapWords = 0; ///< 0 = default size
   std::vector<std::string> Prelude; ///< forms evaluated before the program
   std::function<void(EngineConfig &)> Configure; ///< further config tweaks
+  /// When nonempty, the run is E.evalGroups(Launches) and the program
+  /// text is unused.
+  std::vector<GroupLaunch> Launches;
 };
+
+/// One evalGroups or eval result: the printed value or the error text.
+inline std::string resultText(const EvalResult &R) {
+  return R.ok() ? valueToString(R.Val) : "ERROR: " + R.Error;
+}
 
 inline RunFingerprint runOnce(const std::string &Program, const RunOpts &O) {
   EngineConfig C = config(O.Procs);
@@ -149,10 +161,12 @@ inline RunFingerprint runOnce(const std::string &Program, const RunOpts &O) {
   for (const std::string &Form : O.Prelude)
     evalOk(E, Form);
   E.resetStats();
-  EvalResult R = E.eval(Program);
-
   RunFingerprint F;
-  F.Result = R.ok() ? valueToString(R.Val) : "ERROR: " + R.Error;
+  if (O.Launches.empty())
+    F.Result = resultText(E.eval(Program));
+  else
+    for (const EvalResult &R : E.evalGroups(O.Launches))
+      F.Launches += resultText(R) + "\n";
   const EngineStats &S = E.stats();
   F.ElapsedCycles = S.ElapsedCycles;
   F.Instructions = S.Instructions;

@@ -31,9 +31,8 @@ virtual time), so any drift between commits is a real semantic or
 cost-model change, never host noise. The same holds under an armed fault
 plan: fault counts and cycles are seed-deterministic. This script:
 
-  * runs the paper-table benches plus the inlining-threshold sweep (or
-    the one bench binary named by --bench) and collects the
-    tag -> cycles map,
+  * runs every bench in BENCHES (or the one bench binary named by
+    --bench) and collects the tag -> cycles map,
   * writes it to <out-dir>/BENCH_<sha>.json for the current commit
     (not with --bench: one bench is not a commit's record),
   * optionally checks it against a golden file (--check, exit 1 on ANY
@@ -87,6 +86,10 @@ BENCHES = [
     "bench_table3_boyer_par",
     "bench_table4_apps",
     "bench_inlining_threshold",
+    "bench_touch_overhead",
+    "bench_gc_parallel",
+    "bench_dispatch",
+    "bench_micro_ops",
 ]
 
 RUN_JSON_LINE = re.compile(r"^;; run-json: (\{.*\})\s*$")
