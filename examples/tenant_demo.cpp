@@ -16,7 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Engine.h"
-#include "core/Supervisor.h"
+#include "core/Tenancy.h"
 
 #include "runtime/Printer.h"
 
@@ -66,7 +66,8 @@ std::string runScenario(unsigned Procs, bool Supervised) {
     Out += '\n';
   }
   Out += "  supervisor transcript:\n";
-  const std::vector<std::string> &T = E.supervisor().transcript();
+  const std::vector<std::string> &T =
+      E.tenancy()->supervisor().transcript();
   if (T.empty())
     Out += "    (no decisions)\n";
   for (const std::string &Line : T)

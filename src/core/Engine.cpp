@@ -8,6 +8,7 @@
 #include "core/Engine.h"
 
 #include "analysis/RaceDetect.h"
+#include "core/Tenancy.h"
 #include "lib/Prelude.h"
 #include "reader/Reader.h"
 #include "runtime/Printer.h"
@@ -95,25 +96,7 @@ Engine::Engine(const EngineConfig &Config)
   if (TelemetrySpec.empty())
     if (const char *Env = std::getenv("MULT_TELEMETRY"))
       TelemetrySpec = Env;
-  if (const char *Env = std::getenv("MULT_RECOVERY"))
-    Cfg.Recovery = !(Env[0] == '0' && Env[1] == '\0') &&
-                   std::string_view(Env) != "off";
-  if (const char *Env = std::getenv("MULT_CHECKPOINT")) {
-    // A cycle interval; 0 or "off" disarms. Malformed values are ignored.
-    std::string_view EnvS(Env);
-    if (EnvS == "off") {
-      Cfg.CheckpointEvery = 0;
-    } else {
-      char *End = nullptr;
-      unsigned long long V = std::strtoull(Env, &End, 10);
-      if (End && *End == '\0' && End != Env)
-        Cfg.CheckpointEvery = V;
-      else
-        std::fprintf(stderr, "mult: ignoring MULT_CHECKPOINT: '%s' is not a "
-                             "cycle count\n",
-                     Env);
-    }
-  }
+  Recovery::readEnvironment(Cfg);
   if (const char *Env = std::getenv("MULT_RACE"))
     Cfg.RaceDetect = !(Env[0] == '0' && Env[1] == '\0') &&
                      std::string_view(Env) != "off";
@@ -160,24 +143,7 @@ Engine::Engine(const EngineConfig &Config)
   }
   // Tenant fault domains arm after bootstrap like the fault plan, so the
   // prelude's internal groups are never metered.
-  QuotaShards.assign(Cfg.NumProcessors, {});
-  if (Cfg.GroupHeapQuotaWords || Cfg.GroupCycleBudget || Cfg.MaxLiveGroups ||
-      Cfg.MaxQueuedGroups)
-    TenantOn = true;
-  if (const char *Env = std::getenv("MULT_QUOTA")) {
-    std::string Err;
-    if (!configureQuota(Env, Err))
-      std::fprintf(stderr, "mult: ignoring MULT_QUOTA: %s\n", Err.c_str());
-  }
-  std::string SuperSpec = Config.Supervise;
-  if (SuperSpec.empty())
-    if (const char *Env = std::getenv("MULT_SUPERVISE"))
-      SuperSpec = Env;
-  if (!SuperSpec.empty()) {
-    std::string Err;
-    if (!configureSupervisor(SuperSpec, Err))
-      std::fprintf(stderr, "mult: ignoring MULT_SUPERVISE: %s\n", Err.c_str());
-  }
+  Tenancy::armFromConfig(*this);
   Telem.addHostNs(Telemetry::Phase::Setup,
                   static_cast<uint64_t>(
                       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -499,34 +465,13 @@ Object *Engine::tryAlloc(Processor &P, TypeTag Tag, uint32_t SizeWords,
     Cycles += heapcost::ChunkBump;
     return nullptr;
   }
-  // Owner tag for tenant quota accounting: stamp the allocating group into
-  // the header's spare halfword so the collector can tile live words per
-  // group exactly. Computing it is a dormant bool test when quotas are off.
-  uint16_t Aux = 0;
-  if (TenantOn && !Bootstrapping && P.current() != InvalidTask) {
-    GroupId Gid = task(P.current()).Group;
-    if (Gid != InvalidGroup && Gid < Groups.size() && !Groups[Gid].Internal &&
-        Gid + 1 <= 0xffff)
-      Aux = static_cast<uint16_t>(Gid + 1);
-  }
+  // The tenant layer's owner tag and charge; a null test when dormant.
+  uint16_t Owner = Ten ? Ten->allocOwner(P) : 0;
   Heap::AllocResult R =
-      TheHeap.allocate(P.Id, P.Clock, Tag, SizeWords, Flags, Aux);
+      TheHeap.allocate(P.Id, P.Clock, Tag, SizeWords, Flags, Owner);
   Cycles += R.Cycles;
-  if (Aux && R.Obj) {
-    // Perfbook-style sharded charge: a private per-processor counter bump
-    // on the hot path, flushed to the group at a coarse threshold and
-    // exact-merged from the survivor tally at every collection.
-    std::vector<uint64_t> &Shard = QuotaShards[P.Id];
-    if (Shard.size() < Groups.size())
-      Shard.resize(Groups.size(), 0);
-    uint64_t &S = Shard[Aux - 1];
-    S += R.Obj->totalWords();
-    constexpr uint64_t kQuotaShardFlush = 1024;
-    if (S >= kQuotaShardFlush) {
-      Groups[Aux - 1].AllocWords += S;
-      S = 0;
-    }
-  }
+  if (Owner && R.Obj)
+    Ten->chargeAlloc(P.Id, Owner, R.Obj->totalWords());
   return R.Obj;
 }
 
@@ -567,60 +512,11 @@ bool Engine::collectGarbage() {
         TheTracer.record(TraceEventKind::GcEnd, I, Clocks[I]);
       }
     }
-    if (TenantOn) {
-      // Exact merge of the quota accounts: the survivor tally replaces
-      // the allocation-charged upper bound (whatever was charged since
-      // the last collection either got copied — and tallied — or was
-      // garbage), so a group is only ever stopped for words it truly
-      // holds live.
-      for (size_t I = 0; I < Groups.size(); ++I) {
-        Group &G = Groups[I];
-        G.LiveWords = I < LiveTally.size() ? LiveTally[I] : 0;
-        G.AllocWords = 0;
-        if (!G.HeapQuotaWords || G.LiveWords <= G.HeapQuotaWords)
-          G.QuotaGraceUsed = false;
-      }
-      for (std::vector<uint64_t> &Shard : QuotaShards)
-        std::fill(Shard.begin(), Shard.end(), 0);
-    }
-    // Proc-kills that fired inside the collection (pollGcKill): the
-    // collector already finished the victims' copy work on survivors;
-    // with the heap whole again, perform the machine-level fail-stop and
-    // the usual recovery. The victims' scanned tasks survived the
-    // collection, so restore/re-spawn sees fresh to-space state.
-    if (!PendingGcKills.empty()) {
-      std::vector<PendingGcKill> Kills;
-      Kills.swap(PendingGcKills);
-      for (const PendingGcKill &K : Kills)
-        if (!TheMachine.processor(K.Victim).Dead)
-          TheMachine.failStop(*this, K.Victim, K.Mark, true);
-    }
-  } else {
-    PendingGcKills.clear();
+    if (Ten)
+      Ten->commitTally();
   }
+  Recov.finishGcKills(Ok);
   return Ok;
-}
-
-bool Engine::pollGcKill(uint64_t Clock, unsigned &Victim) {
-  // Fault marks are run-relative; a collection triggered outside a run
-  // (allocOrGc from a setup path) has no run clock to poll against.
-  if (!Injector.armed() || !TheMachine.inRun())
-    return false;
-  uint64_t Start = TheMachine.runStartClock();
-  FaultMark M;
-  if (!Injector.takeMark(FaultClause::ProcKills,
-                         Clock > Start ? Clock - Start : 0, M))
-    return false;
-  // The machine's quantum-poll guards, counting the kills already pending
-  // in this collection; a victim doomed twice dies once.
-  for (const PendingGcKill &K : PendingGcKills)
-    if (K.Victim == M.Target)
-      return false;
-  if (TheMachine.killIsNoop(M.Target, unsigned(PendingGcKills.size())))
-    return false;
-  PendingGcKills.push_back({M.Target, M.At});
-  Victim = M.Target;
-  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -648,14 +544,13 @@ unsigned Engine::numRootSegments() {
   CurrentPlan.TaskSegs =
       static_cast<unsigned>(std::clamp<size_t>(TaskN / 16, 1, 128));
   // A fresh live-words tally per collection (committed by collectGarbage).
-  if (TenantOn)
-    LiveTally.assign(Groups.size(), 0);
+  if (Ten)
+    Ten->beginTally();
   return CurrentPlan.StaticSegs + CurrentPlan.TaskSegs + 1;
 }
 
 void Engine::noteLiveObject(uint16_t Aux, uint32_t TotalWords) {
-  if (Aux && size_t(Aux - 1) < LiveTally.size())
-    LiveTally[Aux - 1] += TotalWords;
+  Ten->noteLive(Aux, TotalWords);
 }
 
 void Engine::scanTask(Task &T, const RootVisitor &Visit) {
@@ -766,8 +661,8 @@ void Engine::stopGroup(Processor &P, Task &T, std::string Condition,
   // acts on (restart/give-up/escalate). Only on the Running -> Stopped
   // transition — a sibling orphan joining an already-stopped group is not
   // a second edge.
-  if (MultiOn && Edge)
-    onGroupTerminated(P.Id, P.Clock, G.Id);
+  if (Ten && Edge)
+    Ten->onGroupTerminated(P.Id, P.Clock, G.Id);
 }
 
 void Engine::stopGroupRestartable(Processor &P, Task &T,
@@ -810,19 +705,7 @@ EvalResult Engine::resumeGroup(GroupId Id, Value ResumeValue) {
     Processor &Home = TheMachine.homeFor(T->LastProc);
     Home.Queues.pushSuspended(T->Id, Home.Clock);
   }
-  for (TaskId Parked : G->Parked) {
-    if (Task *T = liveTask(Parked); T && T->State == TaskState::Stopped) {
-      T->State = TaskState::Ready;
-      Processor &Home = TheMachine.homeFor(T->LastProc);
-      Home.Queues.pushSuspended(T->Id, Home.Clock);
-    }
-  }
-  G->Parked.clear();
-  G->State = GroupState::Running;
-  StoppedStack.erase(
-      std::remove(StoppedStack.begin(), StoppedStack.end(), Id),
-      StoppedStack.end());
-
+  requeueParked(*G);
   beginRun(G->RootFuture, Id);
   RunResult RR = TheMachine.run(*this);
   return translateRunResult(RR, Id);
@@ -850,892 +733,34 @@ void Engine::killGroup(GroupId Id) {
   StoppedStack.erase(
       std::remove(StoppedStack.begin(), StoppedStack.end(), Id),
       StoppedStack.end());
-  if (MultiOn) {
-    uint64_t Clock = 0;
-    for (unsigned P = 0; P < TheMachine.numProcessors(); ++P)
-      Clock = std::max(Clock, TheMachine.processor(P).Clock);
-    onGroupTerminated(0, Clock, Id);
+  if (Ten) { // a termination edge at the machine's latest clock
+    std::vector<uint64_t> Clocks = TheMachine.clocks();
+    Ten->onGroupTerminated(0, *std::max_element(Clocks.begin(), Clocks.end()),
+                           Id);
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Tenant fault domains: quotas, supervision, admission control
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-std::string_view trimSpec(std::string_view S) {
-  while (!S.empty() && (S.front() == ' ' || S.front() == '\t'))
-    S.remove_prefix(1);
-  while (!S.empty() && (S.back() == ' ' || S.back() == '\t'))
-    S.remove_suffix(1);
-  return S;
-}
-
-bool parseSpecU64(std::string_view S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = uint64_t(C - '0');
-    if (V > (~0ull - Digit) / 10)
-      return false;
-    V = V * 10 + Digit;
-  }
-  Out = V;
-  return true;
-}
-
-} // namespace
-
-bool Engine::configureQuota(std::string_view Spec, std::string &Err) {
-  std::string_view S = trimSpec(Spec);
-  if (S == "off") {
-    Cfg.GroupHeapQuotaWords = 0;
-    Cfg.GroupCycleBudget = 0;
-    Cfg.MaxLiveGroups = 0;
-    Cfg.MaxQueuedGroups = 0;
-    refreshTenantArmed();
-    return true;
-  }
-  uint64_t HeapQ = Cfg.GroupHeapQuotaWords;
-  uint64_t CycleB = Cfg.GroupCycleBudget;
-  uint64_t Live = Cfg.MaxLiveGroups;
-  uint64_t Queued = Cfg.MaxQueuedGroups;
-  bool Any = false;
-  size_t Pos = 0;
-  while (Pos <= S.size()) {
-    size_t Next = S.find_first_of(";,", Pos);
-    std::string_view C = trimSpec(
-        Next == std::string_view::npos ? S.substr(Pos)
-                                       : S.substr(Pos, Next - Pos));
-    if (!C.empty()) {
-      size_t Eq = C.find('=');
-      uint64_t V = 0;
-      bool Ok = Eq != std::string_view::npos &&
-                parseSpecU64(trimSpec(C.substr(Eq + 1)), V);
-      std::string_view Key =
-          Eq == std::string_view::npos ? C : trimSpec(C.substr(0, Eq));
-      if (Ok && Key == "heap") {
-        HeapQ = V;
-      } else if (Ok && Key == "cycles") {
-        CycleB = V;
-      } else if (Ok && Key == "live" && V <= 100000) {
-        Live = V;
-      } else if (Ok && Key == "queue" && V <= 100000) {
-        Queued = V;
-      } else {
-        Err = strFormat("bad quota clause '%.*s' (want heap=WORDS, "
-                        "cycles=N, live=N, queue=N, or off)",
-                        int(C.size()), C.data());
-        return false;
-      }
-      Any = true;
-    }
-    if (Next == std::string_view::npos)
-      break;
-    Pos = Next + 1;
-  }
-  if (!Any) {
-    Err = "empty quota spec";
-    return false;
-  }
-  Cfg.GroupHeapQuotaWords = HeapQ;
-  Cfg.GroupCycleBudget = CycleB;
-  Cfg.MaxLiveGroups = unsigned(Live);
-  Cfg.MaxQueuedGroups = unsigned(Queued);
-  TenantOn = true;
-  return true;
-}
-
-bool Engine::configureSupervisor(std::string_view Spec, std::string &Err) {
-  std::string_view S = trimSpec(Spec);
-  if (S == "off") {
-    SuperviseOn = false;
-    refreshTenantArmed();
-    return true;
-  }
-  Supervisor::Policy Pol;
-  if (!Supervisor::parsePolicy(S, Pol, Err))
-    return false;
-  Super.setDefaultPolicy(Pol);
-  SuperviseOn = true;
-  TenantOn = true;
-  return true;
-}
-
-void Engine::refreshTenantArmed() {
-  TenantOn = SuperviseOn || Cfg.GroupHeapQuotaWords || Cfg.GroupCycleBudget ||
-             Cfg.MaxLiveGroups || Cfg.MaxQueuedGroups;
-}
-
-void Engine::applyTenantDefaults(Group &G) {
-  if (!TenantOn || G.Internal)
-    return;
-  G.HeapQuotaWords = Cfg.GroupHeapQuotaWords;
-  G.CycleBudget = Cfg.GroupCycleBudget;
-}
-
-uint64_t Engine::groupHeapAccount(GroupId Id) const {
-  if (Id >= Groups.size())
-    return 0;
-  const Group &G = Groups[Id];
-  uint64_t Acct = G.LiveWords + G.AllocWords;
-  for (const std::vector<uint64_t> &Shard : QuotaShards)
-    if (Id < Shard.size())
-      Acct += Shard[Id];
-  return Acct;
-}
-
-void Engine::chargeGroupCycles(const Task &T, uint64_t BusyDelta) {
-  if (T.Group == InvalidGroup || T.Group >= Groups.size())
-    return;
-  Group &G = Groups[T.Group];
-  if (!G.Internal)
-    G.CyclesUsed += BusyDelta;
-}
-
-bool Engine::pollTenant(Processor &P, Task &T) {
-  if (T.Group == InvalidGroup || T.Group >= Groups.size())
-    return false;
-  Group &G = Groups[T.Group];
-  if (G.Internal || G.State != GroupState::Running)
-    return false;
-  if (G.CycleBudget && G.CyclesUsed > G.CycleBudget) {
-    ++Stats.BudgetStops;
-    if (TheTracer.enabled())
-      TheTracer.record(TraceEventKind::GroupBudgetStop, P.Id, P.Clock, G.Id,
-                       G.CyclesUsed, G.CycleBudget);
-    stopGroupRestartable(
-        P, T,
-        strFormat("group-cycle-budget: group %u (\"%s\") used %llu of %llu "
-                  "budgeted cycles",
-                  G.Id, G.Banner.c_str(), (unsigned long long)G.CyclesUsed,
-                  (unsigned long long)G.CycleBudget));
-    return true;
-  }
-  if (!G.HeapQuotaWords)
-    return false;
-  uint64_t Acct = groupHeapAccount(G.Id);
-  if (Acct <= G.HeapQuotaWords)
-    return false;
-  if (!G.QuotaGraceUsed) {
-    // The account is allocation-charged, an upper bound on live: grant one
-    // free collection so garbage never trips a quota. The merge makes the
-    // account exact; only truly held words are judged below.
-    G.QuotaGraceUsed = true;
-    ++Stats.QuotaGraceGcs;
-    if (collectGarbage()) {
-      Acct = groupHeapAccount(G.Id);
-      if (Acct <= G.HeapQuotaWords)
-        return false; // garbage, not live data: the merge cleared the flag
-      G.QuotaGraceUsed = true;
-    }
-    // A wedged collector cannot refine the account; judge it as it stands.
-  }
-  ++Stats.QuotaStops;
-  if (TheTracer.enabled())
-    TheTracer.record(TraceEventKind::GroupQuotaStop, P.Id, P.Clock, G.Id,
-                     Acct, G.HeapQuotaWords);
-  stopGroupRestartable(
-      P, T,
-      strFormat("group-heap-quota: group %u (\"%s\") holds ~%llu live words "
-                "of %llu quota",
-                G.Id, G.Banner.c_str(), (unsigned long long)Acct,
-                (unsigned long long)G.HeapQuotaWords));
-  return true;
-}
-
-void Engine::onGroupTerminated(unsigned ProcId, uint64_t Clock, GroupId Gid) {
-  TenantLaunch *L = nullptr;
-  for (TenantLaunch &Cand : MLaunches)
-    if (Cand.Gid == Gid) {
-      L = &Cand;
-      break;
-    }
-  if (!L || L->Terminal)
-    return;
-  // The multi-run "root" resolves when the last launch terminates; keep
-  // its clock current so ElapsedCycles measures to the final event.
-  RootClock = std::max(RootClock, Clock);
-  Group &G = Groups[Gid];
-  if (G.State == GroupState::Stopped && SuperviseOn) {
-    switch (Super.onGroupStopped(Gid, Clock, G.Banner, G.Condition)) {
-    case Supervisor::Verdict::RestartScheduled:
-      return; // not terminal: the launch stays outstanding until it fires
-    case Supervisor::Verdict::GaveUp:
-      G.Condition = "supervisor-gave-up: " + G.Condition;
-      ++Stats.SupervisorGaveUp;
-      if (TheTracer.enabled())
-        TheTracer.record(TraceEventKind::SupervisorGaveUp, ProcId, Clock,
-                         Gid, Super.restartsTaken(Gid), 0);
-      break;
-    case Supervisor::Verdict::Escalate:
-      ++Stats.SupervisorEscalations;
-      MEscalated = true;
-      break;
-    case Supervisor::Verdict::LeaveStopped:
-      break;
-    }
-  }
-  finalizeLaunch(Gid);
-}
-
-void Engine::finalizeLaunch(GroupId Gid) {
-  for (TenantLaunch &L : MLaunches) {
-    if (L.Gid != Gid || L.Terminal)
-      continue;
-    L.Terminal = true;
-    if (L.Admitted && MLive)
-      --MLive;
-    if (MOutstanding)
-      --MOutstanding;
-    drainAdmissions();
-    return;
-  }
-}
-
-void Engine::drainAdmissions() {
-  // Admitting a queued launch is one queue push — the task, group and
-  // future were all created at evalGroups time, so this never allocates
-  // no matter how deep in the scheduler the freed slot appeared.
-  while (MQueueHead < MQueue.size() &&
-         (Cfg.MaxLiveGroups == 0 || MLive < Cfg.MaxLiveGroups)) {
-    TenantLaunch &L = MLaunches[MQueue[MQueueHead++]];
-    if (L.Terminal)
-      continue;
-    Task *T = liveTask(L.Root);
-    if (!T) {
-      L.Terminal = true;
-      if (MOutstanding)
-        --MOutstanding;
-      continue;
-    }
-    L.Admitted = true;
-    ++MLive;
-    ++Stats.GroupsAdmitted;
-    Processor &Home = TheMachine.homeFor(T->LastProc);
-    Home.Queues.pushNew(L.Root, Home.Clock);
-    uint64_t Wait = Home.Clock > L.EnqueuedAt ? Home.Clock - L.EnqueuedAt : 0;
-    Telem.record(TelemIds.AdmissionWait, Home.Id, Wait);
-    Super.note(strFormat("admit: group %u \"%s\" from queue", L.Gid,
-                         Groups[L.Gid].Banner.c_str()));
-    if (TheTracer.enabled())
-      TheTracer.record(TraceEventKind::GroupAdmitted, Home.Id, Home.Clock,
-                       L.Gid, Wait, 0);
-  }
-}
-
-unsigned Engine::liveTenantGroups() const {
-  unsigned N = 0;
-  for (const Group &G : Groups)
-    if (!G.Internal && G.State == GroupState::Running)
-      ++N;
-  return N;
-}
-
-void Engine::supervisorTick(Processor &P) {
-  if (!SuperviseOn || !MultiOn)
-    return;
-  GroupId Gid;
-  unsigned Attempt;
-  uint64_t StopClock;
-  while (Super.takeDue(P.Clock, Gid, Attempt, StopClock)) {
-    if (Gid >= Groups.size() || Groups[Gid].State != GroupState::Stopped)
-      continue; // shed, killed or resumed since the stop: the event is moot
-    if (supervisorRestartGroup(P, Gid)) {
-      ++Stats.SupervisorRestarts;
-      Telem.record(TelemIds.RestartLatency, P.Id,
-                   P.Clock > StopClock ? P.Clock - StopClock : 0);
-      if (TheTracer.enabled())
-        TheTracer.record(TraceEventKind::SupervisorRestart, P.Id, P.Clock,
-                         Gid, Attempt, 0);
-    } else {
-      Group &G = Groups[Gid];
-      Super.note(strFormat("gave-up: group %u \"%s\" (no restartable state)",
-                           Gid, G.Banner.c_str()));
-      G.Condition =
-          "supervisor-gave-up: no restartable state (" + G.Condition + ")";
-      ++Stats.SupervisorGaveUp;
-      if (TheTracer.enabled())
-        TheTracer.record(TraceEventKind::SupervisorGaveUp, P.Id, P.Clock,
-                         Gid, Attempt, 0);
-      RootClock = std::max(RootClock, P.Clock);
-      finalizeLaunch(Gid);
-    }
-  }
-}
-
-bool Engine::nextSupervisorEvent(uint64_t &Due) const {
-  if (!SuperviseOn || !MultiOn)
-    return false;
-  return Super.nextEventClock(Due);
-}
-
-bool Engine::supervisorRestartGroup(Processor &P, GroupId Gid) {
-  Group &G = Groups[Gid];
-  Task *T = liveTask(G.CurrentTask);
-  if (!T || T->State != TaskState::Stopped)
-    return false;
-  Processor &Home = TheMachine.homeFor(T->LastProc);
-  if (T->StopRestartable) {
-    // The faulting instruction never executed (quota/budget stops always
-    // land here): make the task runnable again at the same pc.
-    T->StopRestartable = false;
-    T->State = TaskState::Ready;
-    Home.Queues.pushSuspended(T->Id, Home.Clock);
-  } else {
-    auto It = G.Checkpoints.find(taskIndex(T->Id));
-    if (It == G.Checkpoints.end() || It->second.Epoch != T->SideEffectEpoch)
-      return false;
-    // Restore from the newest epoch-valid checkpoint record, exactly as
-    // fail-stop recovery does. The record stays in place: a second
-    // restart before the next capture re-restores the same snapshot.
-    const CheckpointRecord &R = It->second;
-    uint64_t LostDelta = T->SinceCheckpoint;
-    T->State = TaskState::Ready;
-    T->LastProc = Home.Id;
-    T->Stack = R.Stack;
-    T->Frames = R.Frames;
-    T->CurCode = R.CurCode;
-    T->Pc = R.Pc;
-    T->DynEnv = R.DynEnv;
-    T->BlockedOn = Value::nil();
-    T->HasWakeAction = false;
-    T->WakePop = 0;
-    T->WakeValue = Value::nil();
-    T->StopCondition.clear();
-    T->StopPop = 0;
-    T->StopRestartable = false;
-    T->UnstolenSeams = 0;
-    T->BaseFrame = 0;
-    T->SemaphoresHeld = R.SemaphoresHeld;
-    T->DidIo = R.DidIo;
-    T->SinceCheckpoint = 0;
-    T->RecoveryCharged = 0;
-    T->RecoveryBudget = LostDelta;
-    T->Recovered = LostDelta > 0;
-    Home.Queues.pushNew(T->Id, Home.Clock);
-    ++Stats.TasksRestored;
-    if (TheTracer.enabled())
-      TheTracer.record(TraceEventKind::TaskRestored, P.Id, P.Clock, T->Id,
-                       Home.Id, Gid);
-  }
+void Engine::requeueParked(Group &G) {
   for (TaskId Parked : G.Parked) {
-    if (Task *PT = liveTask(Parked); PT && PT->State == TaskState::Stopped) {
-      PT->State = TaskState::Ready;
-      Processor &PHome = TheMachine.homeFor(PT->LastProc);
-      PHome.Queues.pushSuspended(PT->Id, PHome.Clock);
+    if (Task *T = liveTask(Parked); T && T->State == TaskState::Stopped) {
+      T->State = TaskState::Ready;
+      Processor &Home = TheMachine.homeFor(T->LastProc);
+      Home.Queues.pushSuspended(T->Id, Home.Clock);
     }
   }
   G.Parked.clear();
   G.State = GroupState::Running;
-  G.Condition.clear();
-  // A restart opens a fresh envelope: the cycle budget and the quota
-  // grace collection both reset. The heap account does not — live words
-  // are facts, and a group restarted over quota will trip again (and
-  // eventually exhaust its restarts) unless it frees memory.
-  G.CyclesUsed = 0;
-  G.QuotaGraceUsed = false;
   StoppedStack.erase(
-      std::remove(StoppedStack.begin(), StoppedStack.end(), Gid),
+      std::remove(StoppedStack.begin(), StoppedStack.end(), G.Id),
       StoppedStack.end());
-  return true;
 }
 
-void Engine::applyQuotaSqueeze(Processor &P, unsigned Gid) {
-  // A plan's group id is authored against one program; when it names no
-  // live user group (REPL group ids drift with the prelude), fall back to
-  // the lowest-id running user group so the clause still bites — the
-  // choice is a pure function of group state at the clause's mark, so
-  // replays stay bit-identical.
-  if (Gid >= Groups.size() || Groups[Gid].Internal ||
-      (Groups[Gid].State != GroupState::Running &&
-       Groups[Gid].State != GroupState::Stopped)) {
-    Gid = InvalidGroup;
-    for (GroupId I = 0; I < Groups.size(); ++I)
-      if (!Groups[I].Internal && Groups[I].State == GroupState::Running) {
-        Gid = I;
-        break;
-      }
-    if (Gid == InvalidGroup)
-      return;
-  }
-  TenantOn = true;
-  Group &G = Groups[Gid];
-  uint64_t Acct = groupHeapAccount(Gid);
-  G.HeapQuotaWords = std::max<uint64_t>(64, Acct / 2);
-  G.QuotaGraceUsed = false;
-  Super.note(strFormat("squeeze: group %u quota clamped to %llu words", Gid,
-                       (unsigned long long)G.HeapQuotaWords));
-  (void)P;
+bool Engine::configureQuota(std::string_view Spec, std::string &Err) {
+  return Tenancy::configureQuota(*this, Spec, Err);
 }
 
-void Engine::admitSyntheticBurst(Processor &P, unsigned N) {
-  TenantOn = true;
-  unsigned AdmittedHere = 0;
-  unsigned QueuedHere = 0;
-  size_t QueueDepth = MQueue.size() - MQueueHead;
-  for (unsigned I = 0; I < N; ++I) {
-    // Earlier probes of the same burst occupy gate slots: the burst
-    // models N launches arriving at once, not N independent singletons.
-    unsigned Live = (MultiOn ? MLive : liveTenantGroups()) + AdmittedHere;
-    if (Cfg.MaxLiveGroups == 0 || Live < Cfg.MaxLiveGroups)
-      ++AdmittedHere, ++Stats.GroupsAdmitted;
-    else if (QueueDepth + QueuedHere < Cfg.MaxQueuedGroups) {
-      ++QueuedHere;
-      ++Stats.GroupsQueued;
-    } else {
-      ++Stats.GroupsRejected;
-    }
-  }
-  (void)P;
-}
-
-GroupId Engine::shedForPressure(Processor &P) {
-  if (!MultiOn)
-    return InvalidGroup;
-  // Victim order: lowest priority first, then largest account, then
-  // lowest group id — fully deterministic. Only quota-violating launches
-  // are eligible; a group within its envelope is never shed.
-  GroupId Victim = InvalidGroup;
-  uint64_t VictimAcct = 0;
-  int VictimPrio = 0;
-  for (const TenantLaunch &L : MLaunches) {
-    // A stopped one-shot launch is Terminal but still holds its heap
-    // until killed or resumed — exactly the memory a shed must reclaim.
-    // The state check below excludes Done/Killed groups.
-    if (!L.Admitted || L.Gid == InvalidGroup)
-      continue;
-    Group &G = Groups[L.Gid];
-    if (G.State != GroupState::Running && G.State != GroupState::Stopped)
-      continue;
-    if (!G.HeapQuotaWords)
-      continue;
-    uint64_t Acct = groupHeapAccount(L.Gid);
-    if (Acct <= G.HeapQuotaWords)
-      continue;
-    bool Better = Victim == InvalidGroup || G.Priority < VictimPrio ||
-                  (G.Priority == VictimPrio && Acct > VictimAcct);
-    if (Better) {
-      Victim = L.Gid;
-      VictimAcct = Acct;
-      VictimPrio = G.Priority;
-    }
-  }
-  if (Victim == InvalidGroup)
-    return InvalidGroup;
-  Group &G = Groups[Victim];
-  ++Stats.GroupsShed;
-  G.Condition = strFormat(
-      "group-shed: over heap quota (~%llu of %llu words) under global "
-      "memory pressure",
-      (unsigned long long)VictimAcct, (unsigned long long)G.HeapQuotaWords);
-  Super.note(strFormat("shed: group %u \"%s\" priority %d", Victim,
-                       G.Banner.c_str(), G.Priority));
-  if (TheTracer.enabled())
-    TheTracer.record(TraceEventKind::GroupShed, P.Id, P.Clock, Victim,
-                     VictimAcct, uint64_t(G.Priority));
-  killGroup(Victim); // finalizes the launch via the MultiOn hook
-  return Victim;
-}
-
-GroupId Engine::largestHeapGroup(uint64_t &Words) const {
-  Words = 0;
-  GroupId Best = InvalidGroup;
-  for (const Group &G : Groups) {
-    if (G.Internal)
-      continue;
-    if (G.State != GroupState::Running && G.State != GroupState::Stopped)
-      continue;
-    uint64_t Acct = groupHeapAccount(G.Id);
-    if (Acct > Words) {
-      Words = Acct;
-      Best = G.Id;
-    }
-  }
-  return Best;
-}
-
-bool Engine::noteGroupRootResolved(Object *Fut, uint64_t Clock) {
-  for (TenantLaunch &L : MLaunches) {
-    if (L.Terminal || L.Gid == InvalidGroup)
-      continue;
-    Group &G = Groups[L.Gid];
-    if (!G.RootFuture.isFuture() || G.RootFuture.pointee() != Fut)
-      continue;
-    G.State = GroupState::Done;
-    Super.note(strFormat("done: group %u \"%s\"", L.Gid, G.Banner.c_str()));
-    L.Terminal = true;
-    if (L.Admitted && MLive)
-      --MLive;
-    if (MOutstanding)
-      --MOutstanding;
-    RootClock = std::max(RootClock, Clock);
-    drainAdmissions();
-    return true;
-  }
-  return false;
-}
-
-//===----------------------------------------------------------------------===//
-// Fail-stop recovery
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Why a lost task cannot be re-executed from its spawn lineage. The
-/// numeric values are the TaskOrphaned trace event's B payload.
-enum class OrphanReason : unsigned {
-  Recoverable = 0,
-  NoLineage = 1,     ///< seam-split continuation: no spawn closure exists
-  SemaphoreHeld = 2, ///< exclusion already observed by other tasks
-  SeamObserved = 3,  ///< a thief split this task's stack; re-running
-                     ///< would recompute frames the thief now owns
-  DidIo = 4,         ///< output already reached the console
-  Disabled = 5,      ///< EngineConfig::Recovery is off
-};
-
-const char *orphanReasonName(OrphanReason R) {
-  switch (R) {
-  case OrphanReason::Recoverable:
-    return "recoverable";
-  case OrphanReason::NoLineage:
-    return "no spawn lineage";
-  case OrphanReason::SemaphoreHeld:
-    return "holds a semaphore";
-  case OrphanReason::SeamObserved:
-    return "stack split by a seam steal";
-  case OrphanReason::DidIo:
-    return "performed I/O";
-  case OrphanReason::Disabled:
-    return "recovery disabled";
-  }
-  return "?";
-}
-
-} // namespace
-
-void Engine::recoverProcessor(Processor &P, Processor &Dead,
-                              uint64_t DoomClock) {
-  ++Stats.ProcsKilled;
-
-  // Everything the processor took down with it: the task it was running
-  // plus its queued backlog. The drain itself costs no virtual time —
-  // recovery is scheduler firmware, not program work; the price the
-  // program pays is the re-executed cycles, charged as the re-spawned
-  // tasks run (EngineStats::RecoveryCycles).
-  std::vector<TaskId> Lost;
-  if (Dead.current() != InvalidTask) {
-    Lost.push_back(Dead.current());
-    Dead.setCurrent(InvalidTask);
-  }
-  uint64_t Scratch = 0;
-  for (TaskId T; (T = Dead.Queues.popNew(Dead.Clock, Scratch)) != InvalidTask;)
-    Lost.push_back(T);
-
-  // The suspended queue splits in two. Entries that arrived *before* the
-  // kill mark are genuine lost backlog. Entries at or after the mark are
-  // post-mortem wakes: the kill is polled at quantum granularity, so
-  // another processor can run past the mark and wake a task here (via
-  // Machine::homeFor, which still saw this processor alive) before the
-  // poll fires. Those tasks were never really on the dead processor —
-  // their wake state (HasWakeAction, SemaphoresHeld from a semaphore
-  // handoff) is intact and must not be re-spawned from lineage (double
-  // execution) or orphaned (a spurious semaphore-held group stop); they
-  // are redirected to the nearest survivor unchanged.
-  std::vector<std::pair<TaskId, uint64_t>> PostMortemWakes;
-  for (const auto &[T, Arrived] : Dead.Queues.drainSuspendedArrivals()) {
-    if (Arrived >= DoomClock)
-      PostMortemWakes.emplace_back(T, Arrived);
-    else
-      Lost.push_back(T);
-  }
-  for (const auto &[Id, Arrived] : PostMortemWakes) {
-    Task *T = liveTask(Id);
-    if (!T)
-      continue;
-    Group &G = group(T->Group);
-    if (G.State == GroupState::Killed) {
-      if (TheTracer.enabled())
-        TheTracer.record(TraceEventKind::TaskDropped, P.Id, P.Clock, T->Id);
-      finishTask(*T);
-      continue;
-    }
-    if (G.State == GroupState::Stopped) {
-      T->State = TaskState::Stopped;
-      G.Parked.push_back(T->Id);
-      if (TheTracer.enabled())
-        TheTracer.record(TraceEventKind::TaskParked, P.Id, P.Clock, T->Id);
-      continue;
-    }
-    Processor &Home = TheMachine.homeFor(Dead.Id);
-    T->LastProc = Home.Id;
-    Home.Queues.pushSuspended(Id, Arrived);
-    ++Stats.WakesRedirected;
-  }
-
-  if (TheTracer.enabled())
-    TheTracer.record(TraceEventKind::ProcKilled, P.Id, P.Clock, Dead.Id,
-                     Lost.size(), Stats.ProcsKilled);
-
-  // Classify. A lost task is re-executable exactly when it still has its
-  // spawn lineage and no other task can have observed anything it did:
-  // plain memory writes are idempotent under the deterministic schedule
-  // (re-running stores the same values), but a held semaphore, a seam
-  // split (a thief owns part of the stack) or console output is an
-  // observation that re-execution would double (see DESIGN.md).
-  struct RecoverItem {
-    Task *T;
-    const CheckpointRecord *CP; ///< null = lineage re-spawn from scratch
-  };
-  std::vector<RecoverItem> Recover;
-  std::vector<std::pair<Task *, OrphanReason>> Orphans;
-  for (TaskId Id : Lost) {
-    Task *T = liveTask(Id);
-    if (!T)
-      continue; // stale id; vetting would have dropped it on dispatch
-    Group &G = group(T->Group);
-    if (G.State == GroupState::Killed) {
-      if (TheTracer.enabled())
-        TheTracer.record(TraceEventKind::TaskDropped, P.Id, P.Clock, T->Id);
-      finishTask(*T);
-      continue;
-    }
-    if (G.State == GroupState::Stopped) {
-      // The group is already in the breakloop; park the task so a resume
-      // re-enqueues it like any other sibling.
-      T->State = TaskState::Stopped;
-      G.Parked.push_back(T->Id);
-      if (TheTracer.enabled())
-        TheTracer.record(TraceEventKind::TaskParked, P.Id, P.Clock, T->Id);
-      continue;
-    }
-    // Checkpointed recovery: a record whose side-effect epoch still
-    // matches the task's (nothing observable happened since capture)
-    // resumes the task from the snapshot. That trumps spawn-replay (only
-    // the capture-to-kill delta is re-executed) *and* most orphan
-    // reasons: the held semaphores, I/O, or missing lineage the orphan
-    // rules fear date from before the capture, are baked into the
-    // snapshot, and are never re-executed.
-    if (Cfg.Recovery && Cfg.CheckpointEvery) {
-      auto It = G.Checkpoints.find(taskIndex(T->Id));
-      if (It != G.Checkpoints.end() &&
-          It->second.Epoch == T->SideEffectEpoch) {
-        Recover.push_back({T, &It->second});
-        continue;
-      }
-    }
-    OrphanReason Why = OrphanReason::Recoverable;
-    if (!Cfg.Recovery)
-      Why = OrphanReason::Disabled;
-    else if (!T->SpawnClosure.isObject())
-      Why = OrphanReason::NoLineage;
-    else if (T->SemaphoresHeld > 0)
-      Why = OrphanReason::SemaphoreHeld;
-    else if (T->BaseFrame > 0)
-      Why = OrphanReason::SeamObserved;
-    else if (T->DidIo)
-      Why = OrphanReason::DidIo;
-    if (Why == OrphanReason::Recoverable)
-      Recover.push_back({T, nullptr});
-    else
-      Orphans.emplace_back(T, Why);
-  }
-
-  // Re-spawn the recoverable tasks round-robin over the survivors,
-  // starting after the dead processor so the load spreads the same way
-  // every replay. initForThunk on the existing task keeps its id, group
-  // and result future, so tasks blocked on it resolve as if nothing
-  // happened — only the cycles are paid twice.
-  unsigned N = TheMachine.numProcessors();
-  unsigned Next = Dead.Id;
-  for (const RecoverItem &Item : Recover) {
-    Task *T = Item.T;
-    do
-      Next = (Next + 1) % N;
-    while (TheMachine.processor(Next).Dead);
-    Processor &Home = TheMachine.processor(Next);
-    if (Item.CP) {
-      // Resume from the snapshot. Only the busy cycles since the capture
-      // were lost, so the recovery charge is budgeted to that delta —
-      // which the capture policy bounds by CheckpointEvery + one quantum.
-      const CheckpointRecord &R = *Item.CP;
-      uint64_t LostDelta = T->SinceCheckpoint;
-      T->State = TaskState::Ready;
-      T->LastProc = Home.Id;
-      T->Stack = R.Stack;
-      T->Frames = R.Frames;
-      T->CurCode = R.CurCode;
-      T->Pc = R.Pc;
-      T->DynEnv = R.DynEnv;
-      T->BlockedOn = Value::nil();
-      T->HasWakeAction = false;
-      T->WakePop = 0;
-      T->WakeValue = Value::nil();
-      T->StopCondition.clear();
-      T->StopPop = 0;
-      T->StopRestartable = false;
-      T->UnstolenSeams = 0; // capture eligibility guarantees none
-      T->BaseFrame = 0;
-      T->SemaphoresHeld = R.SemaphoresHeld;
-      T->DidIo = R.DidIo;
-      T->SinceCheckpoint = 0;
-      T->RecoveryCharged = 0;
-      T->RecoveryBudget = LostDelta;
-      T->Recovered = LostDelta > 0;
-      Home.Queues.pushNew(T->Id, Home.Clock);
-      ++Stats.TasksRestored;
-      if (TheTracer.enabled())
-        TheTracer.record(TraceEventKind::TaskRestored, P.Id, P.Clock, T->Id,
-                         Home.Id, Dead.Id);
-      continue;
-    }
-    T->initForThunk(T->Id, T->Group, T->SpawnClosure, T->ResultFuture,
-                    T->SpawnDynEnv, Home.Id);
-    T->Recovered = true;
-    Home.Queues.pushNew(T->Id, Home.Clock);
-    ++Stats.TasksRecovered;
-    if (TheTracer.enabled())
-      TheTracer.record(TraceEventKind::TaskRecovered, P.Id, P.Clock, T->Id,
-                       Home.Id, Dead.Id);
-  }
-
-  // Unrecoverable tasks stop their group with a breakloop-inspectable
-  // condition naming every orphaned future, mirroring the heap-exhausted
-  // degradation. The simulator still holds the orphans' state, so the
-  // stop is restartable: resume deliberately breaks the fail-stop
-  // fiction and continues them on a survivor.
-  for (size_t I = 0; I < Orphans.size(); ++I) {
-    auto [T, Why] = Orphans[I];
-    ++Stats.TasksOrphaned;
-    if (TheTracer.enabled())
-      TheTracer.record(TraceEventKind::TaskOrphaned, P.Id, P.Clock, T->Id,
-                       static_cast<uint64_t>(Why), Dead.Id);
-    Group &G = group(T->Group);
-    if (G.State == GroupState::Stopped) {
-      // A prior orphan already stopped this group; join its parked set
-      // and append to the condition so the breakloop names every orphan.
-      T->State = TaskState::Stopped;
-      G.Parked.push_back(T->Id);
-      G.Condition += strFormat(", task %u (%s)", taskIndex(T->Id),
-                               orphanReasonName(Why));
-      continue;
-    }
-    stopGroupRestartable(
-        P, *T,
-        strFormat("processor-lost: processor %u failed; orphaned futures: "
-                  "task %u (%s)",
-                  Dead.Id, taskIndex(T->Id), orphanReasonName(Why)));
-  }
-}
-
-void Engine::maybeCheckpoint(Processor &P, Task &T) {
-  // Capture eligibility: the task must own its whole stack. An unstolen
-  // seam could be stolen *after* the capture (the thief's future would
-  // dangle in the snapshot), and a nonzero BaseFrame means the frames
-  // below already belong to a thief's parent-continuation task.
-  if (T.UnstolenSeams > 0 || T.BaseFrame > 0 || T.Frames.empty())
-    return;
-  if (T.Group == InvalidGroup)
-    return;
-  Group &G = group(T.Group);
-  CheckpointRecord &R = G.Checkpoints[taskIndex(T.Id)];
-  R.Stack = T.Stack;
-  R.Frames = T.Frames;
-  R.CurCode = T.CurCode;
-  R.Pc = T.Pc;
-  R.DynEnv = T.DynEnv;
-  R.SemaphoresHeld = T.SemaphoresHeld;
-  R.DidIo = T.DidIo;
-  R.Epoch = T.SideEffectEpoch;
-  R.CaptureClock = P.Clock;
-  // Snapshot cost: a base plus one cycle per four copied words (a frame
-  // is modelled as four words of resume state).
-  uint64_t CopiedWords =
-      uint64_t(R.Stack.size()) + uint64_t(R.Frames.size()) * 4;
-  uint64_t Cost = cost::CheckpointBase + CopiedWords / 4;
-  P.charge(Cost);
-  ++Stats.CheckpointsTaken;
-  Stats.CheckpointCycles += Cost;
-  ++P.CheckpointsTaken;
-  P.LastCheckpointClock = P.Clock;
-  T.SinceCheckpoint = 0;
-  if (TheTracer.enabled())
-    TheTracer.record(TraceEventKind::CheckpointTaken, P.Id, P.Clock, T.Id,
-                     Cost, R.Epoch);
-}
-
-bool Engine::checkByzantineReturn(Processor &P, Task &T) {
-  bool ChecksArmed = Injector.crossChecksArmed();
-  if (!P.Lying && !ChecksArmed)
-    return false;
-  if (T.Stack.empty())
-    return false;
-  Value &Result = T.Stack.back();
-  // A lie only corrupts fixnum results (a corrupted pointer would crash
-  // the simulator host, not model a wrong answer); the fault stays armed
-  // until a fixnum-returning finish comes along.
-  bool Lie = P.Lying && Result.isFixnum();
-  // The draw is consumed on every armed finishing return, whether or not
-  // a lie is pending, so the cross-check schedule is independent of the
-  // lie schedule (and bit-deterministic under a fixed seed).
-  bool Check = ChecksArmed && Injector.hit(FaultClause::CrossCheckProb);
-
-  constexpr int64_t kLieXor = 0x2a;
-  if (Lie && !Check) {
-    // Undetected: the corrupted value propagates (and poisons whatever
-    // consumed the future) exactly as a silently faulty processor would.
-    Result = Value::fixnum(Result.asFixnum() ^ kLieXor);
-    P.Lying = false;
-    ++Stats.ByzantineLies;
-    noteFault(P, FaultKind::ProcLie, P.Id);
-    return false;
-  }
-  if (!Check)
-    return false;
-
-  // Cross-check: seed-deterministically re-execute the task on a
-  // different live processor and compare. The checker is charged the
-  // task's full busy history plus a fixed dispatch cost (BusyCyclesTotal
-  // slightly undercounts the final partial quantum; deterministic, and
-  // documented in DESIGN.md).
-  unsigned CheckerId = P.Id;
-  for (unsigned Off = 1; Off < TheMachine.numProcessors(); ++Off) {
-    unsigned C = (P.Id + Off) % TheMachine.numProcessors();
-    if (!TheMachine.processor(C).Dead) {
-      CheckerId = C;
-      break;
-    }
-  }
-  Processor &Checker = TheMachine.processor(CheckerId);
-  ++Stats.CrossChecks;
-  Checker.charge(cost::CrossCheckBase + T.BusyCyclesTotal);
-  if (!Lie)
-    return false;
-
-  // Caught: the lying processor reported the corrupted value, the checker
-  // recomputed the honest one. Stop the group restartably with both
-  // values in the condition; the lie is disarmed, so resume re-runs the
-  // return and resolves the future honestly.
-  int64_t Honest = Result.asFixnum();
-  int64_t Reported = Honest ^ kLieXor;
-  P.Lying = false;
-  ++Stats.ByzantineLies;
-  ++Stats.ByzantineDetected;
-  noteFault(P, FaultKind::ProcLie, P.Id);
-  if (TheTracer.enabled())
-    TheTracer.record(TraceEventKind::ByzantineDetected, P.Id, P.Clock, T.Id,
-                     P.Id, uint64_t(Honest));
-  stopGroupRestartable(
-      P, T,
-      strFormat("byzantine-detected: processor %u returned %lld for task %u; "
-                "cross-check on processor %u recomputed %lld",
-                P.Id, static_cast<long long>(Reported), taskIndex(T.Id),
-                Checker.Id, static_cast<long long>(Honest)));
-  return true;
+bool Engine::configureSupervisor(std::string_view Spec, std::string &Err) {
+  return Tenancy::configureSupervisor(*this, Spec, Err);
 }
 
 std::string Engine::describeWaitGraph() {
@@ -1891,26 +916,29 @@ EvalResult Engine::translateRunResult(const RunResult &RR, GroupId G) {
   return R;
 }
 
-EvalResult Engine::runTopLevel(Code *TopCode, std::string_view Banner) {
-  EvalResult R;
-
-  // Group for this top-level expression.
+GroupId Engine::newGroup(std::string Banner) {
   GroupId Gid = static_cast<GroupId>(Groups.size());
-  Groups.emplace_back();
-  Group &G = Groups.back();
+  Group &G = Groups.emplace_back();
   G.Id = Gid;
-  G.Banner = std::string(Banner);
+  G.Banner = std::move(Banner);
+  if (G.Banner.size() > 60)
+    G.Banner.resize(60);
   G.Internal = Bootstrapping;
-  applyTenantDefaults(G);
+  if (Ten)
+    Ten->onGroupCreated(G);
+  return Gid;
+}
 
-  // Root closure and future (GC-safe: the closure is protected via the
-  // group's RootFuture only after both allocations, so allocate the
-  // future first and keep the closure in a scanned slot).
+TaskId Engine::newRootTask(GroupId Gid, Code *TopCode, unsigned Preferred,
+                           std::string &Error) {
+  // GC-safe order: the closure is protected via the group's RootFuture
+  // only after both allocations, so allocate the future first and keep
+  // the closure in a scanned slot.
+  Group &G = group(Gid);
   Object *Fut = allocOrGc(TypeTag::Future, Object::FutureSizeWords);
   if (!Fut) {
-    R.K = EvalResult::Kind::HeapExhausted;
-    R.Error = "heap exhausted allocating root future";
-    return R;
+    Error = "heap exhausted allocating root future";
+    return InvalidTask;
   }
   Fut->setSlot(Object::FutState, Value::fixnum(0));
   Fut->setSlot(Object::FutValue, Value::unspecified());
@@ -1921,24 +949,33 @@ EvalResult Engine::runTopLevel(Code *TopCode, std::string_view Banner) {
 
   Object *Clo = allocOrGc(TypeTag::Closure, 1);
   if (!Clo) {
-    R.K = EvalResult::Kind::HeapExhausted;
-    R.Error = "heap exhausted allocating root closure";
-    return R;
+    Error = "heap exhausted allocating root closure";
+    return InvalidTask;
   }
   Clo->setSlot(0, Registry.templateFor(TopCode));
   // Re-read the future: allocating the closure may have collected.
   Fut = G.RootFuture.pointee();
-
-  // Launch on processor 0 — or, if it fail-stopped, the nearest survivor.
-  Processor &P0 = TheMachine.homeFor(0);
-  TaskId Root = newTask(Gid, Value::object(Clo), G.RootFuture,
-                        Value::nil(), P0.Id);
+  TaskId Root = newTask(Gid, Value::object(Clo), G.RootFuture, Value::nil(),
+                        TheMachine.homeFor(Preferred).Id);
   Fut->setSlot(Object::FutTaskId,
                Value::fixnum(static_cast<int64_t>(taskIndex(Root))));
+  return Root;
+}
 
+EvalResult Engine::runTopLevel(Code *TopCode, std::string_view Banner) {
+  // Each top-level expression runs as its own group, launched on
+  // processor 0 — or, if it fail-stopped, the nearest survivor.
+  GroupId Gid = newGroup(std::string(Banner));
+  EvalResult R;
+  TaskId Root = newRootTask(Gid, TopCode, 0, R.Error);
+  if (Root == InvalidTask) {
+    R.K = EvalResult::Kind::HeapExhausted;
+    return R;
+  }
+  Processor &P0 = TheMachine.homeFor(0);
   P0.charge(P0.Queues.pushNew(Root, P0.Clock));
 
-  beginRun(G.RootFuture, Gid);
+  beginRun(group(Gid).RootFuture, Gid);
   RunResult RR = TheMachine.run(*this);
   // Request latency for the multi-tenant story: every top-level eval is
   // one request, including the ones that end in a breakloop.
@@ -1958,11 +995,8 @@ EvalResult Engine::evalDatum(Value Form, std::string_view Banner) {
     R.Error = CR.Error;
     return R;
   }
-  std::string Text =
-      Banner.empty() ? valueToString(Form) : std::string(Banner);
-  if (Text.size() > 60)
-    Text.resize(60);
-  return runTopLevel(CR.TopCode, Text);
+  return runTopLevel(CR.TopCode, Banner.empty() ? valueToString(Form)
+                                                : std::string(Banner));
 }
 
 EvalResult Engine::eval(std::string_view Source) {
@@ -1991,232 +1025,7 @@ EvalResult Engine::eval(std::string_view Source) {
 
 std::vector<EvalResult>
 Engine::evalGroups(const std::vector<GroupLaunch> &Launches) {
-  std::vector<EvalResult> Results(Launches.size());
-  if (Launches.empty())
-    return Results;
-  for (const GroupLaunch &L : Launches)
-    if (L.HeapQuotaWords || L.CycleBudget || !L.Supervise.empty())
-      TenantOn = true;
-
-  Super.beginRun();
-  MLaunches.clear();
-  MQueue.clear();
-  MQueueHead = 0;
-  MLive = 0;
-  MOutstanding = 0;
-  MEscalated = false;
-
-  // Create every group, root future and root task up front. The admission
-  // drain is then a single queue push from arbitrarily deep in the
-  // scheduler — it never allocates mid-run.
-  unsigned NP = TheMachine.numProcessors();
-  for (size_t I = 0; I < Launches.size(); ++I) {
-    const GroupLaunch &L = Launches[I];
-    TenantLaunch TL;
-    Reader Rd(Builder, L.Source);
-    std::string Err;
-    std::vector<Value> Forms = [&] {
-      HostPhaseTimer HostRead(Telem, Telemetry::Phase::Read);
-      return Rd.readAll(Err);
-    }();
-    if (!Err.empty() || Forms.size() != 1) {
-      Results[I].K = EvalResult::Kind::ReadError;
-      Results[I].Error =
-          !Err.empty() ? Err
-                       : (Forms.empty() ? "empty launch source"
-                                        : "a launch must be a single form");
-      TL.Terminal = true;
-      MLaunches.push_back(TL);
-      continue;
-    }
-    Compiler::Result CR = [&] {
-      HostPhaseTimer HostCompile(Telem, Telemetry::Phase::Compile);
-      return TheCompiler.compile(Forms[0]);
-    }();
-    if (!CR.ok()) {
-      Results[I].K = EvalResult::Kind::CompileError;
-      Results[I].Error = CR.Error;
-      TL.Terminal = true;
-      MLaunches.push_back(TL);
-      continue;
-    }
-
-    GroupId Gid = static_cast<GroupId>(Groups.size());
-    Groups.emplace_back();
-    Group &G = Groups.back();
-    G.Id = Gid;
-    G.Banner = valueToString(Forms[0]);
-    if (G.Banner.size() > 60)
-      G.Banner.resize(60);
-    applyTenantDefaults(G);
-    if (L.HeapQuotaWords)
-      G.HeapQuotaWords = L.HeapQuotaWords;
-    if (L.CycleBudget)
-      G.CycleBudget = L.CycleBudget;
-    G.Priority = L.Priority;
-    if (!L.Supervise.empty()) {
-      Supervisor::Policy Pol;
-      std::string PErr;
-      if (Supervisor::parsePolicy(L.Supervise, Pol, PErr)) {
-        Super.setGroupPolicy(Gid, Pol);
-        SuperviseOn = true;
-        TenantOn = true;
-      } else {
-        std::fprintf(stderr, "mult: ignoring launch policy: %s\n",
-                     PErr.c_str());
-      }
-    }
-
-    // Root future and closure, same GC discipline as runTopLevel.
-    Object *Fut = allocOrGc(TypeTag::Future, Object::FutureSizeWords);
-    if (!Fut) {
-      Results[I].K = EvalResult::Kind::HeapExhausted;
-      Results[I].Error = "heap exhausted allocating root future";
-      G.State = GroupState::Killed;
-      TL.Terminal = true;
-      MLaunches.push_back(TL);
-      continue;
-    }
-    Fut->setSlot(Object::FutState, Value::fixnum(0));
-    Fut->setSlot(Object::FutValue, Value::unspecified());
-    Fut->setSlot(Object::FutWaiters, Value::nil());
-    Fut->setSlot(Object::FutTaskId, Value::fixnum(0));
-    Fut->setSlot(Object::FutGroupId, Value::fixnum(Gid));
-    G.RootFuture = Value::future(Fut);
-
-    Object *Clo = allocOrGc(TypeTag::Closure, 1);
-    if (!Clo) {
-      Results[I].K = EvalResult::Kind::HeapExhausted;
-      Results[I].Error = "heap exhausted allocating root closure";
-      G.State = GroupState::Killed;
-      TL.Terminal = true;
-      MLaunches.push_back(TL);
-      continue;
-    }
-    Clo->setSlot(0, Registry.templateFor(CR.TopCode));
-    Fut = G.RootFuture.pointee();
-
-    // Home processors round-robin so a single-tenant hot spot cannot
-    // starve the others' root launches.
-    Processor &Home = TheMachine.homeFor(unsigned(I % NP));
-    TaskId Root =
-        newTask(Gid, Value::object(Clo), G.RootFuture, Value::nil(), Home.Id);
-    Fut->setSlot(Object::FutTaskId,
-                 Value::fixnum(static_cast<int64_t>(taskIndex(Root))));
-
-    TL.Gid = Gid;
-    TL.Root = Root;
-    TL.EnqueuedAt = Home.Clock;
-    ++MOutstanding;
-    Telem.add(TelemIds.EvalsTotal, Home.Id);
-    MLaunches.push_back(TL);
-  }
-
-  // Admission gate: the first MaxLiveGroups launches run, the next
-  // MaxQueuedGroups wait (FIFO), the rest are rejected outright.
-  for (size_t I = 0; I < MLaunches.size(); ++I) {
-    TenantLaunch &L = MLaunches[I];
-    if (L.Terminal || L.Gid == InvalidGroup)
-      continue;
-    Task *T = liveTask(L.Root);
-    Processor &Home = TheMachine.homeFor(T ? T->LastProc : 0);
-    if (Cfg.MaxLiveGroups == 0 || MLive < Cfg.MaxLiveGroups) {
-      L.Admitted = true;
-      ++MLive;
-      ++Stats.GroupsAdmitted;
-      Home.charge(Home.Queues.pushNew(L.Root, Home.Clock));
-      Telem.record(TelemIds.AdmissionWait, Home.Id, 0);
-      if (TheTracer.enabled())
-        TheTracer.record(TraceEventKind::GroupAdmitted, Home.Id, Home.Clock,
-                         L.Gid, 0, 0);
-    } else if (MQueue.size() - MQueueHead < Cfg.MaxQueuedGroups) {
-      MQueue.push_back(I);
-      ++Stats.GroupsQueued;
-      Super.note(strFormat("queue: group %u \"%s\"", L.Gid,
-                           Groups[L.Gid].Banner.c_str()));
-      if (TheTracer.enabled())
-        TheTracer.record(TraceEventKind::GroupQueued, Home.Id, Home.Clock,
-                         L.Gid, 0, 0);
-    } else {
-      ++Stats.GroupsRejected;
-      Groups[L.Gid].Condition =
-          "admission-rejected: live and queued launch limits reached";
-      Super.note(strFormat("reject: group %u \"%s\"", L.Gid,
-                           Groups[L.Gid].Banner.c_str()));
-      killGroup(L.Gid); // MultiOn is still off: no termination hook fires
-      L.Terminal = true;
-      if (MOutstanding)
-        --MOutstanding;
-    }
-  }
-
-  RunResult RR;
-  if (MOutstanding) {
-    beginRun(Value::nil(), InvalidGroup);
-    MultiOn = true;
-    RR = TheMachine.run(*this);
-    MultiOn = false;
-  }
-
-  // Per-launch results from the groups' final states.
-  for (size_t I = 0; I < MLaunches.size(); ++I) {
-    TenantLaunch &L = MLaunches[I];
-    if (L.Gid == InvalidGroup)
-      continue; // read/compile/alloc error already recorded
-    Group &G = Groups[L.Gid];
-    EvalResult &R = Results[I];
-    switch (G.State) {
-    case GroupState::Done: {
-      R.K = EvalResult::Kind::Value;
-      Value V = G.RootFuture;
-      while (V.isFuture() && V.pointee()->futureResolved())
-        V = V.pointee()->futureValue();
-      R.Val = V;
-      break;
-    }
-    case GroupState::Stopped:
-      R.K = G.Condition.compare(0, 14, "heap-exhausted") == 0
-                ? EvalResult::Kind::HeapExhausted
-                : EvalResult::Kind::RuntimeError;
-      R.Error = G.Condition;
-      R.StoppedGroup = L.Gid;
-      break;
-    case GroupState::Killed:
-      if (R.K == EvalResult::Kind::Value && R.Error.empty()) {
-        R.K = EvalResult::Kind::RuntimeError;
-        R.Error = G.Condition.empty() ? "group-killed" : G.Condition;
-        R.StoppedGroup = L.Gid;
-      }
-      break;
-    case GroupState::Running:
-      // The run ended before this launch finished: escalation, deadlock
-      // among other groups, the cycle watchdog, or a gate that never
-      // opened.
-      R.K = RR.Status == RunStatus::Deadlock ? EvalResult::Kind::Deadlock
-            : RR.Status == RunStatus::CycleLimit
-                ? EvalResult::Kind::CycleLimit
-                : EvalResult::Kind::RuntimeError;
-      R.Error = MEscalated
-                    ? "run-escalated: a supervised group's policy ended "
-                      "the run"
-                : !L.Admitted
-                    ? "admission-starved: the gate never opened"
-                    : (RR.Error.empty() ? "run ended early" : RR.Error);
-      break;
-    }
-  }
-
-  // Launches the run abandoned (escalation, watchdog) still have runnable
-  // tasks in processor queues; kill them so a later eval cannot dispatch
-  // a half-finished tenant. Stopped groups stay inspectable.
-  for (TenantLaunch &L : MLaunches) {
-    if (L.Gid == InvalidGroup || L.Terminal)
-      continue;
-    if (Groups[L.Gid].State == GroupState::Running)
-      killGroup(L.Gid);
-    L.Terminal = true;
-  }
-  return Results;
+  return Tenancy::evalGroups(*this, Launches);
 }
 
 std::string Engine::takeOutput() {

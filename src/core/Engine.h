@@ -26,8 +26,8 @@
 
 #include "compiler/CodeGen.h"
 #include "core/Group.h"
+#include "core/Recovery.h"
 #include "core/SitePolicies.h"
-#include "core/Supervisor.h"
 #include "fault/Injector.h"
 #include "core/Stats.h"
 #include "core/Task.h"
@@ -51,6 +51,7 @@
 namespace mult {
 
 class RaceDetector;
+class Tenancy;
 struct DecodedCode;
 
 /// Construction-time configuration of a simulated Mul-T machine.
@@ -154,10 +155,10 @@ struct EngineConfig {
   /// site is a single dormant bool test.
   bool RaceDetect = false;
 
-  /// \name Tenant fault domains (core/Supervisor.h; DESIGN.md "Tenant
-  /// fault domains"). All dormant (bit-identical schedules) unless one of
-  /// these fields, MULT_QUOTA / MULT_SUPERVISE, `:quota` / `:supervise`,
-  /// a quota-squeeze fault clause, or an evalGroups launch arms the layer.
+  /// \name Tenant fault domains (core/Tenancy.h; DESIGN.md "Tenant fault
+  /// domains"). All dormant (bit-identical schedules) unless one of these
+  /// fields, MULT_QUOTA / MULT_SUPERVISE, `:quota` / `:supervise`, a
+  /// quota-squeeze fault clause, or an evalGroups launch arms the layer.
   /// @{
   /// Default per-group live-words heap quota applied to every new
   /// non-internal group; 0 = unlimited.
@@ -368,14 +369,15 @@ public:
   void noteFault(Processor &P, FaultKind Kind, uint64_t Detail = 0);
   /// @}
 
-  /// \name Tenant fault domains (quotas, supervisor, admission)
+  /// \name Tenant fault domains (core/Tenancy.h)
   ///
-  /// See DESIGN.md "Tenant fault domains". Every hot-path hook below is a
-  /// single dormant bool test until something arms the layer, so unarmed
-  /// runs stay bit-identical.
+  /// See DESIGN.md "Tenant fault domains". The engine holds a Tenancy only
+  /// while something arms the layer, so a dormant engine has no tenant
+  /// state and no core path reads any.
   /// @{
-  /// True once quotas/budgets/admission/supervision are armed.
-  bool tenantArmed() const { return TenantOn; }
+  bool tenantArmed() const { return Ten != nullptr; }
+  /// The armed layer; null when dormant.
+  Tenancy *tenancy() { return Ten.get(); }
   /// (Re)configures quota defaults and the admission gate from
   /// semicolon/comma-separated clauses: `heap=WORDS`, `cycles=N`,
   /// `live=N`, `queue=N`; "off" disarms (the supervisor, if armed, keeps
@@ -385,46 +387,6 @@ public:
   /// (Re)configures the default supervision policy (Supervisor::parsePolicy
   /// grammar; "off" disarms).
   bool configureSupervisor(std::string_view Spec, std::string &Err);
-  bool superviseArmed() const { return SuperviseOn; }
-  Supervisor &supervisor() { return Super; }
-  const Supervisor &supervisor() const { return Super; }
-  /// The group's heap account in words: exact live words at the last
-  /// collection plus words allocated since (an upper bound on live).
-  uint64_t groupHeapAccount(GroupId Id) const;
-  /// Adds \p BusyDelta to \p T's group's cycle-budget account.
-  void chargeGroupCycles(const Task &T, uint64_t BusyDelta);
-  /// Quantum-boundary quota/budget check for \p T's group. May run one
-  /// grace collection (exact-merging the account so garbage never trips a
-  /// quota) and may stop the group with a breakloop-inspectable
-  /// `group-heap-quota` / `group-cycle-budget` condition — only that
-  /// group; every other group keeps running. True when it stopped.
-  bool pollTenant(Processor &P, Task &T);
-  /// Fires every supervisor restart due at or before \p P's clock.
-  void supervisorTick(Processor &P);
-  /// Earliest pending supervisor event, for the quiescent fast-forward.
-  bool nextSupervisorEvent(uint64_t &Due) const;
-  /// quota-squeeze=G@C fault: clamps group G's heap quota to half its
-  /// current account, arming the tenant layer if dormant.
-  void applyQuotaSqueeze(Processor &P, unsigned Gid);
-  /// admit-burst=N@C fault: N synthetic launch probes through the
-  /// admission gate (admitted/queued/rejected counters only).
-  void admitSyntheticBurst(Processor &P, unsigned N);
-  /// Memory-pressure load shedding: kills the lowest-priority launched
-  /// group currently violating its heap quota, freeing its allocation at
-  /// the next collection. InvalidGroup when no group is eligible.
-  GroupId shedForPressure(Processor &P);
-  /// The live/stopped group holding the most heap words per the quota
-  /// account, for heap-exhausted attribution (\p Words receives its
-  /// account). InvalidGroup when dormant — accounts are only maintained
-  /// while the tenant layer is armed — so dormant conditions are
-  /// unchanged.
-  GroupId largestHeapGroup(uint64_t &Words) const;
-  /// True while evalGroups is driving a multi-group run.
-  bool multiRun() const { return MultiOn; }
-  /// FutureOps hook: \p Fut just resolved. True when it was a launched
-  /// group's root future — the group is finalized as Done and the resolve
-  /// is accounted as launch overhead, like the single-run root.
-  bool noteGroupRootResolved(Object *Fut, uint64_t Clock);
   /// @}
 
   /// \name Future-site scheduling policies (core/SitePolicies.h)
@@ -448,23 +410,8 @@ public:
   }
   /// @}
 
-  /// Fail-stop recovery for a just-killed processor \p Dead: drains its
-  /// queues, re-spawns every recoverable lost task from its spawn lineage
-  /// onto survivors, and stops the groups of unrecoverable ones with a
-  /// `processor-lost` condition. Called by Machine::run right after it
-  /// marks \p Dead dead; \p P is the (live) processor that observed the
-  /// kill and pays the virtual-time cost of the recovery scan.
-  ///
-  /// \p DoomClock is the absolute virtual cycle of the kill clause's
-  /// mark. The kill is polled at quantum granularity, so another
-  /// processor can run past the mark and wake a task onto \p Dead's
-  /// suspended queue before the poll fires; such post-mortem wakes
-  /// (queue arrival >= DoomClock) were never really on the dead
-  /// processor and are redirected intact to a survivor instead of being
-  /// re-spawned or orphaned. ~0 means "no mark known": every drained
-  /// task is treated as lost backlog.
-  void recoverProcessor(Processor &P, Processor &Dead,
-                        uint64_t DoomClock = ~uint64_t(0));
+  /// Fail-stop recovery, checkpoints, byzantine checks (core/Recovery.h).
+  Recovery &recovery() { return Recov; }
 
   /// \name Determinacy-race detection (src/analysis)
   /// @{
@@ -496,11 +443,7 @@ public:
   /// \name Root-future tracking for Machine::run
   /// @{
   void beginRun(Value RootFuture, GroupId RootGroup);
-  bool rootResolved() const {
-    // A multi-group run has no single root future: it ends when every
-    // launch is terminal (or a policy escalated).
-    return MultiOn ? (MOutstanding == 0 || MEscalated) : RootDone;
-  }
+  bool rootResolved() const { return RootDone; }
   void noteRootResolved(uint64_t Clock) {
     RootDone = true;
     RootClock = Clock;
@@ -522,8 +465,10 @@ public:
   void scanProcessorRoots(unsigned Proc, const RootVisitor &Visit) override;
   void preFlip() override;
   void remapWeakCaches() override;
-  bool pollGcKill(uint64_t Clock, unsigned &Victim) override;
-  bool wantsLiveWordsTally() const override { return TenantOn; }
+  bool pollGcKill(uint64_t Clock, unsigned &Victim) override {
+    return Recov.pollGcKill(Clock, Victim);
+  }
+  bool wantsLiveWordsTally() const override { return Ten != nullptr; }
   void noteLiveObject(uint16_t Aux, uint32_t TotalWords) override;
   /// @}
 
@@ -536,22 +481,6 @@ public:
   DecodedCode *ensureDecoded(const Code *C);
   /// @}
 
-  /// Captures a checkpoint record of \p T (running on \p P) if it is
-  /// eligible: no live seams and it owns its whole stack. Called by
-  /// Machine::run at quantum boundaries once T's busy cycles since the
-  /// last capture reach Cfg.CheckpointEvery. Charges the capture cost to
-  /// \p P and to EngineStats::CheckpointCycles.
-  void maybeCheckpoint(Processor &P, Task &T);
-
-  /// Byzantine-fault hook for a task-finishing Op::Return: called with
-  /// the result still on top of \p T's stack, before any state changes.
-  /// May corrupt the result in place (a proc-lie firing unobserved), or
-  /// catch the lie via a sampled cross-check re-execution and stop the
-  /// group restartably with a `byzantine-detected` condition. Returns
-  /// true when the group stopped (the caller must not commit the
-  /// return); false to proceed with whatever is now on the stack.
-  bool checkByzantineReturn(Processor &P, Task &T);
-
 private:
   /// Loads the Lisp prelude and installs closure wrappers for primitives
   /// so primitive names work as first-class values.
@@ -559,23 +488,17 @@ private:
   void installPrimitiveWrappers();
   EvalResult runTopLevel(Code *TopCode, std::string_view Banner);
   EvalResult translateRunResult(const RunResult &R, GroupId G);
-  /// Applies EngineConfig quota/budget defaults to a fresh user group.
-  void applyTenantDefaults(Group &G);
-  /// Multi-run hook at a group-termination edge (stop/kill): consults the
-  /// supervisor; finalizes the launch unless a restart was scheduled.
-  void onGroupTerminated(unsigned ProcId, uint64_t Clock, GroupId Gid);
-  /// Restores the stopped group for a due supervisor restart: re-readies
-  /// a restartable stop, or restores the signalling task from its newest
-  /// epoch-valid checkpoint record. False when no restartable state
-  /// survives (the supervisor then gives up on the group).
-  bool supervisorRestartGroup(Processor &P, GroupId Gid);
-  /// Marks the launch owning \p Gid terminal and drains the admission
-  /// queue into any freed live slots.
-  void finalizeLaunch(GroupId Gid);
-  void drainAdmissions();
-  unsigned liveTenantGroups() const;
-  /// Recomputes TenantOn after a `:quota off` / `:supervise off`.
-  void refreshTenantArmed();
+  /// Appends a user group (internal while bootstrapping) titled by the
+  /// first 60 characters of \p Banner.
+  GroupId newGroup(std::string Banner);
+  /// Allocates group \p Gid's root future and a closure over \p TopCode,
+  /// and creates its root task (not yet queued) on the nearest live
+  /// processor from \p Preferred. InvalidTask, with \p Error set, when
+  /// the heap is exhausted.
+  TaskId newRootTask(GroupId Gid, Code *TopCode, unsigned Preferred,
+                     std::string &Error);
+  /// Re-queues a stopped group's parked members and marks it Running.
+  void requeueParked(Group &G);
   /// Allocation that retries after GC; for setup paths outside the VM.
   Object *allocOrGc(TypeTag Tag, uint32_t SizeWords, uint8_t Flags = 0);
   void scanTask(Task &T, const RootVisitor &Visit);
@@ -610,16 +533,10 @@ private:
   EngineStats Stats;
   Tracer TheTracer;
   FaultInjector Injector;
-
-  /// proc-kill faults consumed *inside* a collection (pollGcKill): the
-  /// collector finishes the victim's copy work on survivors first, then
-  /// collectGarbage performs the machine-level fail-stop and recovery
-  /// after the heap is whole again.
-  struct PendingGcKill {
-    unsigned Victim = 0;
-    uint64_t Mark = 0; ///< run-relative doom mark from the plan
-  };
-  std::vector<PendingGcKill> PendingGcKills;
+  Recovery Recov{*this};
+  /// The tenant layer; null while dormant (see Tenancy.h).
+  std::unique_ptr<Tenancy> Ten;
+  friend class Tenancy;
 
   // Always-on latency telemetry. TelemetrySpec is the resolved export
   // destination (config or MULT_TELEMETRY), written by the destructor.
@@ -660,34 +577,6 @@ private:
   GroupId LastStopped = InvalidGroup;
   std::vector<GroupId> StoppedStack;
   bool Bootstrapping = false;
-
-  // ----- Tenant fault domains (dormant unless TenantOn) -----------------
-  Supervisor Super;
-  bool TenantOn = false;
-  bool SuperviseOn = false;
-  /// Perfbook-style sharded allocation counters: [processor][group] words
-  /// allocated since the last flush into Group::AllocWords. Private bumps
-  /// on the hot path; exact-merged (and zeroed) at every collection.
-  std::vector<std::vector<uint64_t>> QuotaShards;
-  /// Per-group live words accumulated by noteLiveObject during the
-  /// running collection; committed in collectGarbage.
-  std::vector<uint64_t> LiveTally;
-
-  /// Multi-group run state (evalGroups).
-  struct TenantLaunch {
-    GroupId Gid = InvalidGroup;
-    TaskId Root = InvalidTask;
-    bool Admitted = false;
-    bool Terminal = false;
-    uint64_t EnqueuedAt = 0; ///< home-proc clock when queued, for telemetry
-  };
-  std::vector<TenantLaunch> MLaunches;
-  std::vector<size_t> MQueue; ///< launch indices awaiting admission (FIFO)
-  size_t MQueueHead = 0;
-  unsigned MLive = 0;        ///< admitted launches not yet terminal
-  unsigned MOutstanding = 0; ///< admitted-or-queued launches not yet terminal
-  bool MultiOn = false;
-  bool MEscalated = false;
 };
 
 } // namespace mult

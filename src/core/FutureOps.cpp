@@ -9,6 +9,7 @@
 
 #include "core/Engine.h"
 #include "core/LazyFutures.h"
+#include "core/Tenancy.h"
 #include "vm/CostModel.h"
 
 #include <cassert>
@@ -263,7 +264,7 @@ void futureops::resolveFuture(Engine &E, Processor &P, Object *Fut,
 
   if (E.rootFutureObject() == Fut) {
     E.noteRootResolved(P.Clock);
-  } else if (E.multiRun() && E.noteGroupRootResolved(Fut, P.Clock)) {
+  } else if (E.tenancy() && E.tenancy()->noteRootResolved(Fut, P.Clock)) {
     // A launched group's root: launch overhead, like the single-run root.
   } else {
     E.stats().Steps.ResolveCycles += Cycles;

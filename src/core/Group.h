@@ -58,28 +58,6 @@ struct Group {
   /// Created during engine bootstrap (prelude); hidden from the UI.
   bool Internal = false;
 
-  /// \name Tenant fault domain (all dormant unless MULT_QUOTA/:quota arms
-  /// the layer; see DESIGN.md "Tenant fault domains").
-  /// @{
-  /// Live-words heap quota; 0 = unlimited. The account charged against it
-  /// is LiveWords (exact, from the last GC tally) + AllocWords (allocated
-  /// since, an upper bound on live) + unflushed per-processor shards.
-  uint64_t HeapQuotaWords = 0;
-  /// Busy-cycle budget for the whole group; 0 = unlimited.
-  uint64_t CycleBudget = 0;
-  /// Busy cycles charged to member tasks since launch (or last restart).
-  uint64_t CyclesUsed = 0;
-  /// Exact live words attributed to this group at the last collection.
-  uint64_t LiveWords = 0;
-  /// Words allocated since the last collection (flushed shard deltas).
-  uint64_t AllocWords = 0;
-  /// Load-shedding priority: lower sheds first. Default 0.
-  int Priority = 0;
-  /// One free collection is granted when the (over-approximate) account
-  /// first exceeds the quota, so garbage never trips a quota. Cleared when
-  /// the exact post-GC account is back under.
-  bool QuotaGraceUsed = false;
-  /// @}
 };
 
 } // namespace mult

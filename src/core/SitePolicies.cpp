@@ -43,13 +43,7 @@ std::string SitePolicyTable::format() const {
 }
 
 static std::string_view trimWs(std::string_view S) {
-  while (!S.empty() && (S.front() == ' ' || S.front() == '\t' ||
-                        S.front() == '\r'))
-    S.remove_prefix(1);
-  while (!S.empty() &&
-         (S.back() == ' ' || S.back() == '\t' || S.back() == '\r'))
-    S.remove_suffix(1);
-  return S;
+  return trim(S, " \t\r");
 }
 
 bool SitePolicyTable::parse(std::string_view Text, std::string &Err) {

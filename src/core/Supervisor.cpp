@@ -16,37 +16,11 @@ using namespace mult;
 
 namespace {
 
-std::string_view trim(std::string_view S) {
-  while (!S.empty() && (S.front() == ' ' || S.front() == '\t'))
-    S.remove_prefix(1);
-  while (!S.empty() && (S.back() == ' ' || S.back() == '\t'))
-    S.remove_suffix(1);
-  return S;
-}
-
-bool parseU64(std::string_view S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = uint64_t(C - '0');
-    if (V > (~0ull - Digit) / 10)
-      return false;
-    V = V * 10 + Digit;
-  }
-  Out = V;
-  return true;
-}
-
 /// The condition's class: everything before the first ':' ("group-heap-quota",
 /// "processor-lost", ...). Keeps clock-bearing detail text out of the
 /// transcript so it stays stable across processor counts.
 std::string_view conditionClass(std::string_view Condition) {
-  size_t Colon = Condition.find(':');
-  return Colon == std::string_view::npos ? Condition
-                                         : Condition.substr(0, Colon);
+  return Condition.substr(0, Condition.find(':'));
 }
 
 } // namespace
@@ -55,54 +29,39 @@ bool Supervisor::parsePolicy(std::string_view Spec, Policy &Out,
                              std::string &Err) {
   Spec = trim(Spec);
   Policy P;
-  if (Spec == "one-shot" || Spec == "oneshot") {
-    P.K = Policy::Kind::OneShot;
+  if (Spec == "one-shot" || Spec == "oneshot" || Spec == "escalate") {
+    P.K = Spec == "escalate" ? Policy::Kind::Escalate : Policy::Kind::OneShot;
     Out = P;
     return true;
   }
-  if (Spec == "escalate") {
-    P.K = Policy::Kind::Escalate;
-    Out = P;
-    return true;
-  }
-  std::string_view Opts;
-  if (Spec == "restart") {
-    // defaults
-  } else if (Spec.rfind("restart:", 0) == 0) {
+  std::string_view Opts; // empty: the defaults
+  if (Spec.rfind("restart:", 0) == 0) {
     Opts = Spec.substr(8);
-  } else {
+  } else if (Spec != "restart") {
     Err = strFormat("unknown policy '%.*s' (want one-shot | escalate | "
                     "restart[:max=N,backoff=B])",
                     int(Spec.size()), Spec.data());
     return false;
   }
   P.K = Policy::Kind::Restart;
-  size_t Pos = 0;
-  while (Pos <= Opts.size() && !Opts.empty()) {
-    size_t Next = Opts.find(',', Pos);
-    std::string_view Clause =
-        trim(Next == std::string_view::npos ? Opts.substr(Pos)
-                                            : Opts.substr(Pos, Next - Pos));
-    if (!Clause.empty()) {
-      size_t Eq = Clause.find('=');
-      uint64_t V = 0;
-      bool Ok = Eq != std::string_view::npos &&
-                parseU64(trim(Clause.substr(Eq + 1)), V);
-      std::string_view Key =
-          Eq == std::string_view::npos ? Clause : trim(Clause.substr(0, Eq));
-      if (Ok && Key == "max" && V <= 1000) {
-        P.MaxRestarts = unsigned(V);
-      } else if (Ok && Key == "backoff" && V > 0) {
-        P.BackoffBase = V;
-      } else {
-        Err = strFormat("bad restart option '%.*s'", int(Clause.size()),
-                        Clause.data());
-        return false;
-      }
+  for (std::string_view Part : splitAny(Opts, ",")) {
+    std::string_view Clause = trim(Part);
+    if (Clause.empty())
+      continue;
+    size_t Eq = Clause.find('=');
+    uint64_t V = 0;
+    bool Ok = Eq != std::string_view::npos &&
+              parseU64(trim(Clause.substr(Eq + 1)), V);
+    std::string_view Key = trim(Clause.substr(0, Eq));
+    if (Ok && Key == "max" && V <= 1000) {
+      P.MaxRestarts = unsigned(V);
+    } else if (Ok && Key == "backoff" && V > 0) {
+      P.BackoffBase = V;
+    } else {
+      Err = strFormat("bad restart option '%.*s'", int(Clause.size()),
+                      Clause.data());
+      return false;
     }
-    if (Next == std::string_view::npos)
-      break;
-    Pos = Next + 1;
   }
   Out = P;
   return true;
@@ -138,17 +97,15 @@ Supervisor::Verdict Supervisor::onGroupStopped(GroupId G, uint64_t Clock,
                                                std::string_view Banner,
                                                std::string_view Condition) {
   const Policy &Pol = policyFor(G);
-  std::string_view Cls = conditionClass(Condition);
+  std::string B(Banner), Cls(conditionClass(Condition));
   switch (Pol.K) {
   case Policy::Kind::OneShot:
-    note(strFormat("one-shot: group %u \"%.*s\" left stopped (%.*s)", G,
-                   int(Banner.size()), Banner.data(), int(Cls.size()),
-                   Cls.data()));
+    note(strFormat("one-shot: group %u \"%s\" left stopped (%s)", G,
+                   B.c_str(), Cls.c_str()));
     return Verdict::LeaveStopped;
   case Policy::Kind::Escalate:
-    note(strFormat("escalate: group %u \"%.*s\" stopped (%.*s); ending run",
-                   G, int(Banner.size()), Banner.data(), int(Cls.size()),
-                   Cls.data()));
+    note(strFormat("escalate: group %u \"%s\" stopped (%s); ending run", G,
+                   B.c_str(), Cls.c_str()));
     return Verdict::Escalate;
   case Policy::Kind::Restart:
     break;
@@ -159,9 +116,8 @@ Supervisor::Verdict Supervisor::onGroupStopped(GroupId G, uint64_t Clock,
     S.HasPolicy = true;
   }
   if (S.Restarts >= Pol.MaxRestarts) {
-    note(strFormat("gave-up: group %u \"%.*s\" after %u restarts (%.*s)", G,
-                   int(Banner.size()), Banner.data(), S.Restarts,
-                   int(Cls.size()), Cls.data()));
+    note(strFormat("gave-up: group %u \"%s\" after %u restarts (%s)", G,
+                   B.c_str(), S.Restarts, Cls.c_str()));
     return Verdict::GaveUp;
   }
   unsigned Attempt = ++S.Restarts;
@@ -169,11 +125,7 @@ Supervisor::Verdict Supervisor::onGroupStopped(GroupId G, uint64_t Clock,
   // max-restarts setting cannot overflow into an instant retry.
   unsigned Shift = std::min(Attempt - 1, 32u);
   uint64_t Delay = Pol.BackoffBase << Shift;
-  Pending E;
-  E.Due = Clock + Delay;
-  E.G = G;
-  E.Attempt = Attempt;
-  E.StopClock = Clock;
+  Pending E{Clock + Delay, G, Attempt, Clock};
   // Sorted insert after Head; ties break by group id for determinism.
   auto Less = [](const Pending &A, const Pending &B) {
     return A.Due != B.Due ? A.Due < B.Due : A.G < B.G;
@@ -181,11 +133,10 @@ Supervisor::Verdict Supervisor::onGroupStopped(GroupId G, uint64_t Clock,
   Queue.insert(std::upper_bound(Queue.begin() + long(Head), Queue.end(), E,
                                 Less),
                E);
-  note(strFormat("restart: group %u \"%.*s\" attempt %u/%u after %llu "
-                 "cycles (%.*s)",
-                 G, int(Banner.size()), Banner.data(), Attempt,
-                 Pol.MaxRestarts, (unsigned long long)Delay, int(Cls.size()),
-                 Cls.data()));
+  note(strFormat("restart: group %u \"%s\" attempt %u/%u after %llu "
+                 "cycles (%s)",
+                 G, B.c_str(), Attempt, Pol.MaxRestarts,
+                 (unsigned long long)Delay, Cls.c_str()));
   return Verdict::RestartScheduled;
 }
 
@@ -196,19 +147,15 @@ bool Supervisor::nextEventClock(uint64_t &Due) const {
   return true;
 }
 
-bool Supervisor::takeDue(uint64_t Now, GroupId &G, unsigned &Attempt,
-                         uint64_t &StopClock) {
+std::optional<Supervisor::Pending> Supervisor::takeDue(uint64_t Now) {
   if (Head >= Queue.size() || Queue[Head].Due > Now)
-    return false;
-  const Pending &E = Queue[Head++];
-  G = E.G;
-  Attempt = E.Attempt;
-  StopClock = E.StopClock;
+    return std::nullopt;
+  Pending E = Queue[Head++];
   if (Head == Queue.size()) {
     Queue.clear();
     Head = 0;
   }
-  return true;
+  return E;
 }
 
 unsigned Supervisor::restartsTaken(GroupId G) const {

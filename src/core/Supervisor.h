@@ -20,10 +20,10 @@
 /// transcript is stable across processor counts as long as the stop
 /// sequence is.
 ///
-/// The supervisor only decides; the engine performs the mechanics
-/// (Engine::supervisorRestartGroup restores the signalling task from its
-/// newest epoch-valid checkpoint record, or simply re-readies a
-/// restartable stop). It acts exclusively at group-termination edges and
+/// The supervisor only decides; the tenant layer performs the mechanics
+/// (Tenancy::restartGroup restores the signalling task from its newest
+/// epoch-valid checkpoint record, or simply re-readies a restartable
+/// stop). It acts exclusively at group-termination edges and
 /// its bookkeeping charges no virtual cycles, so a dormant supervisor is
 /// bit-invisible.
 ///
@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,12 +80,17 @@ public:
   Verdict onGroupStopped(GroupId G, uint64_t Clock, std::string_view Banner,
                          std::string_view Condition);
 
+  /// A scheduled restart of group G.
+  struct Pending {
+    uint64_t Due = 0;
+    GroupId G = InvalidGroup;
+    unsigned Attempt = 0;
+    uint64_t StopClock = 0;
+  };
   /// Earliest pending restart event, if any.
   bool nextEventClock(uint64_t &Due) const;
   /// Pops one event due at or before \p Now (earliest first).
-  bool takeDue(uint64_t Now, GroupId &G, unsigned &Attempt,
-               uint64_t &StopClock);
-  bool hasPending() const { return Head < Queue.size(); }
+  std::optional<Pending> takeDue(uint64_t Now);
 
   unsigned restartsTaken(GroupId G) const;
 
@@ -103,12 +109,6 @@ private:
     Policy Pol;
     bool HasPolicy = false;
     unsigned Restarts = 0;
-  };
-  struct Pending {
-    uint64_t Due = 0;
-    GroupId G = InvalidGroup;
-    unsigned Attempt = 0;
-    uint64_t StopClock = 0;
   };
 
   Policy Default;

@@ -22,45 +22,11 @@ namespace {
 /// headroom keeps run start + end a representable clock.
 constexpr uint64_t kMaxStallEnd = (1ull << 63) - 1;
 
-std::vector<std::string_view> splitOn(std::string_view S, char Sep) {
-  std::vector<std::string_view> Parts;
-  size_t Pos = 0;
-  while (Pos <= S.size()) {
-    size_t Next = S.find(Sep, Pos);
-    if (Next == std::string_view::npos) {
-      Parts.push_back(S.substr(Pos));
-      break;
-    }
-    Parts.push_back(S.substr(Pos, Next - Pos));
-    Pos = Next + 1;
-  }
-  return Parts;
-}
-
-std::string_view trim(std::string_view S) {
-  while (!S.empty() && (S.front() == ' ' || S.front() == '\t'))
-    S.remove_prefix(1);
-  while (!S.empty() && (S.back() == ' ' || S.back() == '\t'))
-    S.remove_suffix(1);
-  return S;
-}
-
 /// A decimal in [Min, Max].
 bool parseNumber(std::string_view S, uint64_t Min, uint64_t Max,
                  uint64_t &Out) {
-  S = trim(S);
-  if (S.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = uint64_t(C - '0');
-    if (V > (~0ull - Digit) / 10)
-      return false;
-    V = V * 10 + Digit;
-  }
-  if (V < Min || V > Max)
+  uint64_t V;
+  if (!parseU64(trim(S), V) || V < Min || V > Max)
     return false;
   Out = V;
   return true;
@@ -145,7 +111,7 @@ bool parseValue(std::string_view S, uint64_t, double &Out) {
 
 template <class T>
 bool parseValue(std::string_view S, uint64_t Min, std::vector<T> &Out) {
-  for (std::string_view Part : splitOn(S, ',')) {
+  for (std::string_view Part : splitAny(S, ",")) {
     T Item;
     if (!parseItem(trim(Part), Min, Item))
       return false;
@@ -228,7 +194,7 @@ std::string FaultPlan::format() const {
 
 bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out, std::string &Err) {
   Out = FaultPlan();
-  for (std::string_view RawClause : splitOn(Spec, ';')) {
+  for (std::string_view RawClause : splitAny(Spec, ";")) {
     std::string_view C = trim(RawClause);
     if (C.empty())
       continue;

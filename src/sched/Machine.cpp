@@ -8,6 +8,7 @@
 #include "sched/Machine.h"
 
 #include "core/Engine.h"
+#include "core/Tenancy.h"
 #include "sched/Scheduler.h"
 #include "support/StrUtil.h"
 #include "vm/CostModel.h"
@@ -220,7 +221,7 @@ Processor &Machine::failStop(Engine &E, unsigned Victim, uint64_t Mark,
   Processor &Obs =
       InCollection ? homeFor(Victim) : Procs[minClockProcessor()];
   E.noteFault(Obs, FaultKind::ProcKill, Victim);
-  E.recoverProcessor(Obs, Dead, RunStart + Mark);
+  E.recovery().recoverProcessor(Obs, Dead, RunStart + Mark);
   return Obs;
 }
 
@@ -264,7 +265,13 @@ RunResult Machine::run(Engine &E) {
   SweepBusy = 2 * cost::QueueEmptyCheck + SweepProbes * cost::StealProbe;
   SweepCycles = SweepBusy + cost::IdleTick;
 
-  RunResult R = runLoop(E, Start);
+  // The layers' per-step work is compiled into runLoop<true> only, so a
+  // dormant step tests no layer. Only a fault mark (a quota squeeze or an
+  // admit burst) arms a layer mid-run, and it needs an armed plan; a task
+  // owing recovery cycles keeps later runs armed.
+  bool Armed = E.faults().armed() || E.tenantArmed() ||
+               E.config().CheckpointEvery || E.recovery().charging();
+  RunResult R = Armed ? runLoop<true>(E, Start) : runLoop<false>(E, Start);
   settleParked(E);
   // Busy cycles since the last resetStats (which zeroes both), summed
   // here once per run rather than charged on the hot path.
@@ -275,7 +282,7 @@ RunResult Machine::run(Engine &E) {
   return R;
 }
 
-RunResult Machine::runLoop(Engine &E, uint64_t Start) {
+template <bool Armed> RunResult Machine::runLoop(Engine &E, uint64_t Start) {
   RunResult R;
   unsigned FruitlessGcs = 0;
   // Detects an instruction that keeps re-triggering collections: a
@@ -292,23 +299,24 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
     F.CapacityWords = E.heap().capacityWords();
     F.Collections = E.gcStats().Collections;
     F.CollectorWedged = E.heap().wedged();
-    F.OffenderGroup = E.largestHeapGroup(F.OffenderLiveWords);
+    // Only the tenant layer keeps the per-group accounts attribution needs.
+    if (Tenancy *Ten = E.tenancy())
+      F.OffenderGroup = Ten->largestHeapGroup(F.OffenderLiveWords);
     return F;
   };
   // Names the group holding the most heap words in heap-exhausted
-  // conditions. Empty unless the tenant quota layer is armed (attribution
-  // needs its per-group accounting), so dormant output is unchanged.
-  auto OffenderSuffix = [&E]() -> std::string {
-    uint64_t Words = 0;
-    GroupId Off = E.largestHeapGroup(Words);
-    if (Off == InvalidGroup || Words == 0)
+  // conditions; empty when dormant, so dormant output is unchanged.
+  auto OffenderSuffix = [&]() -> std::string {
+    HeapFacts F = SnapshotHeap();
+    if (F.OffenderGroup == InvalidGroup || F.OffenderLiveWords == 0)
       return std::string();
-    uint64_t Used = E.heap().usedWords();
-    unsigned Share = Used ? unsigned(Words * 100 / Used) : 0;
     return strFormat("; largest holder: group %u (\"%s\") ~%llu live words "
                      "(%u%% of used heap)",
-                     Off, E.group(Off).Banner.c_str(),
-                     static_cast<unsigned long long>(Words), Share);
+                     F.OffenderGroup, E.group(F.OffenderGroup).Banner.c_str(),
+                     static_cast<unsigned long long>(F.OffenderLiveWords),
+                     F.UsedWords ? unsigned(F.OffenderLiveWords * 100 /
+                                            F.UsedWords)
+                                 : 0u);
   };
   // Ends the run at \p Clock with a structured heap-exhausted result, for
   // a collection that could not run or could not finish (\p Why, unless
@@ -376,16 +384,15 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
 
     // Supervisor restart events due at or before the min clock fire here,
     // so a restart never lands mid-quantum and the schedule around it is
-    // deterministic. Gated twice (armed here, multi-run inside): dormant
-    // runs pay one predicted-false branch.
-    if (E.tenantArmed())
-      E.supervisorTick(P);
+    // deterministic.
+    if (Tenancy *Ten = Armed ? E.tenancy() : nullptr)
+      Ten->supervisorTick(P);
 
     // Fault-plan marks due at this step fire here, one per step, in
     // kMarkPollOrder (fault/FaultPlan.h). Polled at quantum granularity on
     // the min-clock processor, so a mark never lands mid-instruction and
     // the schedule around it stays deterministic.
-    if (E.faults().armed()) {
+    if (Armed && E.faults().armed()) {
       if (std::optional<FaultMark> M =
               E.faults().nextMark(P.Id, P.Clock - Start)) {
         switch (M->Kind) {
@@ -420,12 +427,12 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
         case FaultKind::QuotaSqueeze:
           // As if an operator halved a tenant's heap envelope mid-run.
           E.noteFault(P, FaultKind::QuotaSqueeze, M->Target);
-          E.applyQuotaSqueeze(P, M->Target);
+          Tenancy::applyQuotaSqueeze(E, M->Target);
           break;
         case FaultKind::AdmitBurst:
           // N probe launches hit the admission gate at once.
           E.noteFault(P, FaultKind::AdmitBurst, M->Target);
-          E.admitSyntheticBurst(P, M->Target);
+          Tenancy::admitSyntheticBurst(E, M->Target);
           break;
         case FaultKind::SpuriousGc:
           E.noteFault(P, FaultKind::SpuriousGc, M->At);
@@ -488,45 +495,34 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
       // Tenant quotas and budgets, polled at quantum granularity like the
       // watchdog above: only the offending group stops (restartable — the
       // next instruction never executed); every other group keeps running.
-      if (E.tenantArmed() && E.pollTenant(P, T)) {
+      // A recovered task's re-executed cycles are tallied separately: busy
+      // cycles a survivor spends redoing work the dead processor already
+      // paid for.
+      Tenancy *Ten = Armed ? E.tenancy() : nullptr;
+      if (Ten && Ten->poll(P, T)) {
         P.setCurrent(InvalidTask);
         if (EndIfRootStopped(P.Clock))
           return R;
         continue;
       }
-
-      // Re-executed cycles of a recovered task are tallied separately:
-      // busy cycles a survivor spends redoing work the dead processor
-      // already paid for. A checkpoint-restored task charges only up to
-      // its finite budget (the capture-to-kill delta); a lineage
-      // re-spawn (budget ~0) charges its whole re-run, as before.
-      bool ChargeRecovery = T.Recovered;
+      bool ChargeRecovery = Armed && T.Recovered;
       uint64_t BusyBefore = P.BusyCycles;
       StepOutcome Step = interpretTask(E, P, T, P.Clock + Quantum);
       uint64_t BusyDelta = P.BusyCycles - BusyBefore;
+      // Kept in every run: a cross-check or capture armed later reads it.
       T.BusyCyclesTotal += BusyDelta;
       T.SinceCheckpoint += BusyDelta;
-      if (E.tenantArmed())
-        E.chargeGroupCycles(T, BusyDelta);
-      if (ChargeRecovery) {
-        uint64_t Charge = std::min(BusyDelta, T.RecoveryBudget);
-        E.stats().RecoveryCycles += Charge;
-        T.RecoveryCharged += Charge;
-        if (T.RecoveryBudget != ~uint64_t(0)) {
-          T.RecoveryBudget -= Charge;
-          E.stats().MaxTaskRecoveryCycles = std::max(
-              E.stats().MaxTaskRecoveryCycles, T.RecoveryCharged);
-          if (T.RecoveryBudget == 0)
-            T.Recovered = false; // caught up with the lost delta
-        }
-      }
+      if (Ten)
+        Ten->chargeCycles(T, BusyDelta);
+      if (ChargeRecovery)
+        E.recovery().chargeRecovery(T, BusyDelta);
       switch (Step) {
       case StepOutcome::TimeSlice:
         FruitlessGcs = 0;
         SameSpotTask = InvalidTask;
-        if (E.config().CheckpointEvery &&
+        if (Armed && E.config().CheckpointEvery &&
             T.SinceCheckpoint >= E.config().CheckpointEvery)
-          E.maybeCheckpoint(P, T);
+          E.recovery().maybeCheckpoint(P, T);
         break;
       case StepOutcome::Blocked:
       case StepOutcome::TaskDone:
@@ -540,12 +536,19 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
         // with a heap-exhausted condition (breakloop-inspectable and
         // killable) instead of abandoning the run. The instruction never
         // executed, so the stop is restartable.
-        auto StopHeapExhausted = [&](const std::string &Condition) -> bool {
-          ++E.stats().HeapExhaustedStops;
-          E.stopGroupRestartable(P, T, Condition);
-          P.setCurrent(InvalidTask);
+        // Memory pressure, once a heuristic below gives up: shed the
+        // lowest-priority quota violator (multi-group runs only; its heap
+        // frees at the next collection), else stop the group. True when
+        // that ends the run.
+        auto OutOfHeap = [&](const char *Why) {
           SameSpotTask = InvalidTask;
           FruitlessGcs = 0;
+          if (Ten && Ten->shedForPressure(P) != InvalidGroup)
+            return false;
+          ++E.stats().HeapExhaustedStops;
+          E.stopGroupRestartable(
+              P, T, std::string("heap-exhausted: ") + Why + OffenderSuffix());
+          P.setCurrent(InvalidTask);
           if (!EndIfRootStopped(P.Clock))
             return false;
           R.Heap = SnapshotHeap();
@@ -553,24 +556,13 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
         };
         // An injected allocation failure is not evidence of a full heap;
         // run the collection but keep the exhaustion heuristics quiet.
-        bool Injected =
-            E.faults().armed() && E.faults().consumeInjectedAllocFail();
+        bool Injected = Armed && E.faults().armed() &&
+                        E.faults().consumeInjectedAllocFail();
         if (!Injected) {
           if (T.Id == SameSpotTask && T.Pc == SameSpotPc) {
             if (++SameSpotGcs >= 8) {
-              // Memory pressure: before declaring exhaustion, shed the
-              // lowest-priority quota violator (multi-group runs only) —
-              // its heap frees at the next collection.
-              if (E.multiRun() && E.shedForPressure(P) != InvalidGroup) {
-                SameSpotTask = InvalidTask;
-                FruitlessGcs = 0;
-                break;
-              }
-              if (StopHeapExhausted(
-                      std::string("heap-exhausted: a single operation "
-                                  "allocates more than the collected heap "
-                                  "can hold") +
-                      OffenderSuffix()))
+              if (OutOfHeap("a single operation allocates more than the "
+                            "collected heap can hold"))
                 return R;
               break;
             }
@@ -593,15 +585,7 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
         // failing allocation; stop the group instead of thrashing.
         if (!Injected && E.heap().usedWords() + 64 >= UsedBefore) {
           if (++FruitlessGcs >= 2) {
-            if (E.multiRun() && E.shedForPressure(P) != InvalidGroup) {
-              SameSpotTask = InvalidTask;
-              FruitlessGcs = 0;
-              break;
-            }
-            if (StopHeapExhausted(
-                    std::string("heap-exhausted: collection reclaimed no "
-                                "space") +
-                    OffenderSuffix()))
+            if (OutOfHeap("collection reclaimed no space"))
               return R;
             break;
           }
@@ -638,7 +622,8 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
       // idle time, so busy + idle + GC cycles keep tiling every clock)
       // and let the restart re-populate the queues.
       uint64_t Due;
-      if (E.nextSupervisorEvent(Due)) {
+      Tenancy *Ten = Armed ? E.tenancy() : nullptr;
+      if (Ten && Ten->nextSupervisorEvent(Due)) {
         for (Processor &Q : Procs) {
           if (Q.Dead || Due <= Q.Clock)
             continue;
@@ -647,7 +632,7 @@ RunResult Machine::runLoop(Engine &E, uint64_t Start) {
           Q.IdleCycles += Jump;
           E.stats().IdleCycles += Jump;
         }
-        E.supervisorTick(Procs[minClockProcessor()]);
+        Ten->supervisorTick(Procs[minClockProcessor()]);
         continue;
       }
       // Nothing runnable anywhere. If the root is unresolved, the

@@ -68,7 +68,7 @@ struct Processor {
 
   /// Fail-stopped by a proc-kill fault: never stepped again, skipped as a
   /// steal victim and as a wake-up home. Its queues are drained by
-  /// Engine::recoverProcessor the moment it dies, and it still follows GC
+  /// Recovery::recoverProcessor the moment it dies, and it still follows GC
   /// rendezvous clock jumps so busy + idle + GC cycles keep tiling its
   /// (now frozen) clock.
   bool Dead = false;
@@ -227,7 +227,7 @@ public:
 
   /// Fail-stops processor \p Victim (a kill killIsNoop let through) at
   /// run-relative \p Mark: marks it dead, closes its idle trace slice and
-  /// recovers its work through Engine::recoverProcessor on an observer,
+  /// recovers its work through Recovery::recoverProcessor on an observer,
   /// which is returned. The caller picks the observer, from the live
   /// processors left: the min-clock one for a kill polled between quanta,
   /// homeFor(Victim) for one that fired \p InCollection.
@@ -240,8 +240,9 @@ private:
   unsigned minClockProcessor() const;
 
   /// The run loop proper; run() wraps it with the entry sync and the exit
-  /// accounting every return path shares.
-  RunResult runLoop(Engine &E, uint64_t Start);
+  /// accounting every return path shares. Only the Armed instantiation
+  /// does the feature layers' per-step work; run() picks it once per run.
+  template <bool Armed> RunResult runLoop(Engine &E, uint64_t Start);
 
   /// Parks idle processor \p P (its sweep just found nothing anywhere).
   void park(Processor &P, uint64_t Start);

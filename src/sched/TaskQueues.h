@@ -63,7 +63,7 @@ public:
   /// the virtual clock at which it was enqueued. Costs no virtual time:
   /// used only by fail-stop recovery, which needs the arrival clocks to
   /// tell genuine lost backlog from wakes that landed here after the
-  /// processor's doom mark (see Engine::recoverProcessor).
+  /// processor's doom mark (see Recovery::recoverProcessor).
   std::vector<std::pair<TaskId, uint64_t>> drainSuspendedArrivals();
 
   /// Points these queues at a machine-wide count of queued entries, which

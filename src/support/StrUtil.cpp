@@ -66,3 +66,40 @@ std::string mult::jsonEscape(std::string_view V) {
   }
   return Out;
 }
+
+std::string_view mult::trim(std::string_view S, std::string_view Chars) {
+  size_t Begin = S.find_first_not_of(Chars);
+  if (Begin == std::string_view::npos)
+    return S.substr(S.size());
+  return S.substr(Begin, S.find_last_not_of(Chars) - Begin + 1);
+}
+
+bool mult::parseU64(std::string_view S, uint64_t &Out) {
+  if (S.empty())
+    return false;
+  uint64_t V = 0;
+  for (char C : S) {
+    if (C < '0' || C > '9')
+      return false;
+    uint64_t Digit = uint64_t(C - '0');
+    if (V > (~0ull - Digit) / 10)
+      return false;
+    V = V * 10 + Digit;
+  }
+  Out = V;
+  return true;
+}
+
+std::vector<std::string_view> mult::splitAny(std::string_view S,
+                                             std::string_view Seps) {
+  std::vector<std::string_view> Parts;
+  for (size_t Pos = 0;;) {
+    size_t Next = S.find_first_of(Seps, Pos);
+    if (Next == std::string_view::npos) {
+      Parts.push_back(S.substr(Pos));
+      return Parts;
+    }
+    Parts.push_back(S.substr(Pos, Next - Pos));
+    Pos = Next + 1;
+  }
+}

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace mult {
 
@@ -26,6 +27,17 @@ std::string jsonEscape(std::string_view V);
 
 /// True if \p S consists only of ASCII whitespace.
 bool isAllWhitespace(std::string_view S);
+
+/// \p S without leading and trailing characters of \p Chars.
+std::string_view trim(std::string_view S, std::string_view Chars = " \t");
+
+/// Parses \p S as a decimal that fits in 64 bits. False when \p S is
+/// empty, holds a non-digit or overflows.
+bool parseU64(std::string_view S, uint64_t &Out);
+
+/// Splits \p S at every character of \p Seps, keeping empty fields.
+std::vector<std::string_view> splitAny(std::string_view S,
+                                       std::string_view Seps);
 
 } // namespace mult
 

@@ -8,6 +8,7 @@
 #include "ui/Repl.h"
 
 #include "analysis/RaceDetect.h"
+#include "core/Tenancy.h"
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/TraceExport.h"
@@ -15,7 +16,6 @@
 #include "runtime/Printer.h"
 #include "support/StrUtil.h"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 
@@ -29,11 +29,7 @@ std::string Repl::prompt() const {
 }
 
 static std::string_view trimmed(std::string_view S) {
-  while (!S.empty() && std::isspace(static_cast<unsigned char>(S.front())))
-    S.remove_prefix(1);
-  while (!S.empty() && std::isspace(static_cast<unsigned char>(S.back())))
-    S.remove_suffix(1);
-  return S;
+  return trim(S, " \t\n\v\f\r");
 }
 
 bool Repl::processLine(std::string_view Line) {
@@ -167,28 +163,29 @@ void Repl::cmdGroups() {
   // The tenant columns appear only when the quota/supervision layer is
   // armed, keeping the dormant output bit-identical (cmdProcs does the
   // same for its checkpoint columns).
-  bool ShowTenant = E.tenantArmed();
+  Tenancy *Ten = E.tenancy();
   for (const Group &G : E.allGroups()) {
     if (G.Internal)
       continue; // prelude bootstrap
     Out << "  group " << G.Id << " [" << groupStateName(G.State) << "] "
         << G.Banner << " (" << G.TasksCreated << " tasks)";
-    if (ShowTenant) {
-      uint64_t Account = E.groupHeapAccount(G.Id);
-      Out << strFormat("  heap ~%llu", static_cast<unsigned long long>(Account));
-      if (G.HeapQuotaWords)
+    if (Ten) {
+      const Tenancy::Envelope &V = Ten->envelope(G.Id);
+      Out << strFormat("  heap ~%llu", static_cast<unsigned long long>(
+                                           Ten->heapAccount(G.Id)));
+      if (V.HeapQuotaWords)
         Out << strFormat("/%llu",
-                         static_cast<unsigned long long>(G.HeapQuotaWords));
+                         static_cast<unsigned long long>(V.HeapQuotaWords));
       Out << strFormat(" words, %llu",
-                       static_cast<unsigned long long>(G.CyclesUsed));
-      if (G.CycleBudget)
-        Out << strFormat("/%llu", static_cast<unsigned long long>(G.CycleBudget));
+                       static_cast<unsigned long long>(V.CyclesUsed));
+      if (V.CycleBudget)
+        Out << strFormat("/%llu", static_cast<unsigned long long>(V.CycleBudget));
       Out << " cycles";
-      if (G.Priority)
-        Out << strFormat(", prio %d", G.Priority);
-      if (E.superviseArmed())
+      if (V.Priority)
+        Out << strFormat(", prio %d", V.Priority);
+      if (Ten->supervising())
         Out << ", policy "
-            << Supervisor::formatPolicy(E.supervisor().policyFor(G.Id));
+            << Supervisor::formatPolicy(Ten->supervisor().policyFor(G.Id));
     }
     Out << "\n";
   }
@@ -424,13 +421,14 @@ void Repl::cmdQuota(std::string_view Arg) {
 
 void Repl::cmdSupervise(std::string_view Arg) {
   if (Arg.empty()) {
-    if (!E.superviseArmed()) {
+    if (!E.tenancy() || !E.tenancy()->supervising()) {
       Out << ";; supervisor off\n";
       return;
     }
+    const Supervisor &Super = E.tenancy()->supervisor();
     Out << ";; supervisor policy: "
-        << Supervisor::formatPolicy(E.supervisor().defaultPolicy()) << '\n';
-    const std::vector<std::string> &T = E.supervisor().transcript();
+        << Supervisor::formatPolicy(Super.defaultPolicy()) << '\n';
+    const std::vector<std::string> &T = Super.transcript();
     if (T.empty()) {
       Out << ";; no decisions yet\n";
       return;
@@ -448,7 +446,8 @@ void Repl::cmdSupervise(std::string_view Arg) {
     Out << ";; supervisor off\n";
   else
     Out << ";; supervisor armed: "
-        << Supervisor::formatPolicy(E.supervisor().defaultPolicy()) << '\n';
+        << Supervisor::formatPolicy(E.tenancy()->supervisor().defaultPolicy())
+        << '\n';
 }
 
 void Repl::cmdTrace(std::string_view Arg) {

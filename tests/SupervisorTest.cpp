@@ -12,6 +12,7 @@
 #include "TestUtil.h"
 
 #include "core/Supervisor.h"
+#include "core/Tenancy.h"
 #include "support/StrUtil.h"
 #include "ui/Repl.h"
 
@@ -124,9 +125,8 @@ TEST(SupervisorTest, QuotaStopResumesAfterRaisingTheQuota) {
   ASSERT_NE(R.Error.find("group-heap-quota"), std::string::npos) << R.Error;
   // The stop is restartable: lift the quota and resume — the group picks
   // up where it tripped and completes with the right answer.
-  Group *G = E.findGroup(R.StoppedGroup);
-  ASSERT_NE(G, nullptr);
-  G->HeapQuotaWords = 0;
+  ASSERT_NE(E.findGroup(R.StoppedGroup), nullptr);
+  E.tenancy()->envelope(R.StoppedGroup).HeapQuotaWords = 0;
   EvalResult After = E.resumeGroup(R.StoppedGroup, Value::falseV());
   ASSERT_TRUE(After.ok()) << After.Error;
   EXPECT_EQ(After.Val.asFixnum(), 400);
@@ -197,6 +197,31 @@ TEST(SupervisorTest, HeapExhaustionNamesTheLargestHolder) {
       << R.Error;
 }
 
+TEST(SupervisorTest, DisarmingDropsTheHeapAccounts) {
+  // A stopped group keeps a big list live through a global, and a
+  // collection attributes it to that group. Once quotas are switched off,
+  // a heap-exhausted condition must not name that group as the largest
+  // holder: attribution belongs to the armed layer only.
+  EngineConfig C = config(2);
+  C.HeapWords = 1 << 14;
+  Engine E(C);
+  std::string Err;
+  ASSERT_TRUE(E.configureQuota("heap=100000000", Err)) << Err;
+  EvalResult Stop = E.eval(
+      "(begin (define (build n) (if (= n 0) '() (cons n (build (- n 1)))))"
+      " (define keep (build 1500)) (car 5))");
+  ASSERT_EQ(static_cast<int>(Stop.K),
+            static_cast<int>(EvalResult::Kind::RuntimeError));
+  evalOk(E, "(%gc)");
+  ASSERT_TRUE(E.configureQuota("off", Err)) << Err;
+  EXPECT_FALSE(E.tenantArmed());
+  EvalResult R = E.eval("(let loop ((l '())) (loop (cons 1 l)))");
+  ASSERT_EQ(static_cast<int>(R.K),
+            static_cast<int>(EvalResult::Kind::HeapExhausted));
+  EXPECT_EQ(R.Error.find("largest holder"), std::string::npos) << R.Error;
+  EXPECT_EQ(R.Heap.OffenderGroup, InvalidGroup);
+}
+
 //===----------------------------------------------------------------------===//
 // Multi-group runs: evalGroups, admission, supervision.
 //===----------------------------------------------------------------------===//
@@ -229,7 +254,7 @@ TEST(SupervisorTest, ThreeTenantDemoIsDeterministic) {
     L[1].CycleBudget = 2000;
     L[2].Source = "(+ 40 2)";
     std::vector<EvalResult> R = E.evalGroups(L);
-    Transcript = joined(E.supervisor().transcript());
+    Transcript = joined(E.tenancy()->supervisor().transcript());
     Elapsed = E.stats().ElapsedCycles;
     EXPECT_EQ(R.size(), 3u);
     EXPECT_NE(R[0].Error.find("group-heap-quota"), std::string::npos)
@@ -288,7 +313,7 @@ TEST(SupervisorTest, SupervisorGivesUpOnAPersistentQuotaViolator) {
       << R[0].Error;
   EXPECT_EQ(E.stats().SupervisorRestarts, 2u);
   EXPECT_EQ(E.stats().SupervisorGaveUp, 1u);
-  std::string T = joined(E.supervisor().transcript());
+  std::string T = joined(E.tenancy()->supervisor().transcript());
   EXPECT_NE(T.find("attempt 1/2"), std::string::npos) << T;
   EXPECT_NE(T.find("attempt 2/2"), std::string::npos) << T;
   EXPECT_NE(T.find("gave-up"), std::string::npos) << T;
@@ -359,7 +384,7 @@ TEST(SupervisorTest, BackoffScheduleIsBitDeterministicAcrossProcCounts) {
     L[0].HeapQuotaWords = 128;
     L[0].Supervise = "restart:max=3,backoff=512";
     E.evalGroups(L);
-    return joined(E.supervisor().transcript());
+    return joined(E.tenancy()->supervisor().transcript());
   };
   std::string Ref = RunOnce(1);
   EXPECT_NE(Ref.find("after 512 cycles"), std::string::npos) << Ref;
