@@ -373,13 +373,6 @@ void Engine::bootstrap() {
 // Tasks and groups
 //===----------------------------------------------------------------------===//
 
-Task &Engine::task(TaskId Id) {
-  uint32_t Idx = taskIndex(Id);
-  assert(Idx < Tasks.size() && TaskGens[Idx] == taskGeneration(Id) &&
-         "stale task id");
-  return *Tasks[Idx];
-}
-
 Task *Engine::liveTask(TaskId Id) {
   uint32_t Idx = taskIndex(Id);
   if (Idx >= Tasks.size() || TaskGens[Idx] != taskGeneration(Id))
@@ -393,11 +386,6 @@ Task *Engine::taskByIndex(uint32_t Idx) {
     return nullptr;
   Task *T = Tasks[Idx].get();
   return (T && T->State != TaskState::Done) ? T : nullptr;
-}
-
-Group &Engine::group(GroupId Id) {
-  assert(Id < Groups.size() && "bad group id");
-  return Groups[Id];
 }
 
 Group *Engine::findGroup(GroupId Id) {

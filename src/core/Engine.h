@@ -40,6 +40,7 @@
 #include "support/OutStream.h"
 #include "support/Prng.h"
 
+#include <cassert>
 #include <chrono>
 #include <deque>
 #include <memory>
@@ -317,7 +318,14 @@ public:
   Object *tryAlloc(Processor &P, TypeTag Tag, uint32_t SizeWords,
                    uint64_t &Cycles, uint8_t Flags = 0);
 
-  Task &task(TaskId Id);
+  /// Inline: the run loop looks up the running task and its group on
+  /// every step.
+  Task &task(TaskId Id) {
+    uint32_t Idx = taskIndex(Id);
+    assert(Idx < Tasks.size() && TaskGens[Idx] == taskGeneration(Id) &&
+           "stale task id");
+    return *Tasks[Idx];
+  }
   /// Null if the id's generation is stale or the task is Done.
   Task *liveTask(TaskId Id);
   /// The task currently occupying registry slot \p Idx, regardless of
@@ -326,7 +334,10 @@ public:
   /// used by the touch-wait telemetry to map a future back to the
   /// spawning site via the FutTaskId slot.
   Task *taskByIndex(uint32_t Idx);
-  Group &group(GroupId Id);
+  Group &group(GroupId Id) {
+    assert(Id < Groups.size() && "bad group id");
+    return Groups[Id];
+  }
   /// Creates (or recycles) a task running \p Closure. \p Parent is the
   /// creating task (the future-spawn DAG edge recorded in the trace);
   /// InvalidTask for roots and server tasks that no task spawned.

@@ -116,17 +116,24 @@ void Machine::setClocks(const std::vector<uint64_t> &C) {
     Procs[I].Clock = C[I];
 }
 
-unsigned Machine::minClockProcessor() const {
+unsigned Machine::minClockProcessor(uint64_t &RunnerUp) const {
   unsigned Best = ~0u;
-  uint64_t BestClock = 0;
+  uint64_t BestClock = ~uint64_t(0);
+  RunnerUp = ~uint64_t(0);
   for (unsigned I = 0; I < Procs.size(); ++I) {
     const Processor &P = Procs[I];
     if (P.Dead)
       continue;
     uint64_t Clock = P.Parked ? P.WakeClock : P.Clock;
     if (Best == ~0u || Clock < BestClock) {
+      // The old best has the lower id and every key seen so far is at
+      // least its own, so it alone bounds the new best.
+      RunnerUp = BestClock;
       Best = I;
       BestClock = Clock;
+    } else {
+      // A higher id: it wins only at a strictly smaller clock.
+      RunnerUp = std::min(RunnerUp, Clock + (Clock != ~uint64_t(0)));
     }
   }
   return Best; // the last live processor is never killed
@@ -210,6 +217,24 @@ Processor &Machine::homeFor(unsigned Preferred) {
   return Procs[Preferred]; // unreachable: at least one processor lives
 }
 
+bool Machine::continueSlice(Engine &E, const Processor &P, const Task &T) {
+  assert(P.current() == T.Id && !T.HasWakeAction);
+  // The checks the next step would make before resuming T, in its order:
+  // the root, T's group and T itself; then EndStep, which would settle the
+  // parked processors once work is queued or a seam exists.
+  if (E.rootResolved())
+    return false;
+  GroupState GS = E.group(T.Group).State;
+  if (GS != GroupState::Running && GS != GroupState::Done)
+    return false;
+  if (T.State != TaskState::Running)
+    return false;
+  if (ParkedCount && (Queued || !E.seams().empty()))
+    return false;
+  SelClock = P.Clock;
+  return true;
+}
+
 Processor &Machine::failStop(Engine &E, unsigned Victim, uint64_t Mark,
                              bool InCollection) {
   Processor &Dead = Procs[Victim];
@@ -218,8 +243,9 @@ Processor &Machine::failStop(Engine &E, unsigned Victim, uint64_t Mark,
     Dead.TraceIdling = false;
     E.tracer().record(TraceEventKind::IdleEnd, Dead.Id, Dead.Clock);
   }
+  uint64_t RunnerUp;
   Processor &Obs =
-      InCollection ? homeFor(Victim) : Procs[minClockProcessor()];
+      InCollection ? homeFor(Victim) : Procs[minClockProcessor(RunnerUp)];
   E.noteFault(Obs, FaultKind::ProcKill, Victim);
   E.recovery().recoverProcessor(Obs, Dead, RunStart + Mark);
   return Obs;
@@ -354,6 +380,15 @@ template <bool Armed> RunResult Machine::runLoop(Engine &E, uint64_t Start) {
     if (ParkedCount && (Queued || Running == 0 || !E.seams().empty()))
       settleParked(E);
   };
+  // A dormant slice may run past its quantum boundaries (see
+  // continueSlice) up to its horizon: the first boundary clock at which
+  // the next step could do more than resume it. The run's cycle limit and
+  // cycle budget bound every slice.
+  auto After = [&](uint64_t Limit) {
+    return Limit < ~uint64_t(0) - Start ? Start + Limit + 1 : ~uint64_t(0);
+  };
+  const uint64_t Deadline =
+      std::min(After(MaxRunCycles), After(E.config().MaxCycles));
   for (;; EndStep()) {
     if (E.rootResolved()) {
       R.Status = RunStatus::Completed;
@@ -363,7 +398,8 @@ template <bool Armed> RunResult Machine::runLoop(Engine &E, uint64_t Start) {
       return R;
     }
 
-    Processor &P = Procs[minClockProcessor()];
+    uint64_t RunnerUp;
+    Processor &P = Procs[minClockProcessor(RunnerUp)];
     if (P.Parked)
       settle(E, P, P.WakeClock, P.Id); // its wake sweep is stepped
     SelClock = P.Clock;
@@ -505,9 +541,17 @@ template <bool Armed> RunResult Machine::runLoop(Engine &E, uint64_t Start) {
           return R;
         continue;
       }
+      // Horizon 0 ends the slice at its first boundary: an armed step has
+      // layer work there, and a TimeSlice clears the collection counters.
+      uint64_t Horizon = 0;
+      if (!Armed && !FruitlessGcs && SameSpotTask == InvalidTask) {
+        Horizon = std::min(RunnerUp, Deadline);
+        if (Adaptive.Enabled)
+          Horizon = std::min(Horizon, P.Adapt.WindowEnd);
+      }
       bool ChargeRecovery = Armed && T.Recovered;
       uint64_t BusyBefore = P.BusyCycles;
-      StepOutcome Step = interpretTask(E, P, T, P.Clock + Quantum);
+      StepOutcome Step = interpretTask(E, P, T, P.Clock + Quantum, Horizon);
       uint64_t BusyDelta = P.BusyCycles - BusyBefore;
       // Kept in every run: a cross-check or capture armed later reads it.
       T.BusyCyclesTotal += BusyDelta;
@@ -632,7 +676,8 @@ template <bool Armed> RunResult Machine::runLoop(Engine &E, uint64_t Start) {
           Q.IdleCycles += Jump;
           E.stats().IdleCycles += Jump;
         }
-        Ten->supervisorTick(Procs[minClockProcessor()]);
+        uint64_t RunnerUp;
+        Ten->supervisorTick(Procs[minClockProcessor(RunnerUp)]);
         continue;
       }
       // Nothing runnable anywhere. If the root is unresolved, the

@@ -234,10 +234,18 @@ public:
   Processor &failStop(Engine &E, unsigned Victim, uint64_t Mark,
                       bool InCollection);
 
+  /// Asked by the interpreter at a quantum boundary below the slice's
+  /// horizon (see runLoop): true when the run loop's next step would only
+  /// reselect \p P and resume \p T, so the next quantum opens in place.
+  /// That step's key becomes the current selection.
+  bool continueSlice(Engine &E, const Processor &P, const Task &T);
+
 private:
   /// The live processor with the smallest (clock, id) key; a parked
-  /// processor's key is its wake clock.
-  unsigned minClockProcessor() const;
+  /// processor's key is its wake clock. \p RunnerUp receives the first
+  /// clock at which another processor's key would win the selection:
+  /// each other one's key, plus 1 when it loses the id tie.
+  unsigned minClockProcessor(uint64_t &RunnerUp) const;
 
   /// The run loop proper; run() wraps it with the entry sync and the exit
   /// accounting every return path shares. Only the Armed instantiation

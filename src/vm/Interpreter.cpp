@@ -60,7 +60,7 @@ bool isClosureV(Value V) {
 __attribute__((optimize("no-gcse", "no-crossjumping")))
 #endif
 StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
-                              uint64_t TargetClock,
+                              uint64_t TargetClock, uint64_t Horizon,
                               const ThreadedLabels **LabelsOut) {
   // Handler addresses, indexed by Op and by FusedOp, generated from the
   // opcode and superinstruction tables (compiler/Bytecode.h).
@@ -169,14 +169,14 @@ StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
 const ThreadedLabels &mult::threadedLabels() {
   static const ThreadedLabels *L = [] {
     const ThreadedLabels *Out = nullptr;
-    interpretThreaded(nullptr, nullptr, nullptr, 0, &Out);
+    interpretThreaded(nullptr, nullptr, nullptr, 0, 0, &Out);
     return Out;
   }();
   return *L;
 }
 
 StepOutcome mult::interpretTask(Engine &E, Processor &P, Task &T,
-                                uint64_t TargetClock) {
+                                uint64_t TargetClock, uint64_t Horizon) {
   // Complete a deferred blocking/erring instruction (semaphore wake,
   // breakloop resume).
   if (T.HasWakeAction) {
@@ -188,5 +188,5 @@ StepOutcome mult::interpretTask(Engine &E, Processor &P, Task &T,
     T.WakeValue = Value::nil();
   }
 
-  return interpretThreaded(&E, &P, &T, TargetClock, nullptr);
+  return interpretThreaded(&E, &P, &T, TargetClock, Horizon, nullptr);
 }
