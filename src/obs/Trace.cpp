@@ -23,8 +23,9 @@
 
 #include "obs/Trace.h"
 
+#include "support/StrUtil.h"
+
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <unistd.h>
 
@@ -116,8 +117,9 @@ void Tracer::setRingCapacity(size_t N) {
   closeStreamFile();
   Mode = TraceSinkMode::Ring;
   RingCap = N < 1 ? 1 : N;
+  // Nothing is reserved: record() appends until the ring is full, so a
+  // huge capacity costs only the events actually recorded.
   Events.clear();
-  Events.reserve(RingCap);
   RingHead = 0;
   Emitted = 0;
   Dropped = 0;
@@ -179,10 +181,8 @@ bool Tracer::configureSink(const std::string &Spec, std::string &Err) {
     return true;
   }
   if (Spec.rfind("ring:", 0) == 0) {
-    const std::string Num = Spec.substr(5);
-    char *EndP = nullptr;
-    unsigned long long N = std::strtoull(Num.c_str(), &EndP, 10);
-    if (Num.empty() || *EndP != '\0' || N == 0) {
+    uint64_t N = 0;
+    if (!parseU64(std::string_view(Spec).substr(5), N) || N == 0) {
       Err = "bad ring capacity in '" + Spec + "' (want ring:N, N >= 1)";
       return false;
     }

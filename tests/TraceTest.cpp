@@ -14,6 +14,7 @@
 #include "obs/Metrics.h"
 #include "obs/TraceExport.h"
 #include "sched/Scheduler.h"
+#include "ui/Repl.h"
 
 #include <algorithm>
 #include <cctype>
@@ -279,6 +280,44 @@ TEST(TraceSinkTest, ConfigureSinkRejectsMalformedSpecs) {
   EXPECT_EQ(T.ringCapacity(), 8u);
   EXPECT_TRUE(T.configureSink("unbounded", Err)) << Err;
   EXPECT_EQ(T.mode(), TraceSinkMode::Unbounded);
+}
+
+TEST(TraceSinkTest, RingCapacityTakesDigitsOnly) {
+  // strtoull would read "-1" as 2^64-1 and "+5" / " 5" as 5.
+  Tracer T;
+  std::string Err;
+  for (const char *Spec : {"ring:-1", "ring:+5", "ring: 5", "ring:0",
+                           "ring:18446744073709551616"}) {
+    Err.clear();
+    EXPECT_FALSE(T.configureSink(Spec, Err)) << Spec;
+    EXPECT_EQ(Err, std::string("bad ring capacity in '") + Spec +
+                       "' (want ring:N, N >= 1)");
+  }
+  EXPECT_EQ(T.mode(), TraceSinkMode::Unbounded) << "bad specs change nothing";
+}
+
+TEST(TraceSinkTest, HugeRingAllocatesNothingUpFront) {
+  Tracer T;
+  std::string Err;
+  ASSERT_TRUE(T.configureSink("ring:18446744073709551615", Err)) << Err;
+  EXPECT_EQ(T.ringCapacity(), ~size_t(0));
+  EXPECT_EQ(T.events().capacity(), 0u);
+  T.setEnabled(true);
+  for (uint64_t I = 0; I < 3; ++I)
+    T.record(TraceEventKind::TaskStart, 0, I);
+  EXPECT_EQ(T.size(), 3u);
+  EXPECT_EQ(T.dropped(), 0u);
+}
+
+TEST(TraceSinkTest, ReplRefusesANegativeRing) {
+  Engine E(config(1));
+  std::string Buf;
+  StringOutStream Out(Buf);
+  Repl R(E, Out);
+  R.processLine(":trace ring:-1");
+  EXPECT_NE(Buf.find("bad ring capacity in 'ring:-1'"), std::string::npos)
+      << Buf;
+  EXPECT_EQ(E.tracer().mode(), TraceSinkMode::Unbounded);
 }
 
 TEST(TraceSinkTest, SwitchingSinksStartsAFreshRecording) {
