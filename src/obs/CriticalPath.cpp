@@ -133,6 +133,60 @@ int sortRank(TraceEventKind K) {
   }
 }
 
+/// Event indices in sweep order: by clock, then rank, then index (so a
+/// rank's events keep their emission order). The keys are flat words,
+/// clock offset | rank | index, sorted by a stable LSD radix sort over
+/// the clock and rank bits only: the index bits start sorted. A trace
+/// whose clock span leaves no room for the index in one word (2^31
+/// cycles or more at 2^32 events) sorts (clock, rank | index) pairs.
+std::vector<uint32_t> sweepOrder(const std::vector<TraceEvent> &Events) {
+  const size_t N = Events.size();
+  uint64_t MinClock = ~uint64_t(0), MaxClock = 0;
+  for (const TraceEvent &E : Events) {
+    MinClock = std::min(MinClock, E.Clock);
+    MaxClock = std::max(MaxClock, E.Clock);
+  }
+  unsigned IdxBits = 1;
+  while ((uint64_t(1) << IdxBits) < N)
+    ++IdxBits;
+  const uint64_t Span = MaxClock - MinClock;
+  std::vector<uint32_t> Order(N);
+  if (Span >> (63 - IdxBits)) {
+    std::vector<std::pair<uint64_t, uint64_t>> Keys(N);
+    for (uint32_t I = 0; I < N; ++I)
+      Keys[I] = {Events[I].Clock,
+                 uint64_t(sortRank(Events[I].Kind)) << 32 | I};
+    std::sort(Keys.begin(), Keys.end());
+    for (size_t J = 0; J < N; ++J)
+      Order[J] = static_cast<uint32_t>(Keys[J].second);
+    return Order;
+  }
+  std::vector<uint64_t> Keys(N), Spare(N);
+  for (uint32_t I = 0; I < N; ++I)
+    Keys[I] = (Events[I].Clock - MinClock) << (IdxBits + 1) |
+              uint64_t(sortRank(Events[I].Kind)) << IdxBits | I;
+  constexpr unsigned DigitBits = 13;
+  constexpr uint64_t DigitMask = (uint64_t(1) << DigitBits) - 1;
+  const uint64_t HighBits = Span << 1 | 1; // clock offset and rank
+  std::vector<size_t> Start(DigitMask + 2);
+  for (unsigned Digit = 0; Digit < 64 && HighBits >> Digit;
+       Digit += DigitBits) {
+    unsigned Shift = IdxBits + Digit;
+    std::fill(Start.begin(), Start.end(), 0);
+    for (uint64_t K : Keys)
+      ++Start[((K >> Shift) & DigitMask) + 1];
+    for (size_t D = 1; D < Start.size(); ++D)
+      Start[D] += Start[D - 1];
+    for (uint64_t K : Keys)
+      Spare[Start[(K >> Shift) & DigitMask]++] = K;
+    Keys.swap(Spare);
+  }
+  const uint64_t IdxMask = (uint64_t(1) << IdxBits) - 1;
+  for (size_t J = 0; J < N; ++J)
+    Order[J] = static_cast<uint32_t>(Keys[J] & IdxMask);
+  return Order;
+}
+
 } // namespace
 
 CriticalPathReport
@@ -153,13 +207,7 @@ mult::analyzeCriticalPath(const std::vector<TraceEvent> &Events,
 
   // Chronological sweep order: by clock, publishers first within a clock,
   // per-processor emission order preserved.
-  std::vector<uint32_t> Order(Events.size());
-  std::iota(Order.begin(), Order.end(), 0);
-  std::stable_sort(Order.begin(), Order.end(), [&](uint32_t L, uint32_t Rr) {
-    if (Events[L].Clock != Events[Rr].Clock)
-      return Events[L].Clock < Events[Rr].Clock;
-    return sortRank(Events[L].Kind) < sortRank(Events[Rr].Kind);
-  });
+  std::vector<uint32_t> Order = sweepOrder(Events);
 
   // One pre-pass sizes the tables and pairs restores with captures. A
   // restore resumes from the task's newest capture in emission order. The

@@ -123,6 +123,35 @@ TEST(CriticalPathFixtureTest, TouchBlockEdgeLengthensSpan) {
   EXPECT_EQ(R.JoinEdges, 1u);
 }
 
+/// The sweep orders by clock, then publishers first, then emission order,
+/// whatever the trace's clock span: a span too wide to pack clock and
+/// index into one sort key takes the wide-key path to the same order.
+TEST(CriticalPathFixtureTest, SweepOrderHoldsAtAnyClockSpan) {
+  for (uint64_t Far : {uint64_t(1000), uint64_t(1) << 62}) {
+    TraceBuilder B;
+    TaskId T1 = B.task(1), T2 = B.task(2);
+    B.ev(TraceEventKind::TaskCreate, 0, 0, T1, 0, InvalidTask)
+        .ev(TraceEventKind::TaskCreate, 1, 0, T2, 0, InvalidTask)
+        .ev(TraceEventKind::TaskStart, 0, 0, T1)
+        .ev(TraceEventKind::TaskStart, 1, 0, T2)
+        .ev(TraceEventKind::TouchBlock, 1, 30, T2)
+        .ev(TraceEventKind::TaskBlock, 1, 30, T2, 0)
+        // T2's restart is emitted before the resolve that wakes it, at
+        // the same clock: the publisher must still sweep first.
+        .ev(TraceEventKind::TaskStart, 1, 100, T2)
+        .ev(TraceEventKind::TaskResume, 0, 100, T2, 1, T1)
+        .ev(TraceEventKind::FutureResolve, 0, 100, 1, 0, 1)
+        .ev(TraceEventKind::TaskFinish, 0, 100, T1)
+        .ev(TraceEventKind::TaskFinish, 1, 140, T2)
+        .ev(TraceEventKind::IdleBegin, 2, Far);
+    CriticalPathReport R = B.analyze();
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.Work, 170u) << "far clock " << Far;
+    EXPECT_EQ(R.Span, 140u) << "far clock " << Far;
+    EXPECT_EQ(R.JoinEdges, 1u) << "far clock " << Far;
+  }
+}
+
 /// A touch that hits: the resolve serial carries the edge even though the
 /// toucher never blocked.
 TEST(CriticalPathFixtureTest, TouchHitEdgeRaisesPath) {
