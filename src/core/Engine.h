@@ -476,6 +476,7 @@ public:
   void scanProcessorRoots(unsigned Proc, const RootVisitor &Visit) override;
   void preFlip() override;
   void remapWeakCaches() override;
+  bool pollsGcKills() const override { return Recov.pollsGcKills(); }
   bool pollGcKill(uint64_t Clock, unsigned &Victim) override {
     return Recov.pollGcKill(Clock, Victim);
   }

@@ -361,6 +361,7 @@ bool Recovery::checkByzantineReturn(Processor &P, Task &T) {
   Processor &Checker = M.processor(CheckerId);
   ++S.CrossChecks;
   Checker.charge(cost::CrossCheckBase + T.BusyCyclesTotal);
+  M.invalidateOrder(); // the checker is not the processor being stepped
   if (!Lie)
     return false;
 
@@ -385,12 +386,14 @@ bool Recovery::checkByzantineReturn(Processor &P, Task &T) {
   return true;
 }
 
-bool Recovery::pollGcKill(uint64_t Clock, unsigned &Victim) {
+bool Recovery::pollsGcKills() const {
   // Fault marks are run-relative; a collection triggered outside a run
   // (allocOrGc from a setup path) has no run clock to poll against.
+  return E.faults().armed() && E.machine().inRun();
+}
+
+bool Recovery::pollGcKill(uint64_t Clock, unsigned &Victim) {
   Machine &M = E.machine();
-  if (!E.faults().armed() || !M.inRun())
-    return false;
   uint64_t Start = M.runStartClock();
   FaultMark Mark;
   if (!E.faults().takeMark(FaultClause::ProcKills,

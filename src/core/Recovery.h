@@ -50,6 +50,8 @@ public:
   /// the lie with a sampled cross-check and stop the group restartably.
   /// True when the group stopped (the return must not commit).
   bool checkByzantineReturn(Processor &P, Task &T);
+  /// GcClient::pollsGcKills: a fault plan is armed and a run is on.
+  bool pollsGcKills() const;
   /// GcClient::pollGcKill: the collector finishes the victim's copy work
   /// on survivors; finishGcKills fail-stops it once the heap is whole.
   bool pollGcKill(uint64_t Clock, unsigned &Victim);

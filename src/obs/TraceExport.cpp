@@ -113,16 +113,7 @@ private:
 
   void append(uint64_t N) { Len = formatDecimal(Buf + Len, N) - Buf; }
 
-  /// Three decimals. to_chars rounds exactly, as printf's "%.3f" does, so
-  /// the digits match it.
-  void append(Micros T) {
-    double Us =
-        static_cast<double>(T.Cycles) * EngineStats::MicrosecondsPerCycle;
-    Len = std::to_chars(Buf + Len, Buf + sizeof(Buf), Us,
-                        std::chars_format::fixed, 3)
-              .ptr -
-          Buf;
-  }
+  void append(Micros T) { Len = formatTraceMicros(Buf + Len, T.Cycles) - Buf; }
 
   OutStream &OS;
   bool First = true;
@@ -236,6 +227,27 @@ bool isInstantKind(TraceEventKind K) {
 }
 
 } // namespace
+
+char *mult::formatTraceMicros(char *Out, uint64_t Cycles) {
+  constexpr uint64_t HundredthsPerCycle = 112;
+  static_assert(HundredthsPerCycle / 100.0 ==
+                EngineStats::MicrosecondsPerCycle);
+  if (Cycles < (uint64_t(1) << 40)) {
+    uint64_t H = Cycles * HundredthsPerCycle;
+    Out = formatDecimal(Out, H / 100);
+    unsigned Frac = unsigned(H % 100);
+    Out[0] = '.';
+    Out[1] = char('0' + Frac / 10);
+    Out[2] = char('0' + Frac % 10);
+    Out[3] = '0';
+    return Out + 4;
+  }
+  // to_chars rounds exactly, as printf's "%.3f" does.
+  double Us = static_cast<double>(Cycles) * EngineStats::MicrosecondsPerCycle;
+  return std::to_chars(Out, Out + TraceMicrosMaxChars, Us,
+                       std::chars_format::fixed, 3)
+      .ptr;
+}
 
 void mult::writeChromeTrace(OutStream &OS, const Tracer &Tr,
                             const Machine &M) {

@@ -37,6 +37,16 @@ void writeChromeTrace(OutStream &OS, const Tracer &Tr, const Machine &M);
 /// Convenience: renders the JSON into a string.
 std::string chromeTraceJson(const Tracer &Tr, const Machine &M);
 
+/// Room formatTraceMicros needs at \p Out.
+inline constexpr size_t TraceMicrosMaxChars = 32;
+
+/// Writes \p Cycles as microseconds with three decimals, the digits
+/// std::to_chars gives for the double cycles x MicrosecondsPerCycle, and
+/// returns the end. Below 2^40 cycles the digits come from integer
+/// arithmetic; there the double is within 0.0005 of the exact value in
+/// hundredths, so both agree.
+char *formatTraceMicros(char *Out, uint64_t Cycles);
+
 } // namespace mult
 
 #endif // MULT_OBS_TRACEEXPORT_H

@@ -166,6 +166,7 @@ bool Collection::run(std::vector<uint64_t> &ProcClocks,
   if (!TheHeap.beginCollection())
     return false; // wedged (or re-entered): cannot collect, only report
   TallyLive = Client.wantsLiveWordsTally();
+  const bool PollKills = Client.pollsGcKills();
   NumSegments = Client.numRootSegments();
 
   // Step 1: rendezvous. Everybody arrives at the triggering processor's
@@ -200,7 +201,7 @@ bool Collection::run(std::vector<uint64_t> &ProcClocks,
     if (!Any)
       break;
     unsigned Victim = ~0u;
-    if (Client.pollGcKill(Procs[Best].Clock, Victim) &&
+    if (PollKills && Client.pollGcKill(Procs[Best].Clock, Victim) &&
         Victim < Procs.size() && !Procs[Victim].GcDead) {
       // A proc-kill fault landed inside the collection. The fail-stop is
       // modelled between the victim's scan and copy phases: its root scan

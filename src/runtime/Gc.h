@@ -70,13 +70,18 @@ public:
   /// overridable. Default: nothing.
   virtual void remapWeakCaches() {}
 
-  /// Polled between collection work units, with the virtual clock of the
-  /// processor about to be stepped. Returns true when a proc-kill fault
-  /// fires *inside* this collection: \p Victim dies between its root-scan
-  /// and copy phases. The collector completes the victim's pending scan,
-  /// hands its copy stack to a survivor, and excludes it from further
-  /// collection work; the client performs the machine-level fail-stop
-  /// (and task recovery) after collect() returns. Default: never.
+  /// Checked once per collection: when false, pollGcKill is never called
+  /// during it. Default: off, so dormant runs pay one call per collection.
+  virtual bool pollsGcKills() const { return false; }
+
+  /// Polled between collection work units while pollsGcKills(), with the
+  /// virtual clock of the processor about to be stepped. Returns true when
+  /// a proc-kill fault fires *inside* this collection: \p Victim dies
+  /// between its root-scan and copy phases. The collector completes the
+  /// victim's pending scan, hands its copy stack to a survivor, and
+  /// excludes it from further collection work; the client performs the
+  /// machine-level fail-stop (and task recovery) after collect() returns.
+  /// Default: never.
   virtual bool pollGcKill(uint64_t Clock, unsigned &Victim) {
     (void)Clock;
     (void)Victim;

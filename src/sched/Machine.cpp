@@ -26,7 +26,9 @@ Machine::Machine(unsigned NumProcessors, uint64_t QuantumCycles,
       Adaptive(Adaptive) {
   assert(NumProcessors >= 1 && "need at least one processor");
   Procs.resize(NumProcessors);
+  Ranked.resize(NumProcessors);
   for (unsigned I = 0; I < NumProcessors; ++I) {
+    Ranked[I].Id = I;
     Procs[I].Id = I;
     Procs[I].RunningTally = &Running;
     Procs[I].Queues.setQueuedTally(&Queued);
@@ -114,9 +116,14 @@ void Machine::setClocks(const std::vector<uint64_t> &C) {
   assert(C.size() == Procs.size());
   for (size_t I = 0; I < Procs.size(); ++I)
     Procs[I].Clock = C[I];
+  OrderStale = true;
 }
 
-unsigned Machine::minClockProcessor(uint64_t &RunnerUp) const {
+#ifndef NDEBUG
+/// select() by a scan of every processor, for the assertion that the
+/// maintained order picks the same processor and runner-up key.
+static unsigned scanSelection(const std::vector<Processor> &Procs,
+                              uint64_t &RunnerUp) {
   unsigned Best = ~0u;
   uint64_t BestClock = ~uint64_t(0);
   RunnerUp = ~uint64_t(0);
@@ -136,7 +143,49 @@ unsigned Machine::minClockProcessor(uint64_t &RunnerUp) const {
       RunnerUp = std::min(RunnerUp, Clock + (Clock != ~uint64_t(0)));
     }
   }
-  return Best; // the last live processor is never killed
+  return Best;
+}
+#endif
+
+Processor &Machine::select(uint64_t &RunnerUp) {
+  if (OrderStale) {
+    // Refresh every key in place and drop the dead. Whatever moved, the
+    // old order is a good guess, so the insertion sort is short.
+    size_t N = 0;
+    for (const Rank &R : Ranked)
+      if (!Procs[R.Id].Dead)
+        Ranked[N++] = rankOf(Procs[R.Id]);
+    Ranked.resize(N); // never empty: the last live processor is never killed
+    for (size_t I = 1; I < N; ++I) {
+      Rank R = Ranked[I];
+      size_t J = I;
+      for (; J > 0 && R < Ranked[J - 1]; --J)
+        Ranked[J] = Ranked[J - 1];
+      Ranked[J] = R;
+    }
+    OrderStale = false;
+  } else {
+    // Only the last selection moved; it usually lands last, so its new
+    // place is found from the back.
+    Rank R = rankOf(Procs[Ranked[0].Id]);
+    size_t K = Ranked.size() - 1;
+    while (K > 0 && R < Ranked[K])
+      --K;
+    std::copy(Ranked.begin() + 1, Ranked.begin() + K + 1, Ranked.begin());
+    Ranked[K] = R;
+  }
+  const Rank &Best = Ranked[0];
+  RunnerUp = ~uint64_t(0);
+  if (Ranked.size() > 1) {
+    const Rank &Next = Ranked[1];
+    RunnerUp = Next.Key + (Next.Id > Best.Id && Next.Key != ~uint64_t(0));
+  }
+#ifndef NDEBUG
+  uint64_t ScanRunnerUp;
+  assert(scanSelection(Procs, ScanRunnerUp) == Best.Id &&
+         ScanRunnerUp == RunnerUp && "selection order went stale unmarked");
+#endif
+  return Procs[Best.Id];
 }
 
 bool Machine::quiescent(const Engine &E) const {
@@ -199,6 +248,7 @@ void Machine::settleParked(Engine &E) {
   for (Processor &P : Procs)
     if (P.Parked)
       settle(E, P, SelClock, SelId);
+  OrderStale = true;
 }
 
 unsigned Machine::liveProcessors() const {
@@ -239,13 +289,13 @@ Processor &Machine::failStop(Engine &E, unsigned Victim, uint64_t Mark,
                              bool InCollection) {
   Processor &Dead = Procs[Victim];
   Dead.Dead = true;
+  OrderStale = true;
   if (Dead.TraceIdling) {
     Dead.TraceIdling = false;
     E.tracer().record(TraceEventKind::IdleEnd, Dead.Id, Dead.Clock);
   }
   uint64_t RunnerUp;
-  Processor &Obs =
-      InCollection ? homeFor(Victim) : Procs[minClockProcessor(RunnerUp)];
+  Processor &Obs = InCollection ? homeFor(Victim) : select(RunnerUp);
   E.noteFault(Obs, FaultKind::ProcKill, Victim);
   E.recovery().recoverProcessor(Obs, Dead, RunStart + Mark);
   return Obs;
@@ -277,6 +327,7 @@ RunResult Machine::run(Engine &E) {
     P.IdleCycles += Skew;
     E.stats().IdleCycles += Skew;
   }
+  OrderStale = true;
 
   // Idle parking. An idle processor whose sweep found nothing while no
   // task is queued anywhere, no lazy seam exists and some processor is
@@ -399,7 +450,7 @@ template <bool Armed> RunResult Machine::runLoop(Engine &E, uint64_t Start) {
     }
 
     uint64_t RunnerUp;
-    Processor &P = Procs[minClockProcessor(RunnerUp)];
+    Processor &P = select(RunnerUp);
     if (P.Parked)
       settle(E, P, P.WakeClock, P.Id); // its wake sweep is stepped
     SelClock = P.Clock;
@@ -676,8 +727,9 @@ template <bool Armed> RunResult Machine::runLoop(Engine &E, uint64_t Start) {
           Q.IdleCycles += Jump;
           E.stats().IdleCycles += Jump;
         }
+        OrderStale = true;
         uint64_t RunnerUp;
-        Ten->supervisorTick(Procs[minClockProcessor(RunnerUp)]);
+        Ten->supervisorTick(select(RunnerUp));
         continue;
       }
       // Nothing runnable anywhere. If the root is unresolved, the

@@ -228,8 +228,8 @@ public:
   /// Fail-stops processor \p Victim (a kill killIsNoop let through) at
   /// run-relative \p Mark: marks it dead, closes its idle trace slice and
   /// recovers its work through Recovery::recoverProcessor on an observer,
-  /// which is returned. The caller picks the observer, from the live
-  /// processors left: the min-clock one for a kill polled between quanta,
+  /// which is returned. The observer is picked from the live processors
+  /// left: the next selection for a kill polled between quanta,
   /// homeFor(Victim) for one that fired \p InCollection.
   Processor &failStop(Engine &E, unsigned Victim, uint64_t Mark,
                       bool InCollection);
@@ -240,12 +240,32 @@ public:
   /// That step's key becomes the current selection.
   bool continueSlice(Engine &E, const Processor &P, const Task &T);
 
+  /// The live processor the run loop steps next: the smallest (key, id),
+  /// where a processor's key is its clock, or its wake clock while parked.
+  /// \p RunnerUp receives the first clock at which another processor's key
+  /// would win the selection: the runner-up's key, plus 1 when it has the
+  /// higher id and so loses the tie (~0 when no other processor lives).
+  Processor &select(uint64_t &RunnerUp);
+
+  /// Makes the next select() rebuild its order. Anything that moves the
+  /// clock, park state or liveness of a processor other than the last one
+  /// selected must call this; the machine's own such changes (settling
+  /// parked processors, the GC rendezvous, a fail-stop, the start of a
+  /// run) do.
+  void invalidateOrder() { OrderStale = true; }
+
 private:
-  /// The live processor with the smallest (clock, id) key; a parked
-  /// processor's key is its wake clock. \p RunnerUp receives the first
-  /// clock at which another processor's key would win the selection:
-  /// each other one's key, plus 1 when it loses the id tie.
-  unsigned minClockProcessor(uint64_t &RunnerUp) const;
+  /// A live processor's selection key (see select).
+  struct Rank {
+    uint64_t Key = 0;
+    unsigned Id = 0;
+    bool operator<(const Rank &O) const {
+      return Key < O.Key || (Key == O.Key && Id < O.Id);
+    }
+  };
+  static Rank rankOf(const Processor &P) {
+    return {P.Parked ? P.WakeClock : P.Clock, P.Id};
+  }
 
   /// The run loop proper; run() wraps it with the entry sync and the exit
   /// accounting every return path shares. Only the Armed instantiation
@@ -297,6 +317,13 @@ private:
   uint64_t SelClock = 0;
   unsigned SelId = 0;
   uint64_t SweepsSettled = 0;
+
+  /// The live processors in ascending (key, id) order. Between two
+  /// selections only the first entry, the processor last selected, may
+  /// have moved, so select() re-inserts just that one; OrderStale says
+  /// some other processor moved and the whole order must be rebuilt.
+  std::vector<Rank> Ranked;
+  bool OrderStale = true;
 };
 
 } // namespace mult

@@ -16,8 +16,11 @@
 #include "sched/Scheduler.h"
 #include "ui/Repl.h"
 
+#include "support/Prng.h"
+
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <map>
 
 using namespace mult;
@@ -597,6 +600,38 @@ TEST(TraceExportTest, StreamsInBoundedChunks) {
   EXPECT_GT(Sink.Writes, 1u);
   EXPECT_LE(Sink.LargestWrite, ChromeTraceChunkBytes);
   EXPECT_EQ(Sink.Joined, Json);
+}
+
+TEST(TraceExportTest, IntegerTimestampsMatchTheDoubleRendering) {
+  // Below 2^40 cycles the exporter prints hundredths from integers; the
+  // digits must be those to_chars gives for the double product.
+  auto ViaDouble = [](uint64_t Cycles) {
+    char Buf[TraceMicrosMaxChars];
+    double Us =
+        static_cast<double>(Cycles) * EngineStats::MicrosecondsPerCycle;
+    return std::string(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Us,
+                                          std::chars_format::fixed, 3)
+                                .ptr);
+  };
+  auto Printed = [](uint64_t Cycles) {
+    char Buf[TraceMicrosMaxChars];
+    return std::string(Buf, formatTraceMicros(Buf, Cycles));
+  };
+  for (uint64_t C = 0; C < 200000; ++C)
+    ASSERT_EQ(Printed(C), ViaDouble(C)) << C;
+  // Random counts of every bit width up to one past the switch.
+  Prng R(112);
+  for (unsigned Bits = 18; Bits <= 41; ++Bits)
+    for (int K = 0; K < 4000; ++K) {
+      uint64_t C = (R.next() >> (64 - Bits)) | (uint64_t(1) << (Bits - 1));
+      ASSERT_EQ(Printed(C), ViaDouble(C)) << C;
+    }
+  // Both sides of the switch, and the largest count.
+  const uint64_t Switch = uint64_t(1) << 40;
+  for (uint64_t C = Switch - 5000; C < Switch + 5000; ++C)
+    ASSERT_EQ(Printed(C), ViaDouble(C)) << C;
+  EXPECT_EQ(Printed(Switch - 3), "1231453023105.760");
+  EXPECT_EQ(Printed(~uint64_t(0)), ViaDouble(~uint64_t(0)));
 }
 
 //===----------------------------------------------------------------------===//
