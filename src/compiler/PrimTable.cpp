@@ -7,22 +7,9 @@
 
 #include "compiler/PrimTable.h"
 
-#include <cassert>
 #include <unordered_map>
 
 using namespace mult;
-
-static const PrimInfo PrimInfos[] = {
-#define MULT_PRIM_INFO(Id, Name, Min, Max, Cost)                               \
-  {PrimId::Id, Name, Min, Max, Cost},
-    MULT_PRIM_LIST(MULT_PRIM_INFO)
-#undef MULT_PRIM_INFO
-};
-
-const PrimInfo &mult::primInfo(PrimId Id) {
-  assert(Id < PrimId::NumPrims && "bad primitive id");
-  return PrimInfos[static_cast<size_t>(Id)];
-}
 
 std::optional<PrimId> mult::lookupPrim(std::string_view Name) {
   static const auto *Map = [] {

@@ -21,6 +21,7 @@
 
 #include "compiler/Bytecode.h"
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -114,8 +115,20 @@ struct PrimInfo {
   uint32_t BaseCost;
 };
 
+/// Every called primitive's descriptor, indexed by PrimId. In the header
+/// so the interpreter's per-call cost lookup is a load, not a call.
+inline constexpr PrimInfo PrimInfos[] = {
+#define MULT_PRIM_INFO(Id, Name, Min, Max, Cost)                               \
+  {PrimId::Id, Name, Min, Max, Cost},
+    MULT_PRIM_LIST(MULT_PRIM_INFO)
+#undef MULT_PRIM_INFO
+};
+
 /// Returns the descriptor for \p Id.
-const PrimInfo &primInfo(PrimId Id);
+inline const PrimInfo &primInfo(PrimId Id) {
+  assert(Id < PrimId::NumPrims && "bad primitive id");
+  return PrimInfos[static_cast<size_t>(Id)];
+}
 
 /// Finds a called primitive by Lisp name.
 std::optional<PrimId> lookupPrim(std::string_view Name);

@@ -957,6 +957,7 @@ EvalResult Engine::runTopLevel(Code *TopCode, std::string_view Banner) {
   EvalResult R;
   TaskId Root = newRootTask(Gid, TopCode, 0, R.Error);
   if (Root == InvalidTask) {
+    TheMachine.syncStats(*this); // the failed allocations were charged
     R.K = EvalResult::Kind::HeapExhausted;
     return R;
   }
@@ -1035,10 +1036,12 @@ void Engine::resetStats() {
     RaceDet->clear(); // each measured run gets an independent verdict
   for (unsigned I = 0; I < TheMachine.numProcessors(); ++I) {
     Processor &P = TheMachine.processor(I);
-    P.BusyCycles = 0;
     P.IdleCycles = 0;
     P.GcCycles = 0;
     P.ClockAtReset = P.Clock;
+#ifndef NDEBUG
+    P.BusyShadow = 0;
+#endif
     P.Instructions = 0;
     P.Dispatches = 0;
     P.Steals = 0;

@@ -668,6 +668,8 @@ Tenancy::runLaunches(const std::vector<GroupLaunch> &Sources) {
     E.beginRun(Value::nil(), InvalidGroup);
     E.RootDone = false;
     RR = E.TheMachine.run(E);
+  } else {
+    E.TheMachine.syncStats(E); // no run, but failed allocations charged
   }
 
   // Per-launch results from the groups' final states.

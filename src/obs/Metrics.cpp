@@ -30,7 +30,7 @@ MetricsReport mult::buildMetrics(const Machine &M, const EngineStats &S,
     const Processor &P = M.processor(I);
     ProcMetrics PM;
     PM.Id = I;
-    PM.BusyCycles = P.BusyCycles;
+    PM.BusyCycles = P.busyCycles();
     PM.IdleCycles = P.IdleCycles;
     PM.GcCycles = P.GcCycles;
     PM.Instructions = P.Instructions;

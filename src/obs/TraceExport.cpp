@@ -272,7 +272,7 @@ void mult::writeChromeTrace(OutStream &OS, const Tracer &Tr,
   for (unsigned P = 0; P < N; ++P) {
     const Processor &Proc = M.processor(P);
     Rows[P].finish(Proc.Clock);
-    W.counter(P, Proc.Clock, Proc.BusyCycles, Proc.IdleCycles, Proc.GcCycles);
+    W.counter(P, Proc.Clock, Proc.busyCycles(), Proc.IdleCycles, Proc.GcCycles);
   }
   W.raw("\n],\"displayTimeUnit\":\"ms\"}\n");
   W.flush();

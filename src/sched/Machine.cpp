@@ -228,8 +228,8 @@ void Machine::settle(Engine &E, Processor &P, uint64_t Clock, unsigned Id) {
       Bound > P.Clock ? (Bound - P.Clock - 1) / SweepCycles + 1 : 0;
   uint64_t Idle = K * cost::IdleTick;
   uint64_t Probes = K * SweepProbes;
-  P.Clock += K * SweepCycles;
-  P.BusyCycles += K * SweepBusy;
+  P.charge(K * SweepBusy);
+  P.Clock += Idle;
   P.IdleCycles += Idle;
   P.StealAttempts += Probes;
   P.StealsFailed += Probes;
@@ -350,13 +350,20 @@ RunResult Machine::run(Engine &E) {
                E.config().CheckpointEvery || E.recovery().charging();
   RunResult R = Armed ? runLoop<true>(E, Start) : runLoop<false>(E, Start);
   settleParked(E);
-  // Busy cycles since the last resetStats (which zeroes both), summed
-  // here once per run rather than charged on the hot path.
-  uint64_t Busy = 0;
-  for (const Processor &P : Procs)
-    Busy += P.BusyCycles;
-  E.stats().CyclesExecuted = Busy;
+  syncStats(E);
   return R;
+}
+
+void Machine::syncStats(Engine &E) const {
+  uint64_t Busy = 0, Insns = 0;
+  for (const Processor &P : Procs) {
+    assert(P.BusyShadow == P.busyCycles() &&
+           "a clock move is neither charged nor counted as idle or GC");
+    Busy += P.busyCycles();
+    Insns += P.Instructions;
+  }
+  E.stats().CyclesExecuted = Busy;
+  E.stats().Instructions = Insns;
 }
 
 template <bool Armed> RunResult Machine::runLoop(Engine &E, uint64_t Start) {
@@ -601,9 +608,9 @@ template <bool Armed> RunResult Machine::runLoop(Engine &E, uint64_t Start) {
           Horizon = std::min(Horizon, P.Adapt.WindowEnd);
       }
       bool ChargeRecovery = Armed && T.Recovered;
-      uint64_t BusyBefore = P.BusyCycles;
+      uint64_t BusyBefore = P.busyCycles();
       StepOutcome Step = interpretTask(E, P, T, P.Clock + Quantum, Horizon);
-      uint64_t BusyDelta = P.BusyCycles - BusyBefore;
+      uint64_t BusyDelta = P.busyCycles() - BusyBefore;
       // Kept in every run: a cross-check or capture armed later reads it.
       T.BusyCyclesTotal += BusyDelta;
       T.SinceCheckpoint += BusyDelta;

@@ -44,12 +44,11 @@ struct Processor {
     Current = T;
   }
 
-  // Statistics. Every cycle the clock advances lands in exactly one of
-  // BusyCycles (charge), IdleCycles (idle ticks + waiting for a run to
-  // start) or GcCycles (collection pauses), so
-  //   Clock == ClockAtReset + BusyCycles + IdleCycles + GcCycles
-  // holds from any resetStats (TraceTest asserts it).
-  uint64_t BusyCycles = 0;
+  // Statistics. Every cycle the clock advances is busy (charge), idle
+  // (idle ticks + waiting for a run to start) or GC (collection pauses).
+  // Idle and GC cycles are counted where they happen; busy cycles are the
+  // rest of the clock since the last resetStats (busyCycles), so the
+  // interpreter's charge moves only the clock.
   uint64_t IdleCycles = 0;
   uint64_t GcCycles = 0;           ///< collection pauses (rendezvous to resume)
   uint64_t ClockAtReset = 0;       ///< Clock at the last resetStats
@@ -98,10 +97,33 @@ struct Processor {
   bool Parked = false;
   uint64_t WakeClock = 0;
 
+  /// Busy cycles since the last resetStats:
+  ///   Clock == ClockAtReset + busyCycles() + IdleCycles + GcCycles.
+  uint64_t busyCycles() const {
+    return Clock - ClockAtReset - IdleCycles - GcCycles;
+  }
+
   void charge(uint64_t Cycles) {
     Clock += Cycles;
-    BusyCycles += Cycles;
+#ifndef NDEBUG
+    BusyShadow += Cycles;
+#endif
   }
+  /// Takes back busy cycles charged earlier in the same slice (the
+  /// self-tail-call refund).
+  void refund(uint64_t Cycles) {
+    Clock -= Cycles;
+#ifndef NDEBUG
+    BusyShadow -= Cycles;
+#endif
+  }
+
+#ifndef NDEBUG
+  /// Debug-only busy-cycle count kept by charge and refund, reset with the
+  /// statistics; Machine::syncStats asserts it equals busyCycles(), which
+  /// catches a clock move that is not counted as idle or GC time.
+  uint64_t BusyShadow = 0;
+#endif
 
 private:
   friend class Machine;
@@ -155,6 +177,12 @@ public:
   /// Runs until the engine's root future resolves (or an exceptional
   /// status). Runnable tasks must already be enqueued.
   RunResult run(Engine &E);
+
+  /// Sets the engine's Instructions and CyclesExecuted to the sums of the
+  /// processors' tallies since the last resetStats: once per run (run
+  /// calls it) instead of on every dispatch, and by an eval that charged
+  /// cycles but could not start its run.
+  void syncStats(Engine &E) const;
 
   unsigned numProcessors() const {
     return static_cast<unsigned>(Procs.size());

@@ -316,7 +316,7 @@ void Repl::cmdProcs() {
                      P.Dead ? "dead" : "live",
                      static_cast<unsigned long long>(P.Clock),
                      P.Queues.newCount(), P.Queues.suspendedCount(),
-                     static_cast<unsigned long long>(P.BusyCycles),
+                     static_cast<unsigned long long>(P.busyCycles()),
                      static_cast<unsigned long long>(P.IdleCycles),
                      static_cast<unsigned long long>(P.GcCycles));
     if (ShowCkpt) {

@@ -112,10 +112,10 @@ StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
     return true;
   };
 
-  // Touch the value at \p Slot in place. Returns Ok(0), Blocked(1),
-  // NeedsGc(2) or GroupStopped(3).
-  auto TouchSlot = [&](Value &Slot) -> int {
-    ++S.TouchesExecuted;
+  // TouchSlot's out-of-line rest: the fault check (ahead of the future
+  // test, so touch-error ordinals count every touch), then chase, tracing
+  // and blocking.
+  auto TouchSlow = [&](Value &Slot) __attribute__((noinline)) -> int {
     if (E.faults().armed() && E.faults().hit(FaultClause::TouchErrorAt)) {
       E.noteFault(P, FaultKind::TouchError);
       E.stopGroupRestartable(P, T, "injected-fault: touch error");
@@ -151,6 +151,16 @@ StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
     if (!futureops::blockOnFuture(E, P, T, Unresolved))
       return 2;
     return 1;
+  };
+
+  // Touch the value at \p Slot in place. Returns Ok(0), Blocked(1),
+  // NeedsGc(2) or GroupStopped(3). A non-future with no fault plan armed
+  // is the paper's two-instruction touch: a tag test and a branch.
+  auto TouchSlot = [&](Value &Slot) -> int {
+    ++S.TouchesExecuted;
+    if (!Slot.isFuture() && !E.faults().armed())
+      return 0;
+    return TouchSlow(Slot);
   };
 
   DecodedCode *DC = T.CurCode->Decoded;

@@ -36,13 +36,9 @@ struct PrimCtx {
   uint64_t TouchCost;
 };
 
-/// Touches \p V in place. Returns false (with \p R filled) when the
-/// primitive must block.
-bool touchOrBlock(PrimCtx &C, Value &V, PrimResult &R) {
-  C.P.charge(C.TouchCost);
-  ++C.E.stats().TouchesExecuted;
-  if (!V.isFuture())
-    return true;
+/// touchOrBlock's chase of a future, out of line.
+__attribute__((noinline)) bool chaseOrBlock(PrimCtx &C, Value &V,
+                                            PrimResult &R) {
   Value Out;
   Object *Unresolved = nullptr;
   uint64_t Chase = 0;
@@ -54,6 +50,15 @@ bool touchOrBlock(PrimCtx &C, Value &V, PrimResult &R) {
   }
   V = Out;
   return true;
+}
+
+/// Touches \p V in place. Returns false (with \p R filled) when the
+/// primitive must block.
+__attribute__((always_inline)) inline bool touchOrBlock(PrimCtx &C, Value &V,
+                                                     PrimResult &R) {
+  C.P.charge(C.TouchCost);
+  ++C.E.stats().TouchesExecuted;
+  return !V.isFuture() || chaseOrBlock(C, V, R);
 }
 
 Object *allocOrNull(PrimCtx &C, TypeTag Tag, uint32_t SizeWords,

@@ -167,11 +167,9 @@ std::string runOnce(const char *Program, const std::string &Plan) {
 
   // Invariant: busy + idle + GC cycles tile every processor clock, and
   // the adaptive threshold stays in bounds even when faults clamp it.
+  expectCyclesTile(E);
   for (unsigned I = 0; I < 4; ++I) {
     const Processor &P = E.machine().processor(I);
-    EXPECT_EQ(P.ClockAtReset + P.BusyCycles + P.IdleCycles + P.GcCycles,
-              P.Clock)
-        << "cycle accounting leak on processor " << I;
     EXPECT_GE(P.Adapt.T, E.machine().adaptiveConfig().MinT)
         << "adaptive T below MinT on processor " << I;
     EXPECT_LE(P.Adapt.T, E.machine().adaptiveConfig().MaxT)

@@ -51,15 +51,7 @@ EngineConfig ckptConfig(unsigned Procs, std::string Spec,
 }
 
 /// Cycle-tiling invariant, dead processors included (see RecoveryTest).
-void checkInvariants(Engine &E) {
-  for (unsigned I = 0; I < E.machine().numProcessors(); ++I) {
-    const Processor &P = E.machine().processor(I);
-    EXPECT_EQ(P.ClockAtReset + P.BusyCycles + P.IdleCycles + P.GcCycles,
-              P.Clock)
-        << "cycle accounting leak on processor " << I
-        << (P.Dead ? " (dead)" : "");
-  }
-}
+void checkInvariants(Engine &E) { expectCyclesTile(E); }
 
 //===----------------------------------------------------------------------===//
 // Capture policy

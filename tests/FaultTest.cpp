@@ -324,12 +324,7 @@ TEST(FaultTest, StallWindowCountsAsIdleTime) {
   EXPECT_EQ(E.stats().FaultsInjected, 1u);
   EXPECT_GE(E.stats().IdleCycles - IdleBefore, 100000u)
       << "the offline window must be accounted as idle so the clock tiles";
-  for (unsigned I = 0; I < 2; ++I) {
-    const Processor &P = E.machine().processor(I);
-    EXPECT_EQ(P.ClockAtReset + P.BusyCycles + P.IdleCycles + P.GcCycles,
-              P.Clock)
-        << "cycle accounting leak on processor " << I;
-  }
+  expectCyclesTile(E);
 }
 
 TEST(FaultTest, StallsNeverMoveAClockBackwards) {
@@ -355,13 +350,7 @@ TEST(FaultTest, StallsNeverMoveAClockBackwards) {
     )lisp"),
               55)
         << Spec;
-    for (unsigned I = 0; I < 4; ++I) {
-      const Processor &P = E.machine().processor(I);
-      EXPECT_GE(P.Clock, P.ClockAtReset) << Spec << ", processor " << I;
-      EXPECT_EQ(P.ClockAtReset + P.BusyCycles + P.IdleCycles + P.GcCycles,
-                P.Clock)
-          << Spec << ", processor " << I;
-    }
+    expectCyclesTile(E, Spec);
   }
 }
 

@@ -74,7 +74,7 @@ Outcome runCase(EngineConfig C, const char *Setup, const std::string &Expr,
   const Machine &Mach = E.machine();
   for (unsigned I = 0; I < Mach.numProcessors(); ++I) {
     const Processor &P = Mach.processor(I);
-    O.Procs.push_back({P.Clock, P.BusyCycles, P.IdleCycles, P.GcCycles,
+    O.Procs.push_back({P.Clock, P.busyCycles(), P.IdleCycles, P.GcCycles,
                        P.StealAttempts, P.StealsFailed, P.Dispatches});
   }
   O.Collections = E.gcStats().Collections;

@@ -64,14 +64,9 @@ TEST(MachineTest, BusyPlusIdleAccountsForWallClock) {
                                                (+ a (touch (car l))))))
     (drain (spawn 24) 0)
   )lisp");
-  for (unsigned P = 0; P < 4; ++P) {
-    const Processor &Proc = E.machine().processor(P);
-    // Clock grows only through charged busy cycles, idle ticks and
-    // rendezvous; it can never lag the recorded work.
-    EXPECT_GE(Proc.Clock, Proc.BusyCycles > Proc.IdleCycles
-                              ? Proc.BusyCycles - Proc.IdleCycles
-                              : 0);
-  }
+  // Clock grows only through charged busy cycles, idle ticks and
+  // rendezvous; it can never lag the recorded idle and GC time.
+  expectCyclesTile(E);
 }
 
 TEST(MachineTest, BackgroundTasksOfDoneGroupsKeepRunning) {
@@ -141,7 +136,7 @@ TEST(MachineTest, CyclesExecutedSumsProcessorBusyCycles) {
   EXPECT_EQ(evalFixnum(E, "(tree 12)"), 233);
   uint64_t Busy = 0;
   for (unsigned I = 0; I < E.machine().numProcessors(); ++I)
-    Busy += E.machine().processor(I).BusyCycles;
+    Busy += E.machine().processor(I).busyCycles();
   EXPECT_GT(Busy, 0u);
   EXPECT_EQ(E.stats().CyclesExecuted, Busy);
 }

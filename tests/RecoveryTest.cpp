@@ -80,13 +80,7 @@ const char *const PhilosophersTemplate = R"lisp(
 void checkInvariants(Engine &E) {
   const EngineStats &S = E.stats();
   EXPECT_EQ(S.Steals + S.StealsFailed, S.StealAttempts);
-  for (unsigned I = 0; I < E.machine().numProcessors(); ++I) {
-    const Processor &P = E.machine().processor(I);
-    EXPECT_EQ(P.ClockAtReset + P.BusyCycles + P.IdleCycles + P.GcCycles,
-              P.Clock)
-        << "cycle accounting leak on processor " << I
-        << (P.Dead ? " (dead)" : "");
-  }
+  expectCyclesTile(E);
 }
 
 TEST(RecoveryTest, KilledProcessorsTasksAreReExecuted) {

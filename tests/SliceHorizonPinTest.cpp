@@ -66,7 +66,7 @@ std::string runScenario(const Scenario &S, Mode M, std::string &Trace) {
   for (unsigned I = 0; I < Mach.numProcessors(); ++I) {
     const Processor &P = Mach.processor(I);
     OS << "processor " << I;
-    for (uint64_t F : {P.Clock, P.BusyCycles, P.IdleCycles, P.GcCycles,
+    for (uint64_t F : {P.Clock, P.busyCycles(), P.IdleCycles, P.GcCycles,
                        P.Instructions, P.StealAttempts, P.StealsFailed,
                        P.Dispatches, P.Adapt.WindowsClosed,
                        uint64_t(P.Adapt.T)})

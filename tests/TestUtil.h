@@ -46,6 +46,31 @@ inline int64_t evalFixnum(Engine &E, std::string_view Src) {
   return V.isFixnum() ? V.asFixnum() : 0;
 }
 
+/// Checks the cycle accounting of every processor, dead ones included.
+/// Busy cycles are derived (Processor::busyCycles), so the clock tiles by
+/// definition; what can still go wrong is checked instead: idle plus GC
+/// time never exceeds the clock's advance since the last resetStats, the
+/// per-processor idle tallies sum to the engine's (the two are kept
+/// separately at every idle site), and in Debug the shadow busy counter
+/// agrees with the derived one.
+inline void expectCyclesTile(Engine &E, std::string_view Context = "") {
+  uint64_t Idle = 0;
+  for (unsigned I = 0; I < E.machine().numProcessors(); ++I) {
+    const Processor &P = E.machine().processor(I);
+    EXPECT_GE(P.Clock, P.ClockAtReset) << Context << " processor " << I;
+    EXPECT_LE(P.IdleCycles + P.GcCycles, P.Clock - P.ClockAtReset)
+        << Context << " idle or GC over-counted on processor " << I
+        << (P.Dead ? " (dead)" : "");
+#ifndef NDEBUG
+    EXPECT_EQ(P.BusyShadow, P.busyCycles())
+        << Context << " busy cycles not charged on processor " << I
+        << (P.Dead ? " (dead)" : "");
+#endif
+    Idle += P.IdleCycles;
+  }
+  EXPECT_EQ(Idle, E.stats().IdleCycles) << Context;
+}
+
 /// Evaluates \p Src and renders the result with `write`.
 inline std::string evalPrint(Engine &E, std::string_view Src) {
   return valueToString(evalOk(E, Src));

@@ -141,20 +141,11 @@ TEST(TraceTest, BusyIdleGcTileEveryProcessorClock) {
   Engine E(C);
   EXPECT_EQ(evalFixnum(E, AllocatingProgram), 16 * 5000);
   EXPECT_GT(E.gcStats().Collections, 0u) << "heap sized to force GC";
-  for (unsigned I = 0; I < 4; ++I) {
-    const Processor &P = E.machine().processor(I);
-    EXPECT_EQ(P.ClockAtReset + P.BusyCycles + P.IdleCycles + P.GcCycles,
-              P.Clock)
-        << "cycle accounting leak on processor " << I;
-  }
+  expectCyclesTile(E);
   // And again after an explicit reset + second run.
   E.resetStats();
   evalOk(E, "(+ 1 2)");
-  for (unsigned I = 0; I < 4; ++I) {
-    const Processor &P = E.machine().processor(I);
-    EXPECT_EQ(P.ClockAtReset + P.BusyCycles + P.IdleCycles + P.GcCycles,
-              P.Clock);
-  }
+  expectCyclesTile(E, "after reset:");
 }
 
 TEST(TraceTest, GcAndIdleIntervalsArePaired) {
