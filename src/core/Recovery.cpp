@@ -238,7 +238,7 @@ void Recovery::restore(Processor &P, Task &T, const CheckpointRecord &R,
   uint64_t LostDelta = T.SinceCheckpoint;
   T.State = TaskState::Ready;
   T.LastProc = Home.Id;
-  T.Stack = R.Stack;
+  T.Stack.assign(R.Stack.data(), R.Stack.data() + R.Stack.size());
   T.Frames = R.Frames;
   T.CurCode = R.CurCode;
   T.Pc = R.Pc;
@@ -291,7 +291,7 @@ void Recovery::maybeCheckpoint(Processor &P, Task &T) {
     return;
   Group &G = E.group(T.Group);
   CheckpointRecord &R = G.Checkpoints[taskIndex(T.Id)];
-  R.Stack = T.Stack;
+  R.Stack.assign(T.Stack.begin(), T.Stack.end());
   R.Frames = T.Frames;
   R.CurCode = T.CurCode;
   R.Pc = T.Pc;

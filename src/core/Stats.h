@@ -62,7 +62,9 @@ enum class StatRule : uint8_t {
   X(FuturesResolved, "futures-resolved", "resolved", Futures)                 \
   X(SeamsCreated, "seams-created", "created", Seams)                          \
   X(SeamsStolen, "seams-stolen", "stolen", Seams)                             \
-  /* dynamic touch instructions; those that found an unresolved future */    \
+  /* touches executed: touch instructions and the touches called            \
+     primitives make inside their bodies (touch-error ordinals count only    \
+     the instructions); those that found an unresolved future */             \
   X(TouchesExecuted, "touches-executed", "executed", Touches)                 \
   X(TouchesBlocked, "touches-blocked", "blocked", Touches)                    \
   /* One steal attempt is one stealNew/stealSuspended probe of a victim     \

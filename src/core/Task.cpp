@@ -10,8 +10,19 @@
 #include "runtime/Object.h"
 
 #include <cassert>
+#include <type_traits>
 
 using namespace mult;
+
+void OperandStack::grow(size_t Words, size_t Live) {
+  size_t NewCap = std::max(Words, 2 * Cap);
+  static_assert(std::is_trivially_copyable_v<Value>,
+                "raw storage holds values as they are");
+  auto *New = static_cast<Value *>(::operator new(NewCap * sizeof(Value)));
+  std::copy(Buf.get(), Buf.get() + Live, New);
+  Buf.reset(New);
+  Cap = NewCap;
+}
 
 void Task::initForThunk(TaskId NewId, GroupId G, Value Closure, Value Result,
                         Value InheritedDynEnv, unsigned Proc) {

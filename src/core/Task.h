@@ -20,7 +20,12 @@
 #include "compiler/Bytecode.h"
 #include "runtime/Value.h"
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -74,6 +79,116 @@ struct SeamRef {
   uint64_t Serial = 0;
 };
 
+/// A task's operand stack. Outside the interpreter it is used like a
+/// `std::vector<Value>`. For the length of a slice the interpreter holds
+/// the top in a local instead (vm/Interpreter.cpp): lend() hands it out,
+/// takeBack() returns it, and makeRoom() grows the storage ahead of a
+/// frame, so a push inside the frame is one store and one increment. Debug
+/// builds assert that nothing else sizes, reads or pushes the stack while
+/// it is lent.
+class OperandStack {
+public:
+  size_t size() const {
+    assertNotLent();
+    return Size;
+  }
+  bool empty() const { return size() == 0; }
+  Value &operator[](size_t I) {
+    assert(I < size() && "operand stack index out of range");
+    return Buf.get()[I];
+  }
+  const Value &operator[](size_t I) const {
+    assert(I < size() && "operand stack index out of range");
+    return Buf.get()[I];
+  }
+  Value &back() { return (*this)[size() - 1]; }
+  Value *begin() { return Buf.get(); }
+  Value *end() { return Buf.get() + size(); }
+
+  void push_back(Value V) {
+    if (size() == Cap)
+      grow(Size + 1, Size);
+    Buf.get()[Size++] = V;
+  }
+  void pop_back() {
+    assert(size() > 0 && "pop of an empty operand stack");
+    --Size;
+  }
+  void resize(size_t N) {
+    if (N > size()) {
+      if (N > Cap)
+        grow(N, Size);
+      std::fill(Buf.get() + Size, Buf.get() + N, Value());
+    }
+    Size = N;
+  }
+  void clear() { resize(0); }
+  void assign(const Value *First, const Value *Last) {
+    clear();
+    size_t N = static_cast<size_t>(Last - First);
+    if (N > Cap)
+      grow(N, 0);
+    std::copy(First, Last, Buf.get());
+    Size = N;
+  }
+
+  /// \name The interpreter's half
+  /// @{
+  /// Lends the top to the interpreter: one past the top value.
+  Value *lend() {
+#ifndef NDEBUG
+    assert(!Lent && "operand stack lent twice");
+    Lent = true;
+#endif
+    return Buf.get() + Size;
+  }
+  /// Takes the top back from the interpreter.
+  void takeBack(Value *Top) {
+#ifndef NDEBUG
+    assert(Lent && "operand stack taken back but not lent");
+    Lent = false;
+#endif
+    Size = static_cast<size_t>(Top - Buf.get());
+    assert(Size <= Cap && "operand stack top past its storage");
+  }
+  Value *bottom() { return Buf.get(); }
+  /// The end of the storage: the lent top may not pass it.
+  Value *limit() { return Buf.get() + Cap; }
+  /// Grows the storage to at least \p Words values while lent, keeping
+  /// those below \p Top; returns \p Top in the (possibly moved) storage.
+  Value *makeRoom(Value *Top, size_t Words) {
+    if (Words <= Cap)
+      return Top;
+    size_t Depth = static_cast<size_t>(Top - Buf.get());
+    grow(Words, Depth);
+    return Buf.get() + Depth;
+  }
+  /// @}
+
+private:
+  void assertNotLent() const {
+#ifndef NDEBUG
+    assert(!Lent && "operand stack used while the interpreter holds it");
+#endif
+  }
+  /// Grows the storage to at least \p Words values, doubling, and keeps
+  /// the first \p Live.
+  void grow(size_t Words, size_t Live);
+
+  struct FreeStorage {
+    void operator()(Value *P) const { ::operator delete(P); }
+  };
+  /// Values [0, Size) are live and [Size, Cap) dead. The storage is left
+  /// unwritten when it grows, like a vector's spare capacity, so pages
+  /// past the deepest push are never committed.
+  std::unique_ptr<Value, FreeStorage> Buf;
+  size_t Size = 0;
+  size_t Cap = 0;
+#ifndef NDEBUG
+  bool Lent = false;
+#endif
+};
+
 /// A Mul-T task.
 class Task {
 public:
@@ -82,10 +197,19 @@ public:
   TaskState State = TaskState::Done;
   unsigned LastProc = 0; ///< Processor it last ran on (locality).
 
-  std::vector<Value> Stack;
+  OperandStack Stack;
   std::vector<Frame> Frames;
   const Code *CurCode = nullptr;
   uint32_t Pc = 0;
+
+  /// Debug builds overwrite Pc while the interpreter holds it in a local,
+  /// so a read that misses a sync point shows.
+  void poisonPc() {
+#ifndef NDEBUG
+    Pc = PoisonedPc;
+#endif
+  }
+  static constexpr uint32_t PoisonedPc = 0xDEADBEEF;
 
   Value BlockedOn = Value::nil();    ///< Future or semaphore object.
   Value DynEnv = Value::nil();       ///< Deep-binding chain.

@@ -24,7 +24,10 @@
 ///   spawn-error=N[,N...]     raise `injected-fault` at the Nth future
 ///                            spawn (group stops; resume retries)
 ///   touch-error=N[,N...]     raise `injected-fault` at the Nth executed
-///                            touch instruction
+///                            touch instruction (not counting the
+///                            touches a called primitive makes inside
+///                            its body, which touches-executed also
+///                            counts)
 ///   steal-fail=P             each steal probe fails with probability P
 ///                            (a number in [0, 1], as for cross-check)
 ///   steal-fail-at=N[,N...]   fail the Nth steal probe exactly

@@ -176,15 +176,24 @@ Object *Heap::copyAllocate(unsigned AllocatorId, uint32_t TotalWords) {
     return O;
   }
 
-  ChunkState &Chunk = GcChunks[AllocatorId];
-  if (Chunk.Cur + TotalWords > Chunk.End) {
-    if (!refillChunk(Chunk, ToSpace, GcGlobalFree))
+  ChunkState *Chunk = &GcChunks[AllocatorId];
+  if (Chunk->Cur + TotalWords > Chunk->End &&
+      (!refillChunk(*Chunk, ToSpace, GcGlobalFree) ||
+       Chunk->Cur + TotalWords > Chunk->End)) {
+    // No chunk is left for this collector. The survivors may still fit in
+    // the unused tails of the other collectors' chunks, as they do when
+    // one collector copies them all; take the first tail that fits, in
+    // allocator-id order, before reporting overflow.
+    auto Tail = std::find_if(GcChunks.begin(), GcChunks.end(),
+                             [&](const ChunkState &C) {
+                               return C.Cur + TotalWords <= C.End;
+                             });
+    if (Tail == GcChunks.end())
       return nullptr;
-    if (Chunk.Cur + TotalWords > Chunk.End)
-      return nullptr;
+    Chunk = &*Tail;
   }
-  Object *O = objectAt(ToSpace, Chunk.Cur);
-  Chunk.Cur += TotalWords;
+  Object *O = objectAt(ToSpace, Chunk->Cur);
+  Chunk->Cur += TotalWords;
   return O;
 }
 

@@ -94,8 +94,10 @@ public:
   /// this as fatal heap exhaustion, not abort.
   bool beginCollection();
   /// Bump-allocates \p TotalWords (header included) in the to-space on
-  /// behalf of collector \p AllocatorId, using GC-private chunks. Returns
-  /// null on to-space overflow (fatal heap exhaustion).
+  /// behalf of collector \p AllocatorId, using GC-private chunks; when the
+  /// to-space has no chunk left for it, in the unused tail of another
+  /// collector's chunk. Returns null on to-space overflow (fatal heap
+  /// exhaustion).
   Object *copyAllocate(unsigned AllocatorId, uint32_t TotalWords);
   /// Flips the semispaces; subsequent allocation continues after the
   /// survivors.

@@ -21,6 +21,7 @@
 #include "sched/Adaptive.h"
 #include "sched/TaskQueues.h"
 
+#include <cassert>
 #include <string>
 #include <vector>
 
@@ -118,11 +119,34 @@ struct Processor {
 #endif
   }
 
+  /// The interpreter holds the clock in a local for the length of a slice
+  /// (vm/Interpreter.cpp): lendClock hands it out, returnClock takes it
+  /// back with every cycle run since as busy. Debug builds overwrite Clock
+  /// in between, so a read that misses a sync point shows.
+  uint64_t lendClock() {
+    uint64_t C = Clock;
+#ifndef NDEBUG
+    assert(Clock != PoisonedClock && "clock lent twice");
+    LentAt = C;
+    Clock = PoisonedClock;
+#endif
+    return C;
+  }
+  void returnClock(uint64_t C) {
+#ifndef NDEBUG
+    assert(Clock == PoisonedClock && "clock returned but not lent");
+    BusyShadow += C - LentAt;
+#endif
+    Clock = C;
+  }
+  static constexpr uint64_t PoisonedClock = 0xDEADC10CDEADC10CULL;
+
 #ifndef NDEBUG
   /// Debug-only busy-cycle count kept by charge and refund, reset with the
   /// statistics; Machine::syncStats asserts it equals busyCycles(), which
   /// catches a clock move that is not counted as idle or GC time.
   uint64_t BusyShadow = 0;
+  uint64_t LentAt = 0; ///< Clock when lendClock handed it out
 #endif
 
 private:

@@ -87,7 +87,6 @@ StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
   Processor &P = *PP;
   Task &T = *TP;
   EngineStats &S = E.stats();
-  std::vector<Value> &Stack = T.Stack;
 
   // Raise an exception: stop the whole group (paper section 2.3).
   auto Raise = [&](std::string Msg, uint32_t PopCount) -> StepOutcome {
@@ -112,9 +111,9 @@ StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
     return true;
   };
 
-  // TouchSlot's out-of-line rest: the fault check (ahead of the future
-  // test, so touch-error ordinals count every touch), then chase, tracing
-  // and blocking.
+  // VM_TOUCH's out-of-line rest, entered synced: the fault check (ahead
+  // of the future test, so touch-error ordinals count every touch
+  // instruction), then chase, tracing and blocking.
   auto TouchSlow = [&](Value &Slot) __attribute__((noinline)) -> int {
     if (E.faults().armed() && E.faults().hit(FaultClause::TouchErrorAt)) {
       E.noteFault(P, FaultKind::TouchError);
@@ -153,21 +152,17 @@ StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
     return 1;
   };
 
-  // Touch the value at \p Slot in place. Returns Ok(0), Blocked(1),
-  // NeedsGc(2) or GroupStopped(3). A non-future with no fault plan armed
-  // is the paper's two-instruction touch: a tag test and a branch.
-  auto TouchSlot = [&](Value &Slot) -> int {
-    ++S.TouchesExecuted;
-    if (!Slot.isFuture() && !E.faults().armed())
-      return 0;
-    return TouchSlow(Slot);
-  };
-
-  DecodedCode *DC = T.CurCode->Decoded;
-  if (!DC)
-    DC = E.ensureDecoded(T.CurCode);
-  DInsn *DI = nullptr;
-  uint32_t Base = T.Frames.back().Base;
+  // The dispatcher's registers (InterpBody.inc loads them at entry). No
+  // lambda above names them: a capture by reference would put them back
+  // in memory.
+  uint64_t Clk = 0;
+  DInsn *IP = nullptr;
+  uint64_t Insns = 0;
+  Value *SP = nullptr;
+  Value *FP = nullptr;
+  [[maybe_unused]] Value *Limit = nullptr;
+  DecodedCode *DC = nullptr;
+  uint32_t Base = 0;
 
 #include "vm/InterpBody.inc"
 

@@ -45,10 +45,11 @@ struct Ending {
 };
 
 // One program per RunStatus. Each spawns, so at P=4 the other processors
-// steal, park and idle before the run ends. The heap row ends the run
-// (RunStatus::HeapExhausted) only at P=4, where the survivors overflow
-// the to-space; at P=1 they fit, and the run ends by stopping the root
-// group on a fruitless collection instead.
+// steal, park and idle before the run ends. The heap row's survivors fit
+// in the to-space at both P (at P=4 only because a collector whose chunk
+// cannot refill copies into another collector's unused chunk tail), so
+// the run ends by stopping the root group restartably on a fruitless
+// collection, and the heap stays usable.
 const Ending Endings[] = {
     {"Completed", EvalResult::Kind::Value, "(fib 12)"},
     {"GroupStopped", EvalResult::Kind::RuntimeError,
@@ -80,8 +81,11 @@ TEST(RunCountersTest, EngineCountersSumTheProcessorsAtEveryRunEnd) {
       ASSERT_EQ(static_cast<int>(R.K), static_cast<int>(End.Kind))
           << Context << ": " << R.Error;
       if (End.Kind == EvalResult::Kind::HeapExhausted) {
-        EXPECT_EQ(R.StoppedGroup == InvalidGroup, Procs > 1)
+        EXPECT_NE(R.StoppedGroup, InvalidGroup) << Context << ": " << R.Error;
+        EXPECT_NE(R.Error.find("collection reclaimed no space"),
+                  std::string::npos)
             << Context << ": " << R.Error;
+        EXPECT_FALSE(E.heap().wedged()) << Context << ": " << R.Error;
       }
       EXPECT_GT(E.stats().Instructions, 0u) << Context;
       EXPECT_GT(E.stats().CyclesExecuted, 0u) << Context;
@@ -91,9 +95,10 @@ TEST(RunCountersTest, EngineCountersSumTheProcessorsAtEveryRunEnd) {
       EXPECT_EQ(E.stats().Instructions, 0u) << Context;
       EXPECT_EQ(E.stats().CyclesExecuted, 0u) << Context;
       expectRunCounters(E, Context + ", after reset");
-      // A run after the reset counts from it. After the heap row the root
-      // task cannot be allocated, so no run starts; the cycles the failed
-      // allocations charged are still counted.
+      // A run after the reset counts from it. After the heap row the
+      // stopped group still holds its list, so the root future cannot be
+      // allocated and no run starts; the cycles the failed allocations
+      // charged are still counted.
       E.eval("(spin 10)");
       expectRunCounters(E, Context + ", run after reset");
     }
@@ -149,6 +154,21 @@ TEST(RunCountersTest, TouchErrorOnANonFutureStopsAtThatTouch) {
   ASSERT_TRUE(After.ok()) << After.Error;
   EXPECT_EQ(After.Val.asFixnum(), 0);
   EXPECT_EQ(E.stats().FaultsInjected, 1u);
+}
+
+TEST(RunCountersTest, TouchErrorOrdinalsCountTouchInstructionsOnly) {
+  // touches-executed also counts the touches a called primitive makes
+  // inside its own body; touch-error ordinals count touch instructions.
+  // length walks its list touching each cell and the final nil, so this
+  // executes four touches, none of them a touch instruction, and the
+  // first ordinal never fires.
+  EngineConfig C = config(1);
+  C.Faults = "touch-error=1";
+  Engine E(C);
+  E.resetStats();
+  EXPECT_EQ(evalFixnum(E, "(length (list 1 2 3))"), 3);
+  EXPECT_EQ(E.stats().TouchesExecuted, 4u);
+  EXPECT_EQ(E.stats().FaultsInjected, 0u);
 }
 
 } // namespace

@@ -44,9 +44,10 @@ plan: fault counts and cycles are seed-deterministic. This script:
 --check is the virtual-time oracle; tier-1 runs it as one ctest case per
 bench binary (`ctest -L oracle`). Each bench's dormant keys must equal
 its section of the golden file (a bench with none has no golden keys),
-and a MULT_TRACE=1 MULT_RACE=1 rerun must print the same run-json
-records once their "races" sections, each with 0 races, are dropped:
-tracing and race detection cost no virtual time.
+and a MULT_TRACE=1 MULT_RACE=1 run of the same bench, started alongside
+the dormant one, must print the same run-json records once their "races"
+sections, each with 0 races, are dropped: tracing and race detection cost
+no virtual time.
 
 Host timing has exactly one sanctioned home here: `--host` runs the
 dispatch bench (bench_dispatch, which prints ";; host-dispatch: <workload>
@@ -221,25 +222,32 @@ def bench_env(faults=None, checkpoint=None, tenant=None, supervise=None):
     return env, armed
 
 
-def run_bench(build_dir, bench, env, need_records):
-    """Runs one bench binary; returns its run-json records.
+def start_bench(build_dir, bench, env, label=""):
+    """Starts one bench binary; bench_records collects it."""
+    exe = os.path.join(build_dir, "bench", bench)
+    if not os.path.exists(exe):
+        fail(f"bench binary not found: {exe} (build the repo first)")
+    print(f"  running {bench}{label} ...", flush=True)
+    return subprocess.Popen([exe], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def bench_records(proc, bench, need_records):
+    """Waits for a bench started by start_bench; returns its run-json
+    records.
 
     A bench that prints records must also print ';; host:' lines, each
     carrying setup-ns=; their values are noise and are dropped.
     """
-    exe = os.path.join(build_dir, "bench", bench)
-    if not os.path.exists(exe):
-        fail(f"bench binary not found: {exe} (build the repo first)")
-    print(f"  running {bench} ...", flush=True)
-    proc = subprocess.run([exe], env=env, capture_output=True, text=True)
+    stdout, stderr = proc.communicate()
     if proc.returncode != 0:
-        sys.stderr.write(proc.stdout + proc.stderr)
+        sys.stderr.write(stdout + stderr)
         fail(f"{bench} exited with status {proc.returncode}")
-    records = run_records(proc.stdout)
+    records = run_records(stdout)
     if need_records and not records:
         fail(f"{bench} printed no ';; run-json:' records -- "
              "was it built without MULT_METRICS support?")
-    host = [l for l in proc.stdout.splitlines() if HOST_LINE.match(l)]
+    host = [l for l in stdout.splitlines() if HOST_LINE.match(l)]
     if records and not host:
         fail(f"{bench} printed no ';; host:' line -- every bench must "
              "report its host wall-clock phases")
@@ -257,13 +265,20 @@ def flat_record(rec):
     return out
 
 
-def check_armed(build_dir, bench, env, dormant):
-    """The oracle's second run: with the tracer and the race detector
-    armed, the bench's records must equal the dormant ones once the
-    "races" section is dropped, and every "races" count must be 0.
-    Returns the number of failures."""
-    armed = run_bench(build_dir, bench,
-                      dict(env, MULT_TRACE="1", MULT_RACE="1"), False)
+def start_armed(build_dir, bench, env):
+    """Starts the oracle's second run, with the tracer and the race
+    detector armed. It is independent of the dormant run, so the two
+    run side by side."""
+    return start_bench(build_dir, bench,
+                       dict(env, MULT_TRACE="1", MULT_RACE="1"),
+                       " (MULT_TRACE=1 MULT_RACE=1)")
+
+
+def check_armed(proc, bench, dormant):
+    """Collects the run start_armed began: the bench's records must equal
+    the dormant ones once the "races" section is dropped, and every
+    "races" count must be 0. Returns the number of failures."""
+    armed = bench_records(proc, bench, False)
     racy = [r["tag"] for r in armed if r.pop("races", {"races": -1})["races"]]
     for tag in racy:
         print(f"  RACES    {tag}: races reported, or no races section")
@@ -543,7 +558,16 @@ def main():
     golden = load_golden(args.check) if args.check else {}
     per_bench, cycles, failures = {}, {}, 0
     for bench in [args.bench] if args.bench else BENCHES:
-        records = run_bench(args.build_dir, bench, env, bench in BENCHES)
+        proc = start_bench(args.build_dir, bench, env)
+        armed_proc = (start_armed(args.build_dir, bench, env)
+                      if args.check else None)
+        try:
+            records = bench_records(proc, bench, bench in BENCHES)
+        except BaseException:
+            if armed_proc:
+                armed_proc.kill()
+                armed_proc.wait()
+            raise
         metrics = per_bench[bench] = {}
         for rec in records:
             merge_metrics(metrics, record_metrics(rec, armed, bench), bench)
@@ -553,7 +577,7 @@ def main():
         if bench in BENCHES or bench in golden:
             failures += check_against_golden(
                 metrics, golden.get(bench, {}), args.check)
-        failures += check_armed(args.build_dir, bench, env, records)
+        failures += check_armed(armed_proc, bench, records)
     assert_no_host_keys(cycles, "the collected metrics map")
     print(f"  {len(cycles)} metrics collected")
 
