@@ -58,9 +58,10 @@ using namespace mult;
 ///                      passed by the bench becomes the starting point
 ///   MULT_SITE_POLICIES=F  load per-future-site policies from F (picked
 ///                      up by the Engine itself; see :profile FILE)
-///   MULT_TELEMETRY=prom:PATH|json:PATH  export the always-on telemetry
-///                      registry (counters, gauges, latency histograms)
-///                      when the engine is destroyed. Recording itself
+///   MULT_TELEMETRY=json:PATH  append each engine's always-on latency
+///                      histograms and host-phase times to PATH when it
+///                      is destroyed, one JSON object per line (see
+///                      exportJson in obs/Telemetry.h). Recording itself
 ///                      needs no switch; this only chooses an export.
 ///
 /// Always printed per run (no switch): one ";; host: <tag> ..." line of
@@ -131,16 +132,14 @@ inline void reportRun(Engine &E, const std::string &Tag) {
   if (const char *Dir = std::getenv("MULT_TRACE_DIR");
       Dir && E.tracer().enabled()) {
     std::string Path = std::string(Dir) + "/" + Tag + ".trace.json";
-    if (FILE *F = std::fopen(Path.c_str(), "w")) {
-      FileOutStream FS(F);
-      writeChromeTrace(FS, E.tracer(), E.machine());
-      FS.flush();
-      std::fclose(F);
+    std::string Err = writeFileChecked(Path, "w", [&](OutStream &OS) {
+      writeChromeTrace(OS, E.tracer(), E.machine());
+    });
+    if (Err.empty())
       std::fprintf(stderr, ";; trace: %s (%zu events)\n", Path.c_str(),
                    E.tracer().size());
-    } else {
-      std::fprintf(stderr, ";; trace: cannot open %s\n", Path.c_str());
-    }
+    else
+      std::fprintf(stderr, ";; trace: %s\n", Err.c_str());
   }
   // Host wall-clock phases, printed for every run with no switch. These
   // are simulator self-times (steady_clock), noisy and machine-dependent:
@@ -154,7 +153,6 @@ inline void reportRun(Engine &E, const std::string &Tag) {
     double NsPerCycle =
         Cycles ? static_cast<double>(RunNs) / static_cast<double>(Cycles)
                : 0.0;
-    E.telemetry().set(E.telemetryIds().HostNsPerCycle, NsPerCycle);
     std::printf(";; host: %s setup-ns=%llu read-ns=%llu compile-ns=%llu "
                 "run-ns=%llu gc-ns=%llu ns-per-vcycle=%.2f\n",
                 Tag.c_str(),

@@ -62,36 +62,20 @@ Engine::Engine(const EngineConfig &Config)
       TheMachine(Config.NumProcessors, Config.QuantumCycles,
                  Config.MaxRunCycles, Config.StealPolicy,
                  adaptiveConfig(Config)),
-      Rng(Config.RandomSeed), Telem(Config.NumProcessors) {
-  // Well-known latency histograms, registered before any recording so
-  // their ids are dense and stable. Always on: recording charges no
-  // virtual time, so cycle counts are bit-identical either way.
-  TelemIds.GcPause = Telem.histogram(
-      "gc_pause_cycles", "virtual cycles per GC pause (rendezvous to resume)");
-  TelemIds.TouchWait = Telem.histogram(
-      "touch_wait_cycles", "virtual cycles a touch blocked until its future "
-                           "resolved");
-  TelemIds.StealLatency = Telem.histogram(
-      "steal_latency_cycles", "virtual cycles a stolen task waited on its "
-                              "victim queue (push to steal)");
-  TelemIds.SemWait = Telem.histogram(
-      "sem_wait_cycles", "virtual cycles a task blocked in semaphore-p until "
-                         "the handing-off V");
-  TelemIds.TaskLifetime = Telem.histogram(
-      "task_lifetime_cycles", "virtual cycles from task creation to finish");
-  TelemIds.EvalRequest = Telem.histogram(
-      "eval_request_cycles", "virtual cycles per top-level eval request");
-  TelemIds.EvalsTotal =
-      Telem.counter("eval_requests_total", "top-level eval requests run");
-  TelemIds.HostNsPerCycle = Telem.gauge(
-      "host_ns_per_virtual_cycle", "host nanoseconds per simulated virtual "
-                                   "cycle of the last measured run");
-  TelemIds.RestartLatency = Telem.histogram(
-      "supervisor_restart_latency_cycles",
-      "virtual cycles from a supervised group's stop to its restart firing");
-  TelemIds.AdmissionWait = Telem.histogram(
-      "admission_queue_wait_cycles",
-      "virtual cycles a launch waited in the admission queue");
+      Rng(Config.RandomSeed) {
+  // Well-known latency histograms (TelemetryIds says what each one
+  // times), registered before any recording so their ids are dense and
+  // stable. Always on: recording charges no virtual time, so cycle counts
+  // are bit-identical either way.
+  TelemIds.GcPause = Telem.histogram("gc_pause_cycles");
+  TelemIds.TouchWait = Telem.histogram("touch_wait_cycles");
+  TelemIds.StealLatency = Telem.histogram("steal_latency_cycles");
+  TelemIds.SemWait = Telem.histogram("sem_wait_cycles");
+  TelemIds.TaskLifetime = Telem.histogram("task_lifetime_cycles");
+  TelemIds.EvalRequest = Telem.histogram("eval_request_cycles");
+  TelemIds.RestartLatency =
+      Telem.histogram("supervisor_restart_latency_cycles");
+  TelemIds.AdmissionWait = Telem.histogram("admission_queue_wait_cycles");
   TelemetrySpec = Config.Telemetry;
   if (TelemetrySpec.empty())
     if (const char *Env = std::getenv("MULT_TELEMETRY"))
@@ -264,12 +248,13 @@ Engine::~Engine() {
   if (!TelemetrySpec.empty()) {
     std::string Err;
     if (!exportTelemetrySpec(Telem, TelemetrySpec, Err))
-      std::fprintf(stderr, "mult: ignoring MULT_TELEMETRY: %s\n", Err.c_str());
+      std::fprintf(stderr, "mult: telemetry export failed: %s\n",
+                   Err.c_str());
   }
 }
 
-void Engine::recordTouchWait(Processor &P, uint32_t Site, uint64_t WaitCycles) {
-  Telem.record(TelemIds.TouchWait, P.Id, WaitCycles);
+void Engine::recordTouchWait(uint32_t Site, uint64_t WaitCycles) {
+  Telem.record(TelemIds.TouchWait, WaitCycles);
   if (Site == ~uint32_t(0))
     return;
   // Per-site child histogram, registered on the site's first blocked
@@ -281,12 +266,9 @@ void Engine::recordTouchWait(Processor &P, uint32_t Site, uint64_t WaitCycles) {
     const std::vector<std::string> &Names = TheTracer.siteNames();
     std::string Name =
         Site < Names.size() ? Names[Site] : strFormat("site-%u", Site);
-    SiteTouchHists[Site] = Telem.histogram(
-        "touch_wait_cycles", "virtual cycles a touch blocked until its future "
-                             "resolved",
-        "site", Name);
+    SiteTouchHists[Site] = Telem.histogram("touch_wait_cycles", "site", Name);
   }
-  Telem.record(SiteTouchHists[Site], P.Id, WaitCycles);
+  Telem.record(SiteTouchHists[Site], WaitCycles);
 }
 
 //===----------------------------------------------------------------------===//
@@ -486,8 +468,8 @@ bool Engine::collectGarbage() {
   bool Ok = TheGc.collect(*this, Clocks);
   if (Ok) {
     // The pause distribution, not just the running total (the collection
-    // already updated Gc::Stats). Shard 0: a collection is machine-wide.
-    Telem.record(TelemIds.GcPause, 0, TheGc.stats().Last.PauseCycles);
+    // already updated Gc::Stats).
+    Telem.record(TelemIds.GcPause, TheGc.stats().Last.PauseCycles);
     TheMachine.setClocks(Clocks);
     // Each processor's pause (from interruption to the common resume
     // clock) is GC time; together with busy and idle cycles this tiles
@@ -968,8 +950,7 @@ EvalResult Engine::runTopLevel(Code *TopCode, std::string_view Banner) {
   RunResult RR = TheMachine.run(*this);
   // Request latency for the multi-tenant story: every top-level eval is
   // one request, including the ones that end in a breakloop.
-  Telem.add(TelemIds.EvalsTotal, P0.Id);
-  Telem.record(TelemIds.EvalRequest, P0.Id, RR.ElapsedCycles);
+  Telem.record(TelemIds.EvalRequest, RR.ElapsedCycles);
   return translateRunResult(RR, Gid);
 }
 

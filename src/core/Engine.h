@@ -141,12 +141,12 @@ struct EngineConfig {
   /// per-task recovery charge to CheckpointEvery + QuantumCycles.
   /// 0 = off (PR 5 spawn-replay semantics, bit-identical).
   uint64_t CheckpointEvery = 0;
-  /// Telemetry export spec: "prom:PATH" (Prometheus text exposition) or
-  /// "json:PATH", written when the engine is destroyed. Empty falls back
-  /// to the MULT_TELEMETRY environment variable; empty both ways means
-  /// no export (the registry still records -- recording is always on and
-  /// costs no virtual time). When several engines share a path, the last
-  /// one destroyed wins.
+  /// Telemetry export spec, "json:PATH": when the engine is destroyed it
+  /// appends its whole registry to PATH as one JSON object on one line
+  /// (exportJson in obs/Telemetry.h), so engines sharing a path leave one
+  /// record each. Empty falls back to the MULT_TELEMETRY environment
+  /// variable; empty both ways means no export (the registry still
+  /// records -- recording is always on and costs no virtual time).
   std::string Telemetry;
   /// Determinacy-race detection (src/analysis, MULT_RACE): instrument
   /// box/vector/dynamic-env accesses with trace events and run the online
@@ -288,8 +288,6 @@ public:
     Telemetry::Id SemWait = Telemetry::InvalidId;     ///< sem-P block -> V wake
     Telemetry::Id TaskLifetime = Telemetry::InvalidId;///< create -> finish
     Telemetry::Id EvalRequest = Telemetry::InvalidId; ///< top-level eval cycles
-    Telemetry::Id EvalsTotal = Telemetry::InvalidId;  ///< counter
-    Telemetry::Id HostNsPerCycle = Telemetry::InvalidId; ///< gauge, set by benches
     Telemetry::Id RestartLatency = Telemetry::InvalidId; ///< stop -> restart fires
     Telemetry::Id AdmissionWait = Telemetry::InvalidId;  ///< queue -> admitted
   };
@@ -297,7 +295,7 @@ public:
   /// Records one touch-wait sample into the global histogram and the
   /// per-site child keyed by \p Site (a Tracer::futureSiteId; ~0 =
   /// unknown site, global only).
-  void recordTouchWait(Processor &P, uint32_t Site, uint64_t WaitCycles);
+  void recordTouchWait(uint32_t Site, uint64_t WaitCycles);
   /// @}
 
   /// \name Internals used by the VM, scheduler and primitives

@@ -241,11 +241,9 @@ void futureops::resolveFuture(Engine &E, Processor &P, Object *Fut,
     // Touch-wait latency: block to resolve, saturating because per-
     // processor clocks are not totally ordered (the resolver's clock can
     // trail the blocker's).
-    E.recordTouchWait(P,
-                      Waiter->BlockSite,
-                      P.Clock > Waiter->BlockClock
-                          ? P.Clock - Waiter->BlockClock
-                          : 0);
+    E.recordTouchWait(Waiter->BlockSite, P.Clock > Waiter->BlockClock
+                                             ? P.Clock - Waiter->BlockClock
+                                             : 0);
     // Paper: woken tasks go to the suspended queue of the processor they
     // were running on when they blocked — unless that processor died, in
     // which case the nearest survivor adopts them.
@@ -277,7 +275,7 @@ void futureops::taskFinished(Engine &E, Processor &P, Task &T, Value Result) {
   // Task lifetime (create to finish), always on -- the histogram no
   // longer needs the tracer. Saturating: the finishing processor's clock
   // can trail the creator's.
-  E.telemetry().record(E.telemetryIds().TaskLifetime, P.Id,
+  E.telemetry().record(E.telemetryIds().TaskLifetime,
                        P.Clock > T.CreateClock ? P.Clock - T.CreateClock : 0);
   if (T.ResultFuture.isFuture() &&
       !T.ResultFuture.pointee()->futureResolved())

@@ -76,7 +76,7 @@ void sem::v(Engine &E, Processor &P, Object *Sem) {
     ++Waiter->SideEffectEpoch;
     // Semaphore wait latency: P-block to V-wake, saturating (per-proc
     // clocks are not totally ordered).
-    E.telemetry().record(E.telemetryIds().SemWait, P.Id,
+    E.telemetry().record(E.telemetryIds().SemWait,
                          P.Clock > Waiter->BlockClock
                              ? P.Clock - Waiter->BlockClock
                              : 0);

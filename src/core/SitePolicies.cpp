@@ -7,6 +7,7 @@
 
 #include "core/SitePolicies.h"
 
+#include "support/OutStream.h"
 #include "support/StrUtil.h"
 
 #include <cstdio>
@@ -114,17 +115,6 @@ bool SitePolicyTable::loadFile(const std::string &Path, std::string &Err) {
 
 bool SitePolicyTable::saveFile(const std::string &Path,
                                std::string &Err) const {
-  FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    Err = "cannot open " + Path;
-    return false;
-  }
-  std::string Text = format();
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  std::fclose(F);
-  if (Written != Text.size()) {
-    Err = "short write to " + Path;
-    return false;
-  }
-  return true;
+  Err = writeFileChecked(Path, "w", [&](OutStream &OS) { OS << format(); });
+  return Err.empty();
 }

@@ -409,7 +409,7 @@ void Tenancy::supervisorTick(Processor &P) {
       continue; // shed, killed or resumed since the stop: the event is moot
     if (restartGroup(P, Gid)) {
       ++E.Stats.SupervisorRestarts;
-      E.Telem.record(E.TelemIds.RestartLatency, P.Id,
+      E.Telem.record(E.TelemIds.RestartLatency,
                      P.Clock > Due->StopClock ? P.Clock - Due->StopClock : 0);
       E.TheTracer.record(TraceEventKind::SupervisorRestart, P.Id, P.Clock,
                          Gid, Due->Attempt, 0);
@@ -505,7 +505,7 @@ void Tenancy::drainAdmissions() {
     Processor &Home = E.TheMachine.homeFor(T->LastProc);
     Home.Queues.pushNew(L.Root, Home.Clock);
     uint64_t Wait = Home.Clock > L.EnqueuedAt ? Home.Clock - L.EnqueuedAt : 0;
-    E.Telem.record(E.TelemIds.AdmissionWait, Home.Id, Wait);
+    E.Telem.record(E.TelemIds.AdmissionWait, Wait);
     Super.note(strFormat("admit: group %u \"%s\" from queue", L.Gid,
                          E.Groups[L.Gid].Banner.c_str()));
     E.TheTracer.record(TraceEventKind::GroupAdmitted, Home.Id, Home.Clock,
@@ -621,7 +621,6 @@ Tenancy::runLaunches(const std::vector<GroupLaunch> &Sources) {
     Processor &Home = E.TheMachine.homeFor(unsigned(I % NP));
     TL.EnqueuedAt = Home.Clock;
     ++Outstanding;
-    E.Telem.add(E.TelemIds.EvalsTotal, Home.Id);
     Launches.push_back(TL);
   }
 
@@ -639,7 +638,7 @@ Tenancy::runLaunches(const std::vector<GroupLaunch> &Sources) {
       ++Live;
       ++E.Stats.GroupsAdmitted;
       Home.charge(Home.Queues.pushNew(L.Root, Home.Clock));
-      E.Telem.record(E.TelemIds.AdmissionWait, Home.Id, 0);
+      E.Telem.record(E.TelemIds.AdmissionWait, 0);
       E.TheTracer.record(TraceEventKind::GroupAdmitted, Home.Id, Home.Clock,
                          L.Gid, 0, 0);
     } else if (Queue.size() - QueueHead < E.Cfg.MaxQueuedGroups) {

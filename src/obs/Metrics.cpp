@@ -9,19 +9,16 @@
 #include "obs/Metrics.h"
 
 #include "analysis/RaceDetect.h"
-#include "core/Task.h"
 #include "obs/Telemetry.h"
 #include "support/StrUtil.h"
 
-#include <algorithm>
 #include <initializer_list>
 #include <iterator>
-#include <unordered_map>
 
 using namespace mult;
 
 MetricsReport mult::buildMetrics(const Machine &M, const EngineStats &S,
-                                 const Gc::Stats &G, const Tracer &Tr,
+                                 const Gc::Stats &G, const Tracer &,
                                  const RaceDetector *RD,
                                  const Telemetry *Telem,
                                  uint64_t CheckpointEvery) {
@@ -57,62 +54,7 @@ MetricsReport mult::buildMetrics(const Machine &M, const EngineStats &S,
     R.CellsTracked = RD->cellsTracked();
   }
 
-  if (Telem) {
-    // Task lifetimes from the always-on histogram: same log2 convention
-    // as the trace-derived path, telemetry's extra high buckets fold into
-    // the report's top bucket.
-    Telemetry::Id LifeId = Telem->find("task_lifetime_cycles");
-    if (LifeId != Telemetry::InvalidId) {
-      LatencyHistogram H = Telem->merged(LifeId);
-      for (unsigned B = 0; B < LatencyHistogram::NumBuckets; ++B) {
-        uint64_t N = H.buckets()[B];
-        if (N)
-          R.TaskLifetimeLog2[std::min<size_t>(
-              B, R.TaskLifetimeLog2.size() - 1)] += N;
-      }
-      R.TasksMeasured = H.count();
-    }
-
-    // Latency summaries for every non-empty unlabeled histogram, in
-    // registration order.
-    for (Telemetry::Id I = 0; I < Telem->size(); ++I) {
-      const Telemetry::Metric &MDef = Telem->metric(I);
-      if (MDef.K != Telemetry::Kind::Histogram || !MDef.LabelKey.empty())
-        continue;
-      LatencyHistogram H = Telem->merged(I);
-      if (H.count() == 0)
-        continue;
-      MetricsReport::LatencySummary LS;
-      LS.Name = Telemetry::displayName(MDef.Name);
-      LS.Count = H.count();
-      LS.Mean = static_cast<double>(H.sum()) / static_cast<double>(H.count());
-      LS.P50 = H.percentile(50);
-      LS.P90 = H.percentile(90);
-      LS.P99 = H.percentile(99);
-      LS.Max = H.max();
-      R.Latencies.push_back(std::move(LS));
-    }
-    return R;
-  }
-
-  // Task lifetimes from the trace: pair each finish with its creation.
-  std::unordered_map<uint64_t, uint64_t> Born;
-  for (const TraceEvent &E : Tr.events()) {
-    if (E.Kind == TraceEventKind::TaskCreate) {
-      Born[E.A] = E.Clock;
-    } else if (E.Kind == TraceEventKind::TaskFinish) {
-      auto It = Born.find(E.A);
-      if (It == Born.end() || E.Clock < It->second)
-        continue;
-      uint64_t Life = E.Clock - It->second;
-      unsigned Bucket = 0;
-      while (Bucket + 1 < R.TaskLifetimeLog2.size() && (Life >> (Bucket + 1)))
-        ++Bucket;
-      ++R.TaskLifetimeLog2[Bucket];
-      ++R.TasksMeasured;
-      Born.erase(It);
-    }
-  }
+  R.Telem = Telem;
   return R;
 }
 
@@ -176,33 +118,32 @@ void mult::dumpMetrics(OutStream &OS, const MetricsReport &R) {
                     static_cast<unsigned long long>(R.RacesDetected),
                     static_cast<unsigned long long>(R.AccessesChecked),
                     static_cast<unsigned long long>(R.CellsTracked));
-  if (!R.Latencies.empty()) {
-    OS << "latency (virtual cycles):\n";
-    for (const MetricsReport::LatencySummary &L : R.Latencies)
-      OS << strFormat("  %-18s n=%llu mean=%.1f p50=%llu p90=%llu p99=%llu "
-                      "max=%llu\n",
-                      L.Name.c_str(),
-                      static_cast<unsigned long long>(L.Count), L.Mean,
-                      static_cast<unsigned long long>(L.P50),
-                      static_cast<unsigned long long>(L.P90),
-                      static_cast<unsigned long long>(L.P99),
-                      static_cast<unsigned long long>(L.Max));
+  // The registry's sections, through :histo's summary-line and bucket-row
+  // code: every non-empty unlabeled series, then the lifetime buckets.
+  static const LatencyHistogram NoLifetimes;
+  const LatencyHistogram *Life = &NoLifetimes;
+  if (const Telemetry *T = R.Telem) {
+    const char *Header = "latency (virtual cycles):\n";
+    for (Telemetry::Id I = 0; I < T->size(); ++I) {
+      const Telemetry::Metric &M = T->metric(I);
+      if (!M.LabelKey.empty() || M.Hist.count() == 0)
+        continue;
+      OS << Header;
+      Header = "";
+      writeHistogramSummary(OS, M);
+    }
+    if (Telemetry::Id L = T->find("task_lifetime_cycles");
+        L != Telemetry::InvalidId)
+      Life = &T->metric(L).Hist;
   }
-  if (R.TasksMeasured == 0) {
+  if (Life->count() == 0) {
     OS << "task lifetimes: (no tasks measured)\n";
     return;
   }
   OS << strFormat("task lifetimes (%llu tasks, virtual cycles, log2 "
                   "buckets):\n",
-                  static_cast<unsigned long long>(R.TasksMeasured));
-  for (size_t I = 0; I < R.TaskLifetimeLog2.size(); ++I) {
-    if (R.TaskLifetimeLog2[I] == 0)
-      continue;
-    OS << strFormat("  [%8llu, %8llu): %llu\n",
-                    static_cast<unsigned long long>(uint64_t(1) << I),
-                    static_cast<unsigned long long>(uint64_t(1) << (I + 1)),
-                    static_cast<unsigned long long>(R.TaskLifetimeLog2[I]));
-  }
+                  static_cast<unsigned long long>(Life->count()));
+  writeHistogramBuckets(OS, *Life);
 }
 
 namespace {
@@ -250,7 +191,7 @@ void writeHistosJson(OutStream &OS, const Telemetry &T,
     Telemetry::Id Id = T.find(Name);
     if (Id == Telemetry::InvalidId)
       continue;
-    LatencyHistogram H = T.merged(Id);
+    const LatencyHistogram &H = T.metric(Id).Hist;
     OS << Sep << '"' << Telemetry::displayName(Name) << "\":{\"n\":"
        << H.count() << ",\"sum\":" << H.sum() << ",\"p50\":"
        << H.percentile(50) << ",\"p90\":" << H.percentile(90)

@@ -1,14 +1,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Aggregated per-run metrics, built from the always-on counters plus
-/// (when tracing is enabled) the virtual-time event stream.
+/// Aggregated per-run metrics, built from the always-on counters and
+/// rendered together with the always-on telemetry registry.
 ///
 /// The report answers the paper's accounting questions directly: where did
 /// each processor's virtual time go (busy / idle / GC), how well did work
 /// stealing perform (success rate, per-processor steal counts), how deep
 /// did the task queues get (high-water marks), and how long did tasks live
-/// (a log2 histogram of create-to-finish virtual cycles, trace-derived).
+/// and wait (the registry's latency histograms, task lifetimes among them,
+/// rendered by the same summary-line and bucket-row code as `:histo`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +22,6 @@
 #include "sched/Machine.h"
 #include "support/OutStream.h"
 
-#include <array>
 #include <string_view>
 #include <vector>
 
@@ -87,37 +87,21 @@ struct MetricsReport {
   uint64_t AccessesChecked = 0;
   uint64_t CellsTracked = 0;
 
-  /// Task lifetimes (create to finish, virtual cycles) in log2 buckets:
-  /// bucket i counts lifetimes in [2^i, 2^(i+1)). Filled from the always-on
-  /// telemetry histogram when one is passed to buildMetrics; otherwise
-  /// trace-derived (and empty for untraced runs).
-  std::array<uint64_t, 40> TaskLifetimeLog2 = {};
-  uint64_t TasksMeasured = 0;
-
-  /// One always-on latency histogram's summary (virtual cycles).
-  struct LatencySummary {
-    std::string Name; ///< display name, e.g. "gc-pause"
-    uint64_t Count = 0;
-    double Mean = 0.0;
-    uint64_t P50 = 0;
-    uint64_t P90 = 0;
-    uint64_t P99 = 0;
-    uint64_t Max = 0;
-  };
-  /// Non-empty unlabeled telemetry histograms, registration order.
-  /// Empty when buildMetrics was not given a Telemetry.
-  std::vector<LatencySummary> Latencies;
+  /// The registry the latency and task-lifetime sections render from;
+  /// null omits the latency section and measures no lifetimes. Points
+  /// into the engine, so render the report before the engine goes.
+  const Telemetry *Telem = nullptr;
 };
 
 /// Builds the report for the last measured run. Pass the engine's race
-/// detector (may be null) to fold determinacy-race counters in. Pass the
-/// engine's telemetry (may be null) to fill the latency summaries and to
-/// source task lifetimes from the always-on histogram instead of the
-/// trace (so lifetimes no longer require tracing).
+/// detector (may be null) to fold determinacy-race counters in, and the
+/// engine's telemetry (may be null) for the latency and task-lifetime
+/// sections. The tracer is not read: lifetimes come from the registry,
+/// traced or not.
 /// \p CheckpointEvery is EngineConfig::CheckpointEvery (0 = checkpoints
 /// off), threaded through so the report can render the recovery bound.
 MetricsReport buildMetrics(const Machine &M, const EngineStats &S,
-                           const Gc::Stats &G, const Tracer &Tr,
+                           const Gc::Stats &G, const Tracer &,
                            const RaceDetector *RD = nullptr,
                            const Telemetry *Telem = nullptr,
                            uint64_t CheckpointEvery = 0);

@@ -1,15 +1,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Telemetry registry and exporters.
+/// Telemetry registry, its renderers and its JSON export.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "obs/Telemetry.h"
 
 #include "support/StrUtil.h"
-
-#include <cstdio>
 
 using namespace mult;
 
@@ -42,43 +40,17 @@ std::string Telemetry::displayName(std::string_view Name) {
   return Out;
 }
 
-Telemetry::Id Telemetry::intern(std::string_view Name, std::string_view Help,
-                                Kind K, std::string_view LabelKey,
-                                std::string_view LabelValue) {
+Telemetry::Id Telemetry::histogram(std::string_view Name,
+                                   std::string_view LabelKey,
+                                   std::string_view LabelValue) {
   auto Key = std::make_pair(std::string(Name), std::string(LabelValue));
   auto It = ByName.find(Key);
   if (It != ByName.end())
     return It->second;
   Id NewId = static_cast<Id>(Metrics.size());
-  Metric M;
-  M.Name = Key.first;
-  M.Help = std::string(Help);
-  M.LabelKey = std::string(LabelKey);
-  M.LabelValue = Key.second;
-  M.K = K;
-  if (K == Kind::Counter)
-    M.Shards.assign(NumShards, 0);
-  else if (K == Kind::Histogram)
-    M.Hists.assign(NumShards, LatencyHistogram());
-  Metrics.push_back(std::move(M));
+  Metrics.push_back({Key.first, std::string(LabelKey), Key.second, {}});
   ByName.emplace(std::move(Key), NewId);
   return NewId;
-}
-
-Telemetry::Id Telemetry::counter(std::string_view Name,
-                                 std::string_view Help) {
-  return intern(Name, Help, Kind::Counter, {}, {});
-}
-
-Telemetry::Id Telemetry::gauge(std::string_view Name, std::string_view Help) {
-  return intern(Name, Help, Kind::Gauge, {}, {});
-}
-
-Telemetry::Id Telemetry::histogram(std::string_view Name,
-                                   std::string_view Help,
-                                   std::string_view LabelKey,
-                                   std::string_view LabelValue) {
-  return intern(Name, Help, Kind::Histogram, LabelKey, LabelValue);
 }
 
 Telemetry::Id Telemetry::find(std::string_view Name,
@@ -88,28 +60,9 @@ Telemetry::Id Telemetry::find(std::string_view Name,
   return It == ByName.end() ? InvalidId : It->second;
 }
 
-uint64_t Telemetry::counterValue(Id M) const {
-  uint64_t Total = 0;
-  for (uint64_t S : Metrics[M].Shards)
-    Total += S;
-  return Total;
-}
-
-LatencyHistogram Telemetry::merged(Id M) const {
-  LatencyHistogram Out;
-  for (const LatencyHistogram &H : Metrics[M].Hists)
-    Out.merge(H);
-  return Out;
-}
-
 void Telemetry::clear() {
-  for (Metric &M : Metrics) {
-    for (uint64_t &S : M.Shards)
-      S = 0;
-    for (LatencyHistogram &H : M.Hists)
-      H.clear();
-    M.GaugeValue = 0.0;
-  }
+  for (Metric &M : Metrics)
+    M.Hist.clear();
   uint64_t SetupNs = hostNs(Phase::Setup);
   HostNs.fill(0);
   addHostNs(Phase::Setup, SetupNs);
@@ -139,61 +92,55 @@ bool nameMatches(const Telemetry::Metric &M, std::string_view Query) {
   return Q == D;
 }
 
-void summaryLine(OutStream &OS, const Telemetry::Metric &M,
-                 const LatencyHistogram &H) {
+/// "touch-wait[fib+3]": the display name plus the label value, if any.
+std::string seriesLabel(const Telemetry::Metric &M) {
   std::string Label = Telemetry::displayName(M.Name);
   if (!M.LabelValue.empty())
     Label += "[" + M.LabelValue + "]";
+  return Label;
+}
+
+} // namespace
+
+void mult::writeHistogramSummary(OutStream &OS, const Telemetry::Metric &M) {
+  const LatencyHistogram &H = M.Hist;
   OS << strFormat("  %-28s n=%-8llu mean=%-10.1f p50=%-8llu p90=%-8llu "
                   "p99=%-8llu max=%llu\n",
-                  Label.c_str(), static_cast<unsigned long long>(H.count()),
-                  H.mean(), static_cast<unsigned long long>(H.percentile(50)),
+                  seriesLabel(M).c_str(),
+                  static_cast<unsigned long long>(H.count()), H.mean(),
+                  static_cast<unsigned long long>(H.percentile(50)),
                   static_cast<unsigned long long>(H.percentile(90)),
                   static_cast<unsigned long long>(H.percentile(99)),
                   static_cast<unsigned long long>(H.max()));
 }
 
-std::string escapeLabel(const std::string &V) {
-  std::string Out;
-  for (char C : V) {
-    if (C == '\\' || C == '"')
-      Out += '\\';
-    if (C == '\n') {
-      Out += "\\n";
+void mult::writeHistogramBuckets(OutStream &OS, const LatencyHistogram &H) {
+  for (unsigned B = 0; B < LatencyHistogram::NumBuckets; ++B) {
+    if (H.buckets()[B] == 0)
       continue;
-    }
-    Out += C;
+    if (B + 1 >= LatencyHistogram::NumBuckets)
+      OS << strFormat("  [%12llu,      +inf): %llu\n",
+                      static_cast<unsigned long long>(
+                          LatencyHistogram::bucketLow(B)),
+                      static_cast<unsigned long long>(H.buckets()[B]));
+    else
+      OS << strFormat("  [%12llu, %9llu): %llu\n",
+                      static_cast<unsigned long long>(
+                          LatencyHistogram::bucketLow(B)),
+                      static_cast<unsigned long long>(
+                          LatencyHistogram::bucketHigh(B) + 1),
+                      static_cast<unsigned long long>(H.buckets()[B]));
   }
-  return Out;
 }
-
-std::string escapeHelp(const std::string &V) {
-  std::string Out;
-  for (char C : V) {
-    if (C == '\\')
-      Out += '\\';
-    if (C == '\n') {
-      Out += "\\n";
-      continue;
-    }
-    Out += C;
-  }
-  return Out;
-}
-
-} // namespace
 
 void mult::dumpHistogramIndex(OutStream &OS, const Telemetry &T) {
   bool Any = false;
   for (Telemetry::Id I = 0; I < T.size(); ++I) {
     const Telemetry::Metric &M = T.metric(I);
-    if (M.K != Telemetry::Kind::Histogram)
-      continue;
-    LatencyHistogram H = T.merged(I);
-    if (H.count() == 0)
+    if (M.Hist.count() == 0)
       continue;
     Any = true;
-    summaryLine(OS, M, H);
+    writeHistogramSummary(OS, M);
   }
   if (!Any)
     OS << "  (no samples recorded yet)\n";
@@ -204,14 +151,11 @@ void mult::dumpHistogram(OutStream &OS, const Telemetry &T,
   bool Found = false;
   for (Telemetry::Id I = 0; I < T.size(); ++I) {
     const Telemetry::Metric &M = T.metric(I);
-    if (M.K != Telemetry::Kind::Histogram || !nameMatches(M, Name))
+    if (!nameMatches(M, Name))
       continue;
     Found = true;
-    LatencyHistogram H = T.merged(I);
-    std::string Label = Telemetry::displayName(M.Name);
-    if (!M.LabelValue.empty())
-      Label += "[" + M.LabelValue + "]";
-    OS << Label << " (virtual cycles, log2 buckets):\n";
+    const LatencyHistogram &H = M.Hist;
+    OS << seriesLabel(M) << " (virtual cycles, log2 buckets):\n";
     if (H.count() == 0) {
       OS << "  (empty)\n";
       continue;
@@ -225,197 +169,55 @@ void mult::dumpHistogram(OutStream &OS, const Telemetry &T,
                     static_cast<unsigned long long>(H.percentile(90)),
                     static_cast<unsigned long long>(H.percentile(99)),
                     static_cast<unsigned long long>(H.max()));
-    for (unsigned B = 0; B < LatencyHistogram::NumBuckets; ++B) {
-      if (H.buckets()[B] == 0)
-        continue;
-      if (B + 1 >= LatencyHistogram::NumBuckets)
-        OS << strFormat("  [%12llu,      +inf): %llu\n",
-                        static_cast<unsigned long long>(
-                            LatencyHistogram::bucketLow(B)),
-                        static_cast<unsigned long long>(H.buckets()[B]));
-      else
-        OS << strFormat("  [%12llu, %9llu): %llu\n",
-                        static_cast<unsigned long long>(
-                            LatencyHistogram::bucketLow(B)),
-                        static_cast<unsigned long long>(
-                            LatencyHistogram::bucketHigh(B) + 1),
-                        static_cast<unsigned long long>(H.buckets()[B]));
-    }
+    writeHistogramBuckets(OS, H);
   }
   if (!Found)
     OS << "no histogram named '" << Name << "' (bare :histo lists them)\n";
 }
 
-void mult::exportPrometheus(OutStream &OS, const Telemetry &T) {
-  // One HELP/TYPE pair per metric family, emitted at the family's first
-  // registered series; labeled children follow under the same family.
-  std::map<std::string, bool> HeaderDone;
-  for (Telemetry::Id I = 0; I < T.size(); ++I) {
-    const Telemetry::Metric &M = T.metric(I);
-    std::string Full = "mult_" + M.Name;
-    if (!HeaderDone[Full]) {
-      HeaderDone[Full] = true;
-      OS << "# HELP " << Full << " " << escapeHelp(M.Help) << "\n";
-      OS << "# TYPE " << Full << " ";
-      switch (M.K) {
-      case Telemetry::Kind::Counter:
-        OS << "counter\n";
-        break;
-      case Telemetry::Kind::Gauge:
-        OS << "gauge\n";
-        break;
-      case Telemetry::Kind::Histogram:
-        OS << "histogram\n";
-        break;
-      }
-    }
-    std::string Lbl; // `key="value",` fragment, empty when unlabeled
-    if (!M.LabelKey.empty())
-      Lbl = M.LabelKey + "=\"" + escapeLabel(M.LabelValue) + "\"";
-    switch (M.K) {
-    case Telemetry::Kind::Counter:
-      OS << Full << (Lbl.empty() ? "" : "{" + Lbl + "}") << " "
-         << strFormat("%llu",
-                      static_cast<unsigned long long>(T.counterValue(I)))
-         << "\n";
-      break;
-    case Telemetry::Kind::Gauge:
-      OS << Full << (Lbl.empty() ? "" : "{" + Lbl + "}") << " "
-         << strFormat("%g", T.gaugeValue(I)) << "\n";
-      break;
-    case Telemetry::Kind::Histogram: {
-      LatencyHistogram H = T.merged(I);
-      std::string Prefix = Lbl.empty() ? "" : Lbl + ",";
-      uint64_t Cum = 0;
-      unsigned Top = 0; // highest non-empty bucket, so the export is short
-      for (unsigned B = 0; B < LatencyHistogram::NumBuckets; ++B)
-        if (H.buckets()[B])
-          Top = B;
-      for (unsigned B = 0; B <= Top && B + 1 < LatencyHistogram::NumBuckets;
-           ++B) {
-        Cum += H.buckets()[B];
-        OS << Full << "_bucket{" << Prefix << "le=\""
-           << strFormat("%llu", static_cast<unsigned long long>(
-                                    LatencyHistogram::bucketHigh(B)))
-           << "\"} " << strFormat("%llu", static_cast<unsigned long long>(Cum))
-           << "\n";
-      }
-      OS << Full << "_bucket{" << Prefix << "le=\"+Inf\"} "
-         << strFormat("%llu", static_cast<unsigned long long>(H.count()))
-         << "\n";
-      OS << Full << "_sum" << (Lbl.empty() ? "" : "{" + Lbl + "}") << " "
-         << strFormat("%llu", static_cast<unsigned long long>(H.sum()))
-         << "\n";
-      OS << Full << "_count" << (Lbl.empty() ? "" : "{" + Lbl + "}") << " "
-         << strFormat("%llu", static_cast<unsigned long long>(H.count()))
-         << "\n";
-      break;
-    }
-    }
-  }
-  OS << "# HELP mult_host_ns host nanoseconds spent per simulator phase\n";
-  OS << "# TYPE mult_host_ns gauge\n";
-  for (unsigned P = 0; P < Telemetry::NumPhases; ++P)
-    OS << "mult_host_ns{phase=\""
-       << Telemetry::phaseName(static_cast<Telemetry::Phase>(P)) << "\"} "
-       << strFormat("%llu", static_cast<unsigned long long>(
-                                T.hostNs(static_cast<Telemetry::Phase>(P))))
-       << "\n";
-}
-
 void mult::exportJson(OutStream &OS, const Telemetry &T) {
-  OS << "{\n  \"metrics\": [\n";
+  OS << "{\"metrics\":[";
   for (Telemetry::Id I = 0; I < T.size(); ++I) {
     const Telemetry::Metric &M = T.metric(I);
-    OS << "    {\"name\": \"" << jsonEscape(M.Name) << "\"";
+    const LatencyHistogram &H = M.Hist;
+    OS << (I ? "," : "") << "{\"name\":\"" << jsonEscape(M.Name) << '"';
     if (!M.LabelKey.empty())
-      OS << ", \"" << jsonEscape(M.LabelKey) << "\": \""
-         << jsonEscape(M.LabelValue) << "\"";
-    switch (M.K) {
-    case Telemetry::Kind::Counter:
-      OS << ", \"type\": \"counter\", \"value\": "
-         << strFormat("%llu",
-                      static_cast<unsigned long long>(T.counterValue(I)));
-      break;
-    case Telemetry::Kind::Gauge:
-      OS << ", \"type\": \"gauge\", \"value\": "
-         << strFormat("%g", T.gaugeValue(I));
-      break;
-    case Telemetry::Kind::Histogram: {
-      LatencyHistogram H = T.merged(I);
-      OS << ", \"type\": \"histogram\"";
-      OS << strFormat(", \"count\": %llu, \"sum\": %llu, \"min\": %llu, "
-                      "\"max\": %llu, \"p50\": %llu, \"p90\": %llu, "
-                      "\"p99\": %llu",
-                      static_cast<unsigned long long>(H.count()),
-                      static_cast<unsigned long long>(H.sum()),
-                      static_cast<unsigned long long>(H.min()),
-                      static_cast<unsigned long long>(H.max()),
-                      static_cast<unsigned long long>(H.percentile(50)),
-                      static_cast<unsigned long long>(H.percentile(90)),
-                      static_cast<unsigned long long>(H.percentile(99)));
-      OS << ", \"buckets\": [";
-      bool First = true;
-      for (unsigned B = 0; B < LatencyHistogram::NumBuckets; ++B) {
-        if (H.buckets()[B] == 0)
-          continue;
-        if (!First)
-          OS << ", ";
-        First = false;
-        OS << strFormat("[%llu, %llu]",
-                        static_cast<unsigned long long>(
-                            LatencyHistogram::bucketLow(B)),
-                        static_cast<unsigned long long>(H.buckets()[B]));
-      }
-      OS << "]";
-      break;
+      OS << ",\"" << jsonEscape(M.LabelKey) << "\":\""
+         << jsonEscape(M.LabelValue) << '"';
+    OS << ",\"count\":" << H.count() << ",\"sum\":" << H.sum()
+       << ",\"min\":" << H.min() << ",\"max\":" << H.max()
+       << ",\"p50\":" << H.percentile(50) << ",\"p90\":" << H.percentile(90)
+       << ",\"p99\":" << H.percentile(99) << ",\"buckets\":[";
+    const char *Sep = "";
+    for (unsigned B = 0; B < LatencyHistogram::NumBuckets; ++B) {
+      if (H.buckets()[B] == 0)
+        continue;
+      OS << Sep << '[' << LatencyHistogram::bucketLow(B) << ','
+         << H.buckets()[B] << ']';
+      Sep = ",";
     }
-    }
-    OS << "}" << (I + 1 < T.size() ? "," : "") << "\n";
+    OS << "]}";
   }
-  OS << "  ],\n  \"host_ns\": {";
+  OS << "],\"host_ns\":{";
   for (unsigned P = 0; P < Telemetry::NumPhases; ++P) {
-    if (P)
-      OS << ", ";
-    OS << "\"" << Telemetry::phaseName(static_cast<Telemetry::Phase>(P))
-       << "\": "
-       << strFormat("%llu", static_cast<unsigned long long>(
-                                T.hostNs(static_cast<Telemetry::Phase>(P))));
+    auto Ph = static_cast<Telemetry::Phase>(P);
+    OS << (P ? "," : "") << '"' << Telemetry::phaseName(Ph)
+       << "\":" << T.hostNs(Ph);
   }
-  OS << "}\n}\n";
+  OS << "}}\n";
 }
 
 bool mult::exportTelemetrySpec(const Telemetry &T, std::string_view Spec,
                                std::string &Err) {
-  std::string_view Path;
-  bool Prom;
-  if (Spec.substr(0, 5) == "prom:") {
-    Prom = true;
-    Path = Spec.substr(5);
-  } else if (Spec.substr(0, 5) == "json:") {
-    Prom = false;
-    Path = Spec.substr(5);
-  } else {
-    Err = "bad telemetry spec '" + std::string(Spec) +
-          "' (want prom:PATH or json:PATH)";
+  if (Spec.substr(0, 5) != "json:") {
+    Err = "bad telemetry spec '" + std::string(Spec) + "' (want json:PATH)";
     return false;
   }
-  if (Path.empty()) {
+  if (Spec.size() == 5) {
     Err = "telemetry spec '" + std::string(Spec) + "' names no file";
     return false;
   }
-  std::string PathS(Path);
-  FILE *F = std::fopen(PathS.c_str(), "w");
-  if (!F) {
-    Err = "cannot open telemetry file " + PathS;
-    return false;
-  }
-  FileOutStream FS(F);
-  if (Prom)
-    exportPrometheus(FS, T);
-  else
-    exportJson(FS, T);
-  FS.flush();
-  std::fclose(F);
-  return true;
+  Err = writeFileChecked(std::string(Spec.substr(5)), "a",
+                         [&](OutStream &OS) { exportJson(OS, T); });
+  return Err.empty();
 }

@@ -1,8 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Always-on latency telemetry: named counters, gauges and log2-bucketed
-/// histograms, recorded per processor and merged exactly at report time.
+/// Always-on latency telemetry: a registry of named log2-bucketed
+/// histograms, one per series, plus the simulator's host-time phases.
 ///
 /// Two clock domains, never mixed:
 ///
@@ -16,11 +16,14 @@
 ///    is noisy and machine-dependent, so it is reported but never golden-
 ///    compared and never feeds back into virtual time.
 ///
-/// Recording follows the per-processor statistical-counter idiom: each
-/// virtual processor owns a private shard (plain increments, no sharing),
-/// and readers merge the shards. Merging log2 bucket counts is exact, so
-/// percentiles extracted from the merged histogram are exact counts too
-/// (to bucket resolution).
+/// One host thread plays every virtual processor (sched/Machine.h), so a
+/// series is a single histogram and recording is a plain increment: there
+/// is nothing to shard or merge.
+///
+/// Every surface renders from this registry: `:histo` (the summary line
+/// and bucket rows below), the latency and task-lifetime sections of
+/// `:stats` (the same two renderers), the bench run-json "histo" sections
+/// (obs/Metrics.h), and the one export, MULT_TELEMETRY=json:PATH.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +44,7 @@ namespace mult {
 
 /// Log2-bucketed histogram of non-negative integer samples (virtual
 /// cycles). Bucket 0 counts values in [0, 2); bucket i counts [2^i,
-/// 2^(i+1)); the top bucket saturates (counts everything >= 2^47). The
-/// same convention as the trace-derived task-lifetime histogram.
+/// 2^(i+1)); the top bucket saturates (counts everything >= 2^47).
 class LatencyHistogram {
 public:
   static constexpr unsigned NumBuckets = 48;
@@ -56,20 +58,6 @@ public:
       MinV = V;
     if (V > MaxV)
       MaxV = V;
-  }
-
-  /// Exact merge: bucket counts, count and sum add; min/max combine.
-  void merge(const LatencyHistogram &O) {
-    if (O.Count == 0)
-      return;
-    for (unsigned I = 0; I < NumBuckets; ++I)
-      Buckets[I] += O.Buckets[I];
-    if (Count == 0 || O.MinV < MinV)
-      MinV = O.MinV;
-    if (O.MaxV > MaxV)
-      MaxV = O.MaxV;
-    Count += O.Count;
-    Sum += O.Sum;
   }
 
   void clear() { *this = LatencyHistogram(); }
@@ -137,17 +125,15 @@ private:
   uint64_t MaxV = 0;
 };
 
-/// The registry. Metrics are registered once (idempotently, keyed by
+/// The registry. Series are registered once (idempotently, keyed by
 /// (name, label value)) and then addressed by dense integer id, so the
 /// hot paths index a vector -- no string hashing per sample. clear()
-/// zeroes every value but keeps the registrations and ids stable, which
-/// is what Engine::resetStats needs between measured runs.
+/// zeroes every histogram but keeps the registrations and ids stable,
+/// which is what Engine::resetStats needs between measured runs.
 class Telemetry {
 public:
   using Id = uint32_t;
   static constexpr Id InvalidId = ~Id(0);
-
-  enum class Kind : uint8_t { Counter, Gauge, Histogram };
 
   /// Host-time phases of the simulator itself (steady_clock ns). Setup
   /// is the whole Engine constructor, heap through prelude bootstrap, and
@@ -162,69 +148,39 @@ public:
   /// the `:stats` latency lines and the bench run-json record.
   static std::string displayName(std::string_view Name);
 
-  explicit Telemetry(unsigned NumProcs) : NumShards(NumProcs ? NumProcs : 1) {}
+  /// One series. Names are snake_case; a labeled series is a child of its
+  /// base name, e.g. histogram("touch_wait_cycles", "site", "fib+3").
+  struct Metric {
+    std::string Name;
+    std::string LabelKey; ///< empty for unlabeled series
+    std::string LabelValue;
+    LatencyHistogram Hist;
+  };
 
-  /// \name Registration (idempotent; returns the existing id on re-use)
-  /// @{
-  /// Names are Prometheus-style snake_case bases (the exporter prefixes
-  /// "mult_"). A labeled histogram is a child series of its base name,
-  /// e.g. histogram("touch_wait_cycles", ..., "site", "fib+3").
-  Id counter(std::string_view Name, std::string_view Help);
-  Id gauge(std::string_view Name, std::string_view Help);
-  Id histogram(std::string_view Name, std::string_view Help,
-               std::string_view LabelKey = {},
+  /// Registers a series (idempotent; returns the existing id on re-use).
+  Id histogram(std::string_view Name, std::string_view LabelKey = {},
                std::string_view LabelValue = {});
   Id find(std::string_view Name, std::string_view LabelValue = {}) const;
-  /// @}
 
   /// \name Recording (hot paths; never charges virtual time)
   /// @{
-  void add(Id M, unsigned Proc, uint64_t Delta = 1) {
-    Metrics[M].Shards[Proc % NumShards] += Delta;
-  }
-  void set(Id M, double V) { Metrics[M].GaugeValue = V; }
-  void record(Id M, unsigned Proc, uint64_t V) {
-    Metrics[M].Hists[Proc % NumShards].record(V);
-  }
+  void record(Id M, uint64_t V) { Metrics[M].Hist.record(V); }
   void addHostNs(Phase Ph, uint64_t Ns) {
     HostNs[static_cast<unsigned>(Ph)] += Ns;
   }
   /// @}
 
-  /// \name Reading (merges shards; report-time only)
-  /// @{
-  uint64_t counterValue(Id M) const;
-  double gaugeValue(Id M) const { return Metrics[M].GaugeValue; }
-  LatencyHistogram merged(Id M) const;
+  size_t size() const { return Metrics.size(); }
+  const Metric &metric(Id M) const { return Metrics[M]; }
   uint64_t hostNs(Phase Ph) const {
     return HostNs[static_cast<unsigned>(Ph)];
   }
-  /// @}
-
-  struct Metric {
-    std::string Name;
-    std::string Help;
-    std::string LabelKey;   ///< empty for unlabeled series
-    std::string LabelValue;
-    Kind K = Kind::Counter;
-    std::vector<uint64_t> Shards;     ///< counters, one per processor
-    std::vector<LatencyHistogram> Hists; ///< histograms, one per processor
-    double GaugeValue = 0.0;          ///< gauges (engine-wide)
-  };
-
-  size_t size() const { return Metrics.size(); }
-  const Metric &metric(Id M) const { return Metrics[M]; }
-  unsigned numProcs() const { return NumShards; }
 
   /// Zeroes all values and the per-run host-phase clocks; registrations,
   /// ids and the one-time Setup clock survive (Engine::resetStats).
   void clear();
 
 private:
-  Id intern(std::string_view Name, std::string_view Help, Kind K,
-            std::string_view LabelKey, std::string_view LabelValue);
-
-  unsigned NumShards;
   std::vector<Metric> Metrics;
   std::map<std::pair<std::string, std::string>, Id> ByName;
   std::array<uint64_t, NumPhases> HostNs{};
@@ -253,21 +209,28 @@ private:
   std::chrono::steady_clock::time_point Start;
 };
 
-/// \name Export
+/// \name Rendering and export
 /// @{
-/// One histogram in full (the REPL's `:histo NAME`): merged buckets,
-/// count/sum/min/mean/percentiles. Includes labeled children of \p Name.
+/// \p M's one-line summary (n, mean, p50/p90/p99, max), as `:histo` lists
+/// every series and `:stats` every unlabeled one.
+void writeHistogramSummary(OutStream &OS, const Telemetry::Metric &M);
+/// One "  [low, high): count" row per non-empty bucket of \p H.
+void writeHistogramBuckets(OutStream &OS, const LatencyHistogram &H);
+/// One histogram in full (the REPL's `:histo NAME`): count, sum, min,
+/// mean, percentiles and buckets. Includes labeled children of \p Name.
 void dumpHistogram(OutStream &OS, const Telemetry &T, std::string_view Name);
-/// Every histogram as a one-line summary (the REPL's bare `:histo`).
+/// Every non-empty histogram's summary line (the REPL's bare `:histo`).
 void dumpHistogramIndex(OutStream &OS, const Telemetry &T);
-/// Prometheus text exposition format (counters, gauges, histograms with
-/// cumulative le-buckets, plus mult_host_ns{phase=...} gauges).
-void exportPrometheus(OutStream &OS, const Telemetry &T);
-/// The same content as a single JSON object.
+/// The whole registry as one compact JSON object on one line:
+/// {"metrics":[{"name":..,["<label key>":..,]"count":..,"sum":..,
+/// "min":..,"max":..,"p50":..,"p90":..,"p99":..,"buckets":[[low,n],..]},
+/// ..],"host_ns":{"setup":..,"read":..,"compile":..,"run":..,"gc":..}}.
+/// "buckets" lists the non-empty buckets by inclusive lower edge.
 void exportJson(OutStream &OS, const Telemetry &T);
-/// Parses \p Spec ("prom:PATH" or "json:PATH", the MULT_TELEMETRY
-/// grammar) and writes the export. False (and \p Err set) on a bad spec
-/// or unwritable path.
+/// Parses \p Spec ("json:PATH", the MULT_TELEMETRY grammar) and appends
+/// exportJson's line to PATH, so each engine that exports to one file
+/// adds one record (JSON Lines). False and \p Err set on a bad spec or a
+/// failed open, write or close.
 bool exportTelemetrySpec(const Telemetry &T, std::string_view Spec,
                          std::string &Err);
 /// @}

@@ -146,7 +146,7 @@ TaskId mult::dispatchNextTask(Engine &E, Machine &M, Processor &P) {
       if (Got != InvalidTask) {
         // Steal latency: enqueue on the victim to stolen dispatch here,
         // saturating (thief and victim clocks drift independently).
-        E.telemetry().record(E.telemetryIds().StealLatency, P.Id,
+        E.telemetry().record(E.telemetryIds().StealLatency,
                              P.Clock > Arrival ? P.Clock - Arrival : 0);
         ++Victim.StolenFrom;
         if (Tr.enabled())

@@ -7,7 +7,9 @@
 
 #include "support/OutStream.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 
 using namespace mult;
 
@@ -41,4 +43,20 @@ void FileOutStream::flush() { std::fflush(static_cast<FILE *>(File)); }
 FileOutStream &FileOutStream::stdoutStream() {
   static FileOutStream Stream(stdout);
   return Stream;
+}
+
+std::string mult::writeFileChecked(
+    const std::string &Path, const char *Mode,
+    const std::function<void(OutStream &)> &Write) {
+  FILE *F = std::fopen(Path.c_str(), Mode);
+  if (!F)
+    return "cannot open " + Path + ": " + std::strerror(errno);
+  FileOutStream FS(F);
+  Write(FS);
+  std::string Err;
+  if (std::fflush(F) != 0 || std::ferror(F))
+    Err = "cannot write " + Path + ": " + std::strerror(errno);
+  if (std::fclose(F) != 0 && Err.empty())
+    Err = "cannot close " + Path + ": " + std::strerror(errno);
+  return Err;
 }

@@ -13,6 +13,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -85,6 +86,13 @@ public:
 private:
   void *File;
 };
+
+/// Opens \p Path with fopen mode \p Mode, lets \p Write fill it through a
+/// FileOutStream, then flushes and closes it. Returns an empty string on
+/// success; otherwise what failed -- the open, a write (the stream's error
+/// flag after the flush) or the close -- with the path and the reason.
+std::string writeFileChecked(const std::string &Path, const char *Mode,
+                             const std::function<void(OutStream &)> &Write);
 
 } // namespace mult
 

@@ -127,8 +127,8 @@ void Repl::cmdHelp() {
          "                   (latency percentiles are always on)\n"
          "  :histo [NAME]    latency histogram index, or one histogram's\n"
          "                   full log2 buckets (e.g. :histo touch-wait);\n"
-         "                   MULT_TELEMETRY=prom:PATH|json:PATH exports\n"
-         "                   everything at exit\n"
+         "                   MULT_TELEMETRY=json:PATH appends them all\n"
+         "                   to PATH at exit, one JSON line per engine\n"
          "  :procs           per-processor liveness, clocks and queue\n"
          "                   depths (dead = fail-stopped by proc-kill)\n"
          "  :races           determinacy races found so far (needs the\n"
@@ -483,14 +483,11 @@ void Repl::cmdTrace(std::string_view Arg) {
     return;
   }
   std::string Path(Arg);
-  FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    Out << ";; cannot open " << Path << '\n';
-    return;
-  }
-  FileOutStream FS(F);
-  writeChromeTrace(FS, E.tracer(), E.machine());
-  FS.flush();
-  std::fclose(F);
-  Out << ";; wrote " << E.tracer().size() << " events to " << Path << '\n';
+  std::string Err = writeFileChecked(Path, "w", [&](OutStream &OS) {
+    writeChromeTrace(OS, E.tracer(), E.machine());
+  });
+  if (!Err.empty())
+    Out << ";; " << Err << '\n';
+  else
+    Out << ";; wrote " << E.tracer().size() << " events to " << Path << '\n';
 }

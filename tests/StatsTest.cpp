@@ -78,7 +78,7 @@ TEST(StatsTable, RendererPrintsEveryCounterExactlyOnce) {
 TEST(StatsTable, RunJsonLayerSectionsCarryExactlyTheirKeys) {
   std::vector<Row> Rows;
   EngineStats S = filledStats(Rows);
-  Telemetry T(1);
+  Telemetry T;
   std::string Armed;
   StringOutStream OS(Armed);
   writeRunJson(OS, "t", S, T, nullptr, RunLayers{true, true, true});

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The always-on latency telemetry: histogram bucket math, percentile
-/// extraction, cross-processor merging, registry lifecycle, determinism
-/// of the virtual-time histograms, and the Prometheus/JSON exporters.
+/// extraction, registry lifecycle, determinism of the virtual-time
+/// histograms, the JSON export, and the `:histo`/`:stats` renderers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +13,8 @@
 #include "obs/Telemetry.h"
 #include "ui/Repl.h"
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -46,7 +48,7 @@ EngineConfig smallHeapConfig(unsigned Procs,
   return C;
 }
 
-/// A comparable snapshot of one merged histogram.
+/// A comparable snapshot of one histogram.
 struct HistSnap {
   uint64_t Count, Sum, Min, Max;
   std::vector<uint64_t> Buckets;
@@ -74,9 +76,18 @@ std::vector<HistSnap> runAndSnapshot(unsigned Procs) {
         "sem_wait_cycles", "task_lifetime_cycles", "eval_request_cycles"}) {
     Telemetry::Id Id = E.telemetry().find(Name);
     EXPECT_NE(Id, Telemetry::InvalidId) << Name;
-    Out.push_back(snap(E.telemetry().merged(Id)));
+    Out.push_back(snap(E.telemetry().metric(Id).Hist));
   }
   return Out;
+}
+
+/// The line of \p Text that starts with \p Prefix, or "" if none does.
+std::string lineStartingWith(const std::string &Text,
+                             const std::string &Prefix) {
+  size_t At = ("\n" + Text).find("\n" + Prefix);
+  if (At == std::string::npos)
+    return "";
+  return Text.substr(At, Text.find('\n', At) - At);
 }
 
 } // namespace
@@ -160,79 +171,34 @@ TEST(LatencyHistogramTest, PercentileRanksAcrossBuckets) {
   EXPECT_EQ(H.max(), 1000u);
 }
 
-TEST(LatencyHistogramTest, MergeIsAssociativeAndExact) {
-  auto Fill = [](LatencyHistogram &H, unsigned Seedish) {
-    for (uint64_t V = Seedish; V < Seedish + 200; ++V)
-      H.record(V * V % 10'000);
-  };
-  LatencyHistogram A, B, C;
-  Fill(A, 3);
-  Fill(B, 77);
-  Fill(C, 1234);
-
-  LatencyHistogram AB = A;
-  AB.merge(B);
-  LatencyHistogram AB_C = AB;
-  AB_C.merge(C);
-
-  LatencyHistogram BC = B;
-  BC.merge(C);
-  LatencyHistogram A_BC = A;
-  A_BC.merge(BC);
-
-  EXPECT_TRUE(snap(AB_C) == snap(A_BC));
-  EXPECT_EQ(AB_C.count(), 600u);
-  EXPECT_EQ(AB_C.sum(), A.sum() + B.sum() + C.sum());
-
-  // Merging an empty histogram is the identity, both ways.
-  LatencyHistogram Empty, D = A;
-  D.merge(Empty);
-  EXPECT_TRUE(snap(D) == snap(A));
-  LatencyHistogram E2;
-  E2.merge(A);
-  EXPECT_TRUE(snap(E2) == snap(A));
-}
-
 //===----------------------------------------------------------------------===//
 // Registry
 //===----------------------------------------------------------------------===//
 
 TEST(TelemetryTest, RegistrationIsIdempotentAndIdsAreStable) {
-  Telemetry T(4);
-  Telemetry::Id A = T.histogram("foo_cycles", "help");
-  Telemetry::Id B = T.histogram("foo_cycles", "help");
+  Telemetry T;
+  Telemetry::Id A = T.histogram("foo_cycles");
+  Telemetry::Id B = T.histogram("foo_cycles");
   EXPECT_EQ(A, B);
-  Telemetry::Id C = T.counter("bar_total", "help");
+  Telemetry::Id C = T.histogram("bar_cycles");
   EXPECT_NE(A, C);
   EXPECT_EQ(T.find("foo_cycles"), A);
   EXPECT_EQ(T.find("missing"), Telemetry::InvalidId);
 
   // Labeled children are distinct series under the same base name.
-  Telemetry::Id L1 = T.histogram("foo_cycles", "help", "site", "fib+3");
-  Telemetry::Id L2 = T.histogram("foo_cycles", "help", "site", "fib+9");
+  Telemetry::Id L1 = T.histogram("foo_cycles", "site", "fib+3");
+  Telemetry::Id L2 = T.histogram("foo_cycles", "site", "fib+9");
   EXPECT_NE(L1, A);
   EXPECT_NE(L1, L2);
   EXPECT_EQ(T.find("foo_cycles", "fib+3"), L1);
 
   // clear() zeroes values but keeps registrations and ids.
-  T.record(A, 0, 42);
-  T.add(C, 1, 5);
+  T.record(A, 42);
+  T.record(C, 5);
   T.clear();
   EXPECT_EQ(T.find("foo_cycles"), A);
-  EXPECT_EQ(T.merged(A).count(), 0u);
-  EXPECT_EQ(T.counterValue(C), 0u);
-}
-
-TEST(TelemetryTest, ShardsMergeAcrossProcessors) {
-  Telemetry T(4);
-  Telemetry::Id H = T.histogram("h_cycles", "help");
-  for (unsigned P = 0; P < 4; ++P)
-    for (unsigned I = 0; I <= P; ++I)
-      T.record(H, P, 100 * (P + 1));
-  LatencyHistogram M = T.merged(H);
-  EXPECT_EQ(M.count(), 1u + 2 + 3 + 4);
-  EXPECT_EQ(M.min(), 100u);
-  EXPECT_EQ(M.max(), 400u);
+  EXPECT_EQ(T.metric(A).Hist.count(), 0u);
+  EXPECT_EQ(T.metric(C).Hist.count(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -260,14 +226,14 @@ TEST(TelemetryTest, FullProtocolPopulatesEveryHistogram) {
         "sem_wait_cycles", "task_lifetime_cycles", "eval_request_cycles"}) {
     Telemetry::Id Id = T.find(Name);
     ASSERT_NE(Id, Telemetry::InvalidId) << Name;
-    EXPECT_GT(T.merged(Id).count(), 0u) << Name << " recorded nothing";
+    EXPECT_GT(T.metric(Id).Hist.count(), 0u) << Name << " recorded nothing";
   }
   // Per-site touch-wait children: at least one labeled series recorded.
   bool SawSite = false;
   for (Telemetry::Id I = 0; I < T.size(); ++I) {
     const Telemetry::Metric &M = T.metric(I);
     if (M.Name == "touch_wait_cycles" && M.LabelKey == "site" &&
-        T.merged(I).count() > 0)
+        M.Hist.count() > 0)
       SawSite = true;
   }
   EXPECT_TRUE(SawSite) << "no per-site touch-wait series recorded";
@@ -277,18 +243,16 @@ TEST(TelemetryTest, TaskLifetimesNoLongerNeedTracing) {
   Engine E(config(2));
   ASSERT_FALSE(E.tracer().enabled());
   evalOk(E, "(touch (future (+ 1 2)))");
-  MetricsReport R = buildMetrics(E.machine(), E.stats(), E.gcStats(),
-                                 E.tracer(), nullptr, &E.telemetry());
-  EXPECT_GT(R.TasksMeasured, 0u) << "lifetimes must not require the tracer";
-  EXPECT_FALSE(R.Latencies.empty());
-  bool SawLifetime = false;
-  for (const MetricsReport::LatencySummary &L : R.Latencies)
-    if (L.Name == "task-lifetime") {
-      SawLifetime = true;
-      EXPECT_GT(L.Count, 0u);
-      EXPECT_GE(L.Max, L.P50);
-    }
-  EXPECT_TRUE(SawLifetime);
+  std::string Text;
+  StringOutStream OS(Text);
+  dumpMetrics(OS, buildMetrics(E.machine(), E.stats(), E.gcStats(),
+                               E.tracer(), nullptr, &E.telemetry()));
+  EXPECT_NE(Text.find("latency (virtual cycles):\n"), std::string::npos)
+      << Text;
+  EXPECT_NE(Text.find("\n  task-lifetime "), std::string::npos) << Text;
+  EXPECT_NE(Text.find("\ntask lifetimes ("), std::string::npos)
+      << "lifetimes must not require the tracer:\n"
+      << Text;
 }
 
 TEST(TelemetryTest, ResetStatsClearsValuesButKeepsSeries) {
@@ -296,13 +260,13 @@ TEST(TelemetryTest, ResetStatsClearsValuesButKeepsSeries) {
   evalOk(E, "(touch (future 1))");
   Telemetry::Id Id = E.telemetry().find("task_lifetime_cycles");
   ASSERT_NE(Id, Telemetry::InvalidId);
-  ASSERT_GT(E.telemetry().merged(Id).count(), 0u);
+  ASSERT_GT(E.telemetry().metric(Id).Hist.count(), 0u);
   E.resetStats();
   EXPECT_EQ(E.telemetry().find("task_lifetime_cycles"), Id);
-  EXPECT_EQ(E.telemetry().merged(Id).count(), 0u);
+  EXPECT_EQ(E.telemetry().metric(Id).Hist.count(), 0u);
   // Recording still works on the surviving series.
   evalOk(E, "(touch (future 2))");
-  EXPECT_GT(E.telemetry().merged(Id).count(), 0u);
+  EXPECT_GT(E.telemetry().metric(Id).Hist.count(), 0u);
 }
 
 TEST(TelemetryTest, HostPhaseTimersAccumulate) {
@@ -318,37 +282,20 @@ TEST(TelemetryTest, HostPhaseTimersAccumulate) {
 // Export
 //===----------------------------------------------------------------------===//
 
-TEST(TelemetryTest, PrometheusExportShape) {
-  Engine E(smallHeapConfig(4));
-  evalOk(E, FullProtocolProgram);
-  std::string S;
-  StringOutStream OS(S);
-  exportPrometheus(OS, E.telemetry());
-  EXPECT_NE(S.find("# HELP mult_touch_wait_cycles"), std::string::npos);
-  EXPECT_NE(S.find("# TYPE mult_touch_wait_cycles histogram"),
-            std::string::npos);
-  EXPECT_NE(S.find("mult_touch_wait_cycles_bucket{le=\"+Inf\"}"),
-            std::string::npos);
-  EXPECT_NE(S.find("mult_touch_wait_cycles_sum"), std::string::npos);
-  EXPECT_NE(S.find("mult_touch_wait_cycles_count"), std::string::npos);
-  EXPECT_NE(S.find("# TYPE mult_eval_requests_total counter"),
-            std::string::npos);
-  EXPECT_NE(S.find("mult_host_ns{phase=\"run\"}"), std::string::npos);
-  // Labeled per-site child series appear under the base family.
-  EXPECT_NE(S.find("site=\""), std::string::npos);
-}
-
 TEST(TelemetryTest, JsonExportParsesAsOneObject) {
   Engine E(config(2));
   evalOk(E, "(touch (future (+ 1 2)))");
   std::string S;
   StringOutStream OS(S);
   exportJson(OS, E.telemetry());
-  EXPECT_EQ(S.front(), '{');
-  EXPECT_NE(S.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(S.find("\"task_lifetime_cycles\""), std::string::npos);
-  EXPECT_NE(S.find("\"host_ns\""), std::string::npos);
-  // Crude balance check (the CI job does a real json.load).
+  ASSERT_EQ(S.rfind("{\"metrics\":[{\"name\":\"gc_pause_cycles\"", 0), 0u)
+      << S;
+  EXPECT_EQ(S.find('\n'), S.size() - 1) << "one record is one line";
+  EXPECT_NE(S.find("{\"name\":\"task_lifetime_cycles\",\"count\":"),
+            std::string::npos)
+      << S;
+  EXPECT_NE(S.find("],\"host_ns\":{\"setup\":"), std::string::npos) << S;
+  // Crude balance check (the CI job does a real json.loads per line).
   size_t Open = 0, Close = 0;
   for (char C : S) {
     Open += C == '{';
@@ -362,10 +309,38 @@ TEST(TelemetryTest, ExportSpecParsesAndRejects) {
   evalOk(E, "(+ 1 2)");
   std::string Err;
   EXPECT_FALSE(exportTelemetrySpec(E.telemetry(), "bogus", Err));
-  EXPECT_FALSE(Err.empty());
+  EXPECT_NE(Err.find("json:PATH"), std::string::npos) << Err;
   EXPECT_FALSE(exportTelemetrySpec(E.telemetry(), "csv:/tmp/x", Err));
+  // The Prometheus exposition is gone; its spec names the one export.
+  Err.clear();
+  EXPECT_FALSE(exportTelemetrySpec(E.telemetry(), "prom:/tmp/x", Err));
+  EXPECT_NE(Err.find("json:PATH"), std::string::npos) << Err;
+  EXPECT_FALSE(exportTelemetrySpec(E.telemetry(), "json:", Err));
   EXPECT_FALSE(
-      exportTelemetrySpec(E.telemetry(), "prom:/nonexistent-dir/x/y", Err));
+      exportTelemetrySpec(E.telemetry(), "json:/nonexistent-dir/x/y", Err));
+  // A failed write or close is an error, not a silent success.
+  Err.clear();
+  EXPECT_FALSE(exportTelemetrySpec(E.telemetry(), "json:/dev/full", Err));
+  EXPECT_NE(Err.find("/dev/full"), std::string::npos) << Err;
+}
+
+TEST(TelemetryTest, ExportAppendsOneLinePerEngine) {
+  std::string Path = ::testing::TempDir() + "telemetry_append.jsonl";
+  std::remove(Path.c_str());
+  for (unsigned Procs : {1u, 2u, 4u}) {
+    EngineConfig C = config(Procs);
+    C.Telemetry = "json:" + Path;
+    Engine E(C);
+    evalOk(E, "(touch (future (+ 1 2)))");
+  }
+  std::ifstream In(Path);
+  std::vector<std::string> Lines;
+  for (std::string Line; std::getline(In, Line);)
+    Lines.push_back(Line);
+  std::remove(Path.c_str());
+  ASSERT_EQ(Lines.size(), 3u);
+  for (const std::string &L : Lines)
+    EXPECT_EQ(L.rfind("{\"metrics\":[", 0), 0u) << L;
 }
 
 //===----------------------------------------------------------------------===//
@@ -387,4 +362,27 @@ TEST(TelemetryTest, ReplHistoCommand) {
   EXPECT_TRUE(R.processLine(":stats"));
   EXPECT_NE(Buf.find("latency (virtual cycles):"), std::string::npos);
   EXPECT_EQ(Buf.find("enable tracing to measure"), std::string::npos);
+}
+
+TEST(TelemetryTest, StatsAndHistoPrintTheSameSummaryLines) {
+  Engine E(smallHeapConfig(4));
+  evalOk(E, FullProtocolProgram);
+  std::string Stats, Histo;
+  StringOutStream StatsOut(Stats), HistoOut(Histo);
+  Repl RS(E, StatsOut), RH(E, HistoOut);
+  ASSERT_TRUE(RS.processLine(":stats"));
+  ASSERT_TRUE(RH.processLine(":histo"));
+  const Telemetry &T = E.telemetry();
+  unsigned Compared = 0;
+  for (Telemetry::Id I = 0; I < T.size(); ++I) {
+    const Telemetry::Metric &M = T.metric(I);
+    if (!M.LabelKey.empty() || M.Hist.count() == 0)
+      continue;
+    std::string Prefix = "  " + Telemetry::displayName(M.Name) + " ";
+    std::string Line = lineStartingWith(Stats, Prefix);
+    EXPECT_NE(Line, "") << M.Name << " missing from :stats:\n" << Stats;
+    EXPECT_EQ(Line, lineStartingWith(Histo, Prefix)) << M.Name;
+    ++Compared;
+  }
+  EXPECT_GE(Compared, 6u) << "the full protocol fills six histograms";
 }
