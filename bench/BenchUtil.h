@@ -41,28 +41,29 @@ using namespace mult;
 ///   MULT_TRACE_DIR=D   write D/<tag>.trace.json per traced run
 ///   MULT_TRACE_MODE=M  trace sink: unbounded (default), ring:N, or
 ///                      stream[:PATH] (see Tracer::configureSink)
-///   MULT_FAULTS=SPEC   arm the deterministic fault injector for every
-///                      run (picked up by the Engine itself; see
-///                      fault/FaultPlan.h for the spec grammar). With
-///                      MULT_METRICS also set, the run-json record
-///                      gains a "faults" section.
-///   MULT_CHECKPOINT=N  arm the checkpointed-recovery policy (capture a
-///                      whole task's resumable state every N busy
-///                      cycles; picked up by the Engine itself). Changes
-///                      virtual time, so like MULT_FAULTS it must stay
-///                      off for golden runs; with MULT_METRICS set, the
-///                      run-json record gains a "checkpoint" section
 ///   MULT_ADAPTIVE_T=1  switch every run from the static inlining
 ///                      threshold to the per-processor adaptive
 ///                      controller (sched/Adaptive.h); the static T
 ///                      passed by the bench becomes the starting point
-///   MULT_SITE_POLICIES=F  load per-future-site policies from F (picked
-///                      up by the Engine itself; see :profile FILE)
-///   MULT_TELEMETRY=json:PATH  append each engine's always-on latency
-///                      histograms and host-phase times to PATH when it
-///                      is destroyed, one JSON object per line (see
-///                      exportJson in obs/Telemetry.h). Recording itself
-///                      needs no switch; this only chooses an export.
+///
+/// The Engine itself reads the variables of the MULT_ENGINE_CONFIG table
+/// (core/Config.h), so they reach every bench run too:
+///   MULT_FAULTS=SPEC   arm the deterministic fault injector (grammar in
+///                      fault/FaultPlan.h); with MULT_METRICS the
+///                      run-json record gains a "faults" section
+///   MULT_RECOVERY=0    orphan every task a fail-stop loses
+///   MULT_CHECKPOINT=N  capture a whole task's resumable state every N
+///                      busy cycles; with MULT_METRICS, a "checkpoint"
+///                      section
+///   MULT_QUOTA=SPEC    per-group quotas and the admission gate; with
+///   MULT_SUPERVISE=P   the supervisor, a "tenant" section
+///   MULT_RACE=1        determinacy-race detection (changes no cycle)
+///   MULT_SITE_POLICIES=F  per-future-site policies from F (:profile FILE)
+///   MULT_TELEMETRY=json:PATH  append each engine's latency histograms
+///                      and host-phase times to PATH when it is
+///                      destroyed, one JSON object per line
+/// MULT_FAULTS, MULT_CHECKPOINT, MULT_QUOTA and MULT_SUPERVISE change
+/// virtual time, so they must stay off for golden runs.
 ///
 /// Always printed per run (no switch): one ";; host: <tag> ..." line of
 /// host wall-clock phase times and the derived ns-per-virtual-cycle.

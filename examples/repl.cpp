@@ -13,25 +13,53 @@
 ///   mul-t> :stats
 ///
 /// Usage: repl [processors] [inline-threshold|lazy]
+///   processors defaults to 4 and must lie in [1, 256]; the MULT_*
+///   variables `:help` lists configure the rest.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/StrUtil.h"
 #include "ui/Repl.h"
 
 #include <cstdio>
-#include <cstring>
+#include <iostream>
 #include <string>
+#include <string_view>
 
 using namespace mult;
 
+/// Parses a whole argument as a count no larger than \p Max.
+static bool parseArg(const char *Arg, uint64_t Max, uint64_t &V) {
+  return parseU64(Arg, V) && V <= Max;
+}
+
 int main(int argc, char **argv) {
   EngineConfig Cfg;
-  Cfg.NumProcessors = argc > 1 ? unsigned(std::atoi(argv[1])) : 4;
+  Cfg.NumProcessors = 4;
+  uint64_t V = 0;
+  if (argc > 1) {
+    if (!parseArg(argv[1], ~0u, V)) {
+      std::fprintf(stderr, "repl: NumProcessors '%s' is not an unsigned "
+                           "count\n", argv[1]);
+      return 2;
+    }
+    Cfg.NumProcessors = unsigned(V);
+  }
   if (argc > 2) {
-    if (std::strcmp(argv[2], "lazy") == 0)
+    if (std::string_view(argv[2]) == "lazy")
       Cfg.LazyFutures = true;
-    else
-      Cfg.InlineThreshold = unsigned(std::atoi(argv[2]));
+    else if (parseArg(argv[2], ~0u, V))
+      Cfg.InlineThreshold = unsigned(V);
+    else {
+      std::fprintf(stderr, "repl: inline threshold '%s' is neither a "
+                           "count nor lazy\n", argv[2]);
+      return 2;
+    }
+  }
+  std::string Err;
+  if (!Cfg.validate(Err)) {
+    std::fprintf(stderr, "repl: %s\n", Err.c_str());
+    return 2;
   }
 
   Engine E(Cfg);
@@ -50,10 +78,11 @@ int main(int argc, char **argv) {
   for (;;) {
     Out << R.prompt();
     Out.flush();
-    char Buf[4096];
-    if (!std::fgets(Buf, sizeof(Buf), stdin))
+    if (!std::getline(std::cin, Line)) {
+      R.finish();
       break;
-    if (!R.processLine(Buf))
+    }
+    if (!R.processLine(Line))
       break;
     Out.flush();
   }

@@ -356,7 +356,7 @@ AstPtr Analyzer::analyzeCall(Value Form) {
 
   // Primitive integration: the head is a symbol, lexically unbound, not
   // user-defined, and names a primitive.
-  if (Opts.IntegratePrims && isSymbol(Head)) {
+  if (isSymbol(Head)) {
     Object *Sym = Head.asObject();
     VarWhere W;
     int Id;

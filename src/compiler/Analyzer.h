@@ -21,21 +21,13 @@
 
 namespace mult {
 
-/// Options controlling analysis.
-struct AnalyzerOptions {
-  /// Compile known primitive names to primitives when the global is not
-  /// user-defined.
-  bool IntegratePrims = true;
-};
-
 /// The analyzer. One instance per compiled top-level form.
 class Analyzer {
 public:
   /// \p NonIntegrable holds global symbols the user has defined or
   /// assigned; those names never integrate as primitives.
-  Analyzer(const AnalyzerOptions &Opts,
-           const std::unordered_set<Object *> &NonIntegrable)
-      : Opts(Opts), NonIntegrable(NonIntegrable) {}
+  explicit Analyzer(const std::unordered_set<Object *> &NonIntegrable)
+      : NonIntegrable(NonIntegrable) {}
 
   /// Analyzes one fully expanded top-level form. On failure returns a
   /// Program with a null Top and fills \p Error.
@@ -60,7 +52,6 @@ private:
   AstPtr fail(const char *Msg, Value Form);
   int newBinding(Object *Sym);
 
-  const AnalyzerOptions &Opts;
   const std::unordered_set<Object *> &NonIntegrable;
   Program Prog;
   std::string Error;

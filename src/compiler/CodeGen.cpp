@@ -515,9 +515,7 @@ Compiler::Result Compiler::compile(Value Datum) {
     return R;
   }
 
-  AnalyzerOptions AOpts;
-  AOpts.IntegratePrims = Opts.IntegratePrims;
-  Analyzer A(AOpts, NonIntegrable);
+  Analyzer A(NonIntegrable);
   std::string Err;
   Program P = A.analyzeTopLevel(E.Datum, Err);
   if (!P.Top) {

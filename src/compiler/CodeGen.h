@@ -29,7 +29,6 @@ namespace mult {
 struct CompilerOptions {
   bool EmitTouchChecks = true;
   bool OptimizeTouches = true;
-  bool IntegratePrims = true;
 };
 
 /// Counters the touch-overhead experiments report (E2/E5).

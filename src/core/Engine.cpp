@@ -19,34 +19,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 
 using namespace mult;
-
-static Heap::Config heapConfig(const EngineConfig &C) {
-  Heap::Config H;
-  H.SemispaceWords = C.HeapWords;
-  H.ChunkWords = C.ChunkWords;
-  H.LargeObjectWords = C.LargeObjectWords;
-  H.NumAllocators = C.NumProcessors;
-  return H;
-}
-
-static CompilerOptions compilerOptions(const EngineConfig &C) {
-  CompilerOptions O;
-  O.EmitTouchChecks = C.EmitTouchChecks;
-  O.OptimizeTouches = C.OptimizeTouches;
-  O.IntegratePrims = C.IntegratePrims;
-  return O;
-}
 
 static AdaptiveTConfig adaptiveConfig(const EngineConfig &C) {
   AdaptiveTConfig A;
   A.Enabled = C.AdaptiveInline;
-  A.WindowCycles = C.AdaptiveWindowCycles ? C.AdaptiveWindowCycles : 1;
-  A.MinT = C.AdaptiveMinT;
-  A.MaxT = std::max(C.AdaptiveMaxT, C.AdaptiveMinT);
-  A.Hysteresis = std::max(C.AdaptiveHysteresis, 1u);
+  A.WindowCycles = C.AdaptiveWindowCycles;
   // The static threshold, when set and finite, seeds the adaptive one;
   // otherwise start from the paper's recommended T = 1.
   unsigned Start = C.InlineThreshold ? *C.InlineThreshold : 1u;
@@ -54,15 +33,28 @@ static AdaptiveTConfig adaptiveConfig(const EngineConfig &C) {
   return A;
 }
 
+/// \p C with the environment applied, checked before anything is allocated.
+static EngineConfig resolvedConfig(EngineConfig C) {
+  C.readEnvironment();
+  [[maybe_unused]] std::string Err;
+  assert(C.validate(Err) && "invalid EngineConfig");
+  return C;
+}
+
 Engine::Engine(const EngineConfig &Config)
-    : Cfg(Config), TheHeap(heapConfig(Config)), Syms(TheHeap),
-      Builder(TheHeap, Syms), Registry(TheHeap),
-      TheCompiler(Builder, Registry, compilerOptions(Config)),
-      TheGc(TheHeap, Config.NumProcessors),
-      TheMachine(Config.NumProcessors, Config.QuantumCycles,
-                 Config.MaxRunCycles, Config.StealPolicy,
-                 adaptiveConfig(Config)),
-      Rng(Config.RandomSeed) {
+    : Cfg(resolvedConfig(Config)),
+      TheHeap({.SemispaceWords = Cfg.HeapWords,
+               .ChunkWords = Cfg.ChunkWords,
+               .LargeObjectWords = Cfg.LargeObjectWords,
+               .NumAllocators = Cfg.NumProcessors}),
+      Syms(TheHeap), Builder(TheHeap, Syms), Registry(TheHeap),
+      TheCompiler(Builder, Registry,
+                  {.EmitTouchChecks = Cfg.EmitTouchChecks,
+                   .OptimizeTouches = Cfg.OptimizeTouches}),
+      TheGc(TheHeap, Cfg.NumProcessors),
+      TheMachine(Cfg.NumProcessors, Cfg.QuantumCycles, Cfg.MaxRunCycles,
+                 Cfg.StealPolicy, adaptiveConfig(Cfg)),
+      Rng(Cfg.RandomSeed) {
   // Well-known latency histograms (TelemetryIds says what each one
   // times), registered before any recording so their ids are dense and
   // stable. Always on: recording charges no virtual time, so cycle counts
@@ -76,22 +68,11 @@ Engine::Engine(const EngineConfig &Config)
   TelemIds.RestartLatency =
       Telem.histogram("supervisor_restart_latency_cycles");
   TelemIds.AdmissionWait = Telem.histogram("admission_queue_wait_cycles");
-  TelemetrySpec = Config.Telemetry;
-  if (TelemetrySpec.empty())
-    if (const char *Env = std::getenv("MULT_TELEMETRY"))
-      TelemetrySpec = Env;
-  Recovery::readEnvironment(Cfg);
-  if (const char *Env = std::getenv("MULT_RACE"))
-    Cfg.RaceDetect = !(Env[0] == '0' && Env[1] == '\0') &&
-                     std::string_view(Env) != "off";
-  TheTracer.setEnabled(Config.EnableTracing);
-  if (!Config.TraceSink.empty()) {
-    std::string Err;
-    if (!TheTracer.configureSink(Config.TraceSink, Err))
-      std::fprintf(stderr, "mult: ignoring TraceSink: %s\n", Err.c_str());
-  }
-  RaceDetectOn = Cfg.RaceDetect;
-  if (RaceDetectOn) {
+  TheTracer.setEnabled(Cfg.EnableTracing);
+  std::string Err;
+  if (!Cfg.TraceSink.empty() && !TheTracer.configureSink(Cfg.TraceSink, Err))
+    warnIgnored("TraceSink", Err);
+  if (Cfg.RaceDetect) {
     // The checker is a stream consumer, so tracing must be on; it
     // observes events before sink buffering, so even a small ring sink
     // leaves it complete. Charges no virtual time: cycle counts match
@@ -103,28 +84,14 @@ Engine::Engine(const EngineConfig &Config)
   bootstrap();
   // Arm faults only after the prelude is in: a plan that fired during
   // bootstrap would make every run start from a poisoned image.
-  std::string FaultSpec = Config.Faults;
-  if (FaultSpec.empty())
-    if (const char *Env = std::getenv("MULT_FAULTS"))
-      FaultSpec = Env;
-  if (!FaultSpec.empty()) {
-    std::string Err;
-    if (!configureFaults(FaultSpec, Err))
-      std::fprintf(stderr, "mult: ignoring MULT_FAULTS: %s\n", Err.c_str());
-  }
+  if (!Cfg.Faults.empty() && !configureFaults(Cfg.Faults, Err))
+    warnIgnored("MULT_FAULTS", Err);
   // Site policies name program sites, so sites interned at bootstrap are
   // unaffected (the prelude spawns no futures); load after bootstrap to
   // mirror the fault plan's lifecycle.
-  std::string PolicyPath = Config.SitePolicies;
-  if (PolicyPath.empty())
-    if (const char *Env = std::getenv("MULT_SITE_POLICIES"))
-      PolicyPath = Env;
-  if (!PolicyPath.empty()) {
-    std::string Err;
-    if (!SitePolicyTab.loadFile(PolicyPath, Err))
-      std::fprintf(stderr, "mult: ignoring MULT_SITE_POLICIES: %s\n",
-                   Err.c_str());
-  }
+  if (!Cfg.SitePolicies.empty() &&
+      !SitePolicyTab.loadFile(Cfg.SitePolicies, Err))
+    warnIgnored("MULT_SITE_POLICIES", Err);
   // Tenant fault domains arm after bootstrap like the fault plan, so the
   // prelude's internal groups are never metered.
   Tenancy::armFromConfig(*this);
@@ -245,9 +212,9 @@ void Engine::noteFault(Processor &P, FaultKind Kind, uint64_t Detail) {
 }
 
 Engine::~Engine() {
-  if (!TelemetrySpec.empty()) {
+  if (!Cfg.Telemetry.empty()) {
     std::string Err;
-    if (!exportTelemetrySpec(Telem, TelemetrySpec, Err))
+    if (!exportTelemetrySpec(Telem, Cfg.Telemetry, Err))
       std::fprintf(stderr, "mult: telemetry export failed: %s\n",
                    Err.c_str());
   }
@@ -441,7 +408,7 @@ Object *Engine::tryAlloc(Processor &P, TypeTag Tag, uint32_t SizeWords,
       TheHeap.allocate(P.Id, P.Clock, Tag, SizeWords, Flags, Owner);
   Cycles += R.Cycles;
   if (Owner && R.Obj)
-    Ten->chargeAlloc(P.Id, Owner, R.Obj->totalWords());
+    Ten->chargeAlloc(Owner, R.Obj->totalWords());
   return R.Obj;
 }
 
@@ -971,15 +938,13 @@ EvalResult Engine::evalDatum(Value Form, std::string_view Banner) {
 
 EvalResult Engine::eval(std::string_view Source) {
   Reader Rd(Builder, Source);
-  std::string Err;
+  EvalResult R;
   std::vector<Value> Forms = [&] {
     HostPhaseTimer HostRead(Telem, Telemetry::Phase::Read);
-    return Rd.readAll(Err);
+    return Rd.readAll(R.Error, &R.Incomplete);
   }();
-  if (!Err.empty()) {
-    EvalResult R;
+  if (!R.Error.empty()) {
     R.K = EvalResult::Kind::ReadError;
-    R.Error = Err;
     return R;
   }
   TheCompiler.prescanDefines(Forms);

@@ -25,6 +25,7 @@
 #define MULT_CORE_ENGINE_H
 
 #include "compiler/CodeGen.h"
+#include "core/Config.h"
 #include "core/Group.h"
 #include "core/Recovery.h"
 #include "core/SitePolicies.h"
@@ -55,129 +56,6 @@ class RaceDetector;
 class Tenancy;
 struct DecodedCode;
 
-/// Construction-time configuration of a simulated Mul-T machine.
-struct EngineConfig {
-  /// Number of virtual processors (the Multimax had up to 20).
-  unsigned NumProcessors = 1;
-  /// The inlining threshold T of paper section 3: a processor evaluates a
-  /// future inline when its queues already hold >= T tasks. nullopt means
-  /// T = infinity (never inline); 0 means always inline.
-  std::optional<unsigned> InlineThreshold;
-  /// Lazy futures (paper section 3's proposed mechanism): provisionally
-  /// inline every future; idle processors may retroactively split the
-  /// parent off as a real task.
-  bool LazyFutures = false;
-  /// Adaptive inlining threshold (sched/Adaptive.h): each processor
-  /// re-tunes its own T in fixed virtual-time windows from its steal
-  /// activity and queue backlog. InlineThreshold (when set and finite)
-  /// seeds the starting T; with this off the static threshold applies
-  /// unchanged. Deterministic: same seed, same schedule.
-  bool AdaptiveInline = false;
-  /// Adaptation window length in per-processor virtual cycles.
-  uint64_t AdaptiveWindowCycles = 4096;
-  /// Bounds the adaptive T may move within, and the vote count needed
-  /// before it moves (see AdaptiveTConfig).
-  unsigned AdaptiveMinT = 0;
-  unsigned AdaptiveMaxT = 16;
-  unsigned AdaptiveHysteresis = 2;
-  /// Path to a site-policy file (core/SitePolicies.h): per-future-site
-  /// eager/inline/lazy decisions, typically emitted by the critical-path
-  /// profiler (`:profile FILE`). Empty falls back to the
-  /// MULT_SITE_POLICIES environment variable; load errors are reported to
-  /// stderr at construction and the table stays empty.
-  std::string SitePolicies;
-  /// Compile implicit touches for strict operations. false = "T3 mode",
-  /// the sequential baseline of Table 2.
-  bool EmitTouchChecks = true;
-  /// Run the first-order type analysis that removes redundant touches.
-  bool OptimizeTouches = true;
-  /// Compile known primitive names to open-coded/called primitives.
-  bool IntegratePrims = true;
-
-  size_t HeapWords = size_t(1) << 22;
-  size_t ChunkWords = 4096;
-  size_t LargeObjectWords = 512;
-  /// Per-task stack limit, enforced by the procedure-entry check.
-  size_t MaxStackWords = size_t(1) << 20;
-
-  uint64_t RandomSeed = 0x4d756c54; // "MulT"
-  /// Timeslice granularity of the virtual-time interleaving.
-  uint64_t QuantumCycles = 64;
-  /// Safety net against runaway programs; ~0 = unlimited. Exceeding it
-  /// abandons the run with EvalResult::Kind::CycleLimit.
-  uint64_t MaxRunCycles = ~uint64_t(0);
-  /// Per-run cycle *budget* for the watchdog: unlike MaxRunCycles (which
-  /// abandons the run), exceeding MaxCycles stops the running group with a
-  /// `cycle-budget-exhausted` condition — breakloop-inspectable, resumable
-  /// (with a fresh budget) or killable. ~0 = unlimited.
-  uint64_t MaxCycles = ~uint64_t(0);
-  StealOrder StealPolicy = StealOrder::Lifo;
-  /// Load the Lisp prelude at construction (tests may disable).
-  bool LoadPrelude = true;
-  /// Record the virtual-time event trace (src/obs). Costs no virtual time
-  /// either way; off by default so benches pay nothing. Can also be
-  /// toggled at run time via Engine::tracer().setEnabled.
-  bool EnableTracing = false;
-  /// Trace sink spec: "" / "unbounded", "ring:N", or "stream[:PATH]"
-  /// (see Tracer::configureSink). Malformed specs are reported to stderr
-  /// at construction and the default unbounded sink is kept.
-  std::string TraceSink;
-  /// Deterministic fault-plan spec (see FaultPlan.h for the grammar).
-  /// Empty falls back to the MULT_FAULTS environment variable; malformed
-  /// specs are reported to stderr at construction and ignored. The plan
-  /// arms after bootstrap, so the prelude always loads cleanly.
-  std::string Faults;
-  /// Lineage-based task recovery after a proc-kill fault: lost futures
-  /// with no observed side effects are re-spawned on survivors. When off
-  /// (MULT_RECOVERY=0), every task lost to a fail-stop is orphaned and
-  /// its group stops with a `processor-lost` condition. Irrelevant when
-  /// no proc-kill clause ever fires.
-  bool Recovery = true;
-  /// Checkpointed recovery interval (MULT_CHECKPOINT): when nonzero, a
-  /// task that has executed this many busy cycles since its last capture
-  /// is snapshotted at its next quantum boundary (if it owns its whole
-  /// stack — no live seams), and a proc-kill restores it from the newest
-  /// snapshot instead of re-running it from its spawn. Bounds the
-  /// per-task recovery charge to CheckpointEvery + QuantumCycles.
-  /// 0 = off (PR 5 spawn-replay semantics, bit-identical).
-  uint64_t CheckpointEvery = 0;
-  /// Telemetry export spec, "json:PATH": when the engine is destroyed it
-  /// appends its whole registry to PATH as one JSON object on one line
-  /// (exportJson in obs/Telemetry.h), so engines sharing a path leave one
-  /// record each. Empty falls back to the MULT_TELEMETRY environment
-  /// variable; empty both ways means no export (the registry still
-  /// records -- recording is always on and costs no virtual time).
-  std::string Telemetry;
-  /// Determinacy-race detection (src/analysis, MULT_RACE): instrument
-  /// box/vector/dynamic-env accesses with trace events and run the online
-  /// SP-relation checker against the stream. Forces tracing on (the
-  /// detector is a stream consumer) but charges no virtual time, so cycle
-  /// counts are bit-identical either way; when off, every instrumentation
-  /// site is a single dormant bool test.
-  bool RaceDetect = false;
-
-  /// \name Tenant fault domains (core/Tenancy.h; DESIGN.md "Tenant fault
-  /// domains"). All dormant (bit-identical schedules) unless one of these
-  /// fields, MULT_QUOTA / MULT_SUPERVISE, `:quota` / `:supervise`, a
-  /// quota-squeeze fault clause, or an evalGroups launch arms the layer.
-  /// @{
-  /// Default per-group live-words heap quota applied to every new
-  /// non-internal group; 0 = unlimited.
-  uint64_t GroupHeapQuotaWords = 0;
-  /// Default per-group busy-cycle budget; 0 = unlimited.
-  uint64_t GroupCycleBudget = 0;
-  /// Admission gate for evalGroups launches: at most this many launched
-  /// groups run concurrently (0 = unlimited); the next MaxQueuedGroups
-  /// wait in deterministic FIFO order, the rest are rejected outright.
-  unsigned MaxLiveGroups = 0;
-  unsigned MaxQueuedGroups = 0;
-  /// Default supervision policy spec ("one-shot" | "escalate" |
-  /// "restart[:max=N,backoff=B]"). Empty falls back to MULT_SUPERVISE;
-  /// empty both ways leaves the supervisor off.
-  std::string Supervise;
-  /// @}
-};
-
 /// Result of Engine::eval and friends.
 struct EvalResult {
   enum class Kind : uint8_t {
@@ -192,6 +70,9 @@ struct EvalResult {
   Kind K = Kind::Value;
   Value Val = Value::unspecified();
   std::string Error;
+  /// A ReadError because the source ended inside a form: more text could
+  /// complete it (the REPL then reads another line).
+  bool Incomplete = false;
   GroupId StoppedGroup = InvalidGroup;
   /// Heap occupancy at the point of failure; meaningful for
   /// HeapExhausted (zeroed otherwise).
@@ -425,7 +306,7 @@ public:
   /// \name Determinacy-race detection (src/analysis)
   /// @{
   /// True when EngineConfig::RaceDetect / MULT_RACE armed the detector.
-  bool raceDetectEnabled() const { return RaceDetectOn; }
+  bool raceDetectEnabled() const { return Cfg.RaceDetect; }
   /// The online checker attached to the tracer; null when detection is
   /// off.
   RaceDetector *raceDetector() { return RaceDet.get(); }
@@ -438,7 +319,7 @@ public:
   /// time; a single dormant bool test when detection is off.
   void recordAccess(Processor &P, const Task &T, const Object *Cell,
                     uint32_t Slot, bool IsWrite) {
-    if (!RaceDetectOn)
+    if (!Cfg.RaceDetect)
       return;
     recordAccessSlow(P, T, Cell, Slot, IsWrite);
   }
@@ -548,18 +429,15 @@ private:
   std::unique_ptr<Tenancy> Ten;
   friend class Tenancy;
 
-  // Always-on latency telemetry. TelemetrySpec is the resolved export
-  // destination (config or MULT_TELEMETRY), written by the destructor.
-  // SiteTouchHists maps future-site ids to their labeled touch-wait
-  // child histograms, registered on a site's first blocked touch.
+  // Always-on latency telemetry. SiteTouchHists maps future-site ids to
+  // their labeled touch-wait child histograms, registered on a site's
+  // first blocked touch.
   Telemetry Telem;
   TelemetryIds TelemIds;
   std::vector<Telemetry::Id> SiteTouchHists;
-  std::string TelemetrySpec;
 
   // Determinacy-race detection (null/empty unless RaceDetect is on).
   std::unique_ptr<RaceDetector> RaceDet;
-  bool RaceDetectOn = false;
   std::unordered_map<const Object *, uint64_t> CellSerials;
   uint64_t CellSerialCounter = 0;
 

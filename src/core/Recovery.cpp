@@ -14,27 +14,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 using namespace mult;
-
-void Recovery::readEnvironment(EngineConfig &Cfg) {
-  if (const char *Env = std::getenv("MULT_RECOVERY"))
-    Cfg.Recovery = !(Env[0] == '0' && Env[1] == '\0') &&
-                   std::string_view(Env) != "off";
-  if (const char *Env = std::getenv("MULT_CHECKPOINT")) {
-    // A cycle interval; 0 or "off" disarms. Malformed values are ignored.
-    uint64_t V;
-    if (std::string_view(Env) == "off")
-      Cfg.CheckpointEvery = 0;
-    else if (parseU64(Env, V))
-      Cfg.CheckpointEvery = V;
-    else
-      std::fprintf(stderr, "mult: ignoring MULT_CHECKPOINT: '%s' is not a "
-                           "cycle count\n",
-                   Env);
-  }
-}
 
 namespace {
 

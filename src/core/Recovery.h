@@ -20,15 +20,11 @@ namespace mult {
 class Engine;
 class Task;
 struct CheckpointRecord;
-struct EngineConfig;
 struct Processor;
 
 class Recovery {
 public:
   explicit Recovery(Engine &E) : E(E) {}
-
-  /// Applies MULT_RECOVERY and MULT_CHECKPOINT to \p Cfg.
-  static void readEnvironment(EngineConfig &Cfg);
 
   /// Fail-stop recovery for a just-killed processor \p Dead, observed by
   /// live \p P: restores or re-spawns every recoverable lost task onto

@@ -14,8 +14,6 @@
 #include "support/StrUtil.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace mult;
 
@@ -28,7 +26,7 @@ bool quotaConfigured(const EngineConfig &C) {
 
 } // namespace
 
-Tenancy::Tenancy(Engine &E) : E(E), QuotaShards(E.Cfg.NumProcessors) {}
+Tenancy::Tenancy(Engine &E) : E(E) {}
 
 Tenancy &Tenancy::arm(Engine &E) {
   if (!E.Ten)
@@ -40,35 +38,17 @@ Tenancy &Tenancy::arm(Engine &E) {
 void Tenancy::armFromConfig(Engine &E) {
   if (quotaConfigured(E.Cfg))
     arm(E);
-  if (const char *Env = std::getenv("MULT_QUOTA")) {
-    std::string Err;
-    if (!configureQuota(E, Env, Err))
-      std::fprintf(stderr, "mult: ignoring MULT_QUOTA: %s\n", Err.c_str());
-  }
-  std::string SuperSpec = E.Cfg.Supervise;
-  if (SuperSpec.empty())
-    if (const char *Env = std::getenv("MULT_SUPERVISE"))
-      SuperSpec = Env;
-  if (!SuperSpec.empty()) {
-    std::string Err;
-    if (!configureSupervisor(E, SuperSpec, Err))
-      std::fprintf(stderr, "mult: ignoring MULT_SUPERVISE: %s\n", Err.c_str());
-  }
+  std::string Err;
+  if (!E.Cfg.Supervise.empty() &&
+      !configureSupervisor(E, E.Cfg.Supervise, Err))
+    warnIgnored("MULT_SUPERVISE", Err);
 }
 
-bool Tenancy::configureQuota(Engine &E, std::string_view Spec,
-                             std::string &Err) {
-  EngineConfig &Cfg = E.Cfg;
+bool Tenancy::parseQuota(std::string_view Spec, EngineConfig &Cfg,
+                         std::string &Err) {
   std::string_view S = trim(Spec);
-  if (S == "off") {
-    Cfg.GroupHeapQuotaWords = 0;
-    Cfg.GroupCycleBudget = 0;
-    Cfg.MaxLiveGroups = 0;
-    Cfg.MaxQueuedGroups = 0;
-    if (E.Ten && !E.Ten->Supervising)
-      E.Ten.reset();
-    return true;
-  }
+  if (S == "off")
+    S = "heap=0;cycles=0;live=0;queue=0";
   // heap, cycles, live, queue: the gate sizes are capped at 100000.
   uint64_t Vals[] = {Cfg.GroupHeapQuotaWords, Cfg.GroupCycleBudget,
                      Cfg.MaxLiveGroups, Cfg.MaxQueuedGroups};
@@ -100,7 +80,17 @@ bool Tenancy::configureQuota(Engine &E, std::string_view Spec,
   Cfg.GroupCycleBudget = Vals[1];
   Cfg.MaxLiveGroups = unsigned(Vals[2]);
   Cfg.MaxQueuedGroups = unsigned(Vals[3]);
-  arm(E);
+  return true;
+}
+
+bool Tenancy::configureQuota(Engine &E, std::string_view Spec,
+                             std::string &Err) {
+  if (!parseQuota(Spec, E.Cfg, Err))
+    return false;
+  if (trim(Spec) != "off")
+    arm(E);
+  else if (E.Ten && !E.Ten->Supervising)
+    E.Ten.reset();
   return true;
 }
 
@@ -188,11 +178,7 @@ uint64_t Tenancy::heapAccount(GroupId Id) const {
   if (Id >= Envelopes.size())
     return 0;
   const Envelope &V = Envelopes[Id];
-  uint64_t Acct = V.LiveWords + V.AllocWords;
-  for (const std::vector<uint64_t> &Shard : QuotaShards)
-    if (Id < Shard.size())
-      Acct += Shard[Id];
-  return Acct;
+  return V.LiveWords + V.AllocWords;
 }
 
 GroupId Tenancy::largestHeapGroup(uint64_t &Words) const {
@@ -230,22 +216,6 @@ uint16_t Tenancy::allocOwner(const Processor &P) const {
   return static_cast<uint16_t>(Gid + 1);
 }
 
-void Tenancy::chargeAlloc(unsigned Proc, uint16_t Owner, uint64_t Words) {
-  // Perfbook-style sharded charge: a private per-processor counter bump,
-  // flushed to the group at a coarse threshold and exact-merged from the
-  // survivor tally at every collection.
-  std::vector<uint64_t> &Shard = QuotaShards[Proc];
-  if (Shard.size() < E.Groups.size())
-    Shard.resize(E.Groups.size(), 0);
-  uint64_t &S = Shard[Owner - 1];
-  S += Words;
-  constexpr uint64_t kQuotaShardFlush = 1024;
-  if (S >= kQuotaShardFlush) {
-    envelope(Owner - 1).AllocWords += S;
-    S = 0;
-  }
-}
-
 void Tenancy::beginTally() { LiveTally.assign(E.Groups.size(), 0); }
 
 void Tenancy::noteLive(uint16_t Owner, uint32_t Words) {
@@ -265,8 +235,6 @@ void Tenancy::commitTally() {
     if (!V.HeapQuotaWords || V.LiveWords <= V.HeapQuotaWords)
       V.QuotaGraceUsed = false;
   }
-  for (std::vector<uint64_t> &Shard : QuotaShards)
-    std::fill(Shard.begin(), Shard.end(), 0);
 }
 
 void Tenancy::chargeCycles(const Task &T, uint64_t BusyDelta) {
@@ -603,8 +571,7 @@ Tenancy::runLaunches(const std::vector<GroupLaunch> &Sources) {
         Super.setGroupPolicy(Gid, Pol);
         Supervising = true;
       } else {
-        std::fprintf(stderr, "mult: ignoring launch policy: %s\n",
-                     PErr.c_str());
+        warnIgnored("launch policy", PErr);
       }
     }
 

@@ -29,6 +29,7 @@ namespace mult {
 class Engine;
 class Object;
 class Task;
+struct EngineConfig;
 struct EvalResult;
 struct Group;
 struct GroupLaunch;
@@ -39,12 +40,12 @@ public:
   /// One group's resource envelope and its accounts.
   struct Envelope {
     /// Live-words heap quota; 0 = unlimited. Charged against it: LiveWords
-    /// (exact at the last collection) + AllocWords + unflushed shards.
+    /// (exact at the last collection) + AllocWords.
     uint64_t HeapQuotaWords = 0;
     uint64_t CycleBudget = 0; ///< busy-cycle budget; 0 = unlimited
     uint64_t CyclesUsed = 0;  ///< busy cycles since launch or last restart
     uint64_t LiveWords = 0;
-    uint64_t AllocWords = 0; ///< flushed shard words allocated since
+    uint64_t AllocWords = 0; ///< words allocated since the last collection
     int Priority = 0;        ///< load-shedding priority; lower sheds first
     /// One free collection is granted when the account first exceeds the
     /// quota, so garbage never trips it; cleared once back under.
@@ -54,8 +55,12 @@ public:
   explicit Tenancy(Engine &E);
 
   // Arming: Engine's entry points, and the two fault marks.
-  /// From EngineConfig, MULT_QUOTA and MULT_SUPERVISE, after bootstrap.
+  /// From EngineConfig, after bootstrap.
   static void armFromConfig(Engine &E);
+  /// Applies a quota spec (Engine::configureQuota's grammar) to \p Cfg's
+  /// four quota fields. False (and \p Err) on a malformed spec.
+  static bool parseQuota(std::string_view Spec, EngineConfig &Cfg,
+                         std::string &Err);
   static bool configureQuota(Engine &E, std::string_view Spec,
                              std::string &Err);
   static bool configureSupervisor(Engine &E, std::string_view Spec,
@@ -71,7 +76,7 @@ public:
   bool supervising() const { return Supervising; }
   Supervisor &supervisor() { return Super; }
   Envelope &envelope(GroupId Id);
-  /// LiveWords + AllocWords + unflushed shards: an upper bound on live.
+  /// LiveWords + AllocWords: an upper bound on live.
   uint64_t heapAccount(GroupId Id) const;
   /// The live or stopped group holding the most heap words, for
   /// heap-exhausted attribution (\p Words receives its account).
@@ -81,7 +86,9 @@ public:
   void onGroupCreated(const Group &G);
   /// The header owner tag for an allocation by \p P (0 = unmetered).
   uint16_t allocOwner(const Processor &P) const;
-  void chargeAlloc(unsigned Proc, uint16_t Owner, uint64_t Words);
+  void chargeAlloc(uint16_t Owner, uint64_t Words) {
+    envelope(Owner - 1).AllocWords += Words;
+  }
   void beginTally();
   void noteLive(uint16_t Owner, uint32_t Words);
   void commitTally();
@@ -127,9 +134,6 @@ private:
   /// Held only for an envelope-less evalGroups run: dropped at its end.
   bool Transient = false;
   std::vector<Envelope> Envelopes; ///< by group id
-  /// Perfbook-style sharded allocation counters, [processor][group]:
-  /// private bumps, exact-merged (and zeroed) at every collection.
-  std::vector<std::vector<uint64_t>> QuotaShards;
   std::vector<uint64_t> LiveTally; ///< by the running collection
 
   /// Multi-group run state, kept only inside evalGroups.

@@ -26,6 +26,8 @@
 #include "support/StrUtil.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <unistd.h>
 
@@ -62,8 +64,11 @@ void Tracer::recordSlow(const TraceEvent &E) {
     ++Dropped;
     return;
   case TraceSinkMode::Stream:
-    if (StreamFile && std::fwrite(&E, sizeof(TraceEvent), 1, StreamFile) != 1)
-      ++Dropped; // Disk full / IO error: count it, keep running.
+    // After a write error nothing more is written: the event is dropped.
+    if (!StreamError.empty())
+      ++Dropped;
+    else if (std::fwrite(&E, sizeof(TraceEvent), 1, StreamFile) != 1)
+      failStream();
     return;
   }
 }
@@ -87,11 +92,13 @@ void Tracer::clear() {
   Dropped = 0;
   if (Mode == TraceSinkMode::Stream && StreamFile) {
     // Rewind so the file describes only the next run.
-    std::fflush(StreamFile);
-    if (::ftruncate(fileno(StreamFile), 0) == 0) {
-      std::fseek(StreamFile, 0, SEEK_SET);
+    StreamSynced = 0;
+    if (std::fflush(StreamFile) != 0 ||
+        ::ftruncate(fileno(StreamFile), 0) != 0 ||
+        std::fseek(StreamFile, 0, SEEK_SET) != 0)
+      failStream();
+    else if (StreamError.empty())
       writeStreamHeader();
-    }
   }
   // Mode, RingCap, the site table and the resolve-serial counter survive:
   // sites describe the loaded program, and reusing a serial would let a
@@ -138,39 +145,58 @@ bool Tracer::openStream(const std::string &Path) {
   Dropped = 0;
   StreamFile = F;
   StreamPath = Path;
+  StreamError.clear();
+  StreamSynced = 0;
   writeStreamHeader();
   return true;
 }
 
-void Tracer::writeStreamHeader() {
-  if (!StreamFile)
+void Tracer::failStream() {
+  if (!StreamError.empty())
     return;
+  StreamError = "cannot write " + StreamPath + ": " + std::strerror(errno);
+  // Events after the last confirmed flush may be lost with the stdio
+  // buffer, so they count as dropped.
+  Dropped = Emitted - StreamSynced;
+}
+
+void Tracer::writeStreamHeader() {
   uint32_t Size = static_cast<uint32_t>(sizeof(TraceEvent));
   uint32_t Reserved = 0;
   uint64_t Counts[2] = {Emitted, Dropped};
-  std::fwrite(StreamMagic, 1, 4, StreamFile);
-  std::fwrite(&StreamVersion, sizeof(uint32_t), 1, StreamFile);
-  std::fwrite(&Size, sizeof(uint32_t), 1, StreamFile);
-  std::fwrite(&Reserved, sizeof(uint32_t), 1, StreamFile);
-  std::fwrite(Counts, sizeof(uint64_t), 2, StreamFile);
+  if (std::fwrite(StreamMagic, 1, 4, StreamFile) != 4 ||
+      std::fwrite(&StreamVersion, sizeof(uint32_t), 1, StreamFile) != 1 ||
+      std::fwrite(&Size, sizeof(uint32_t), 1, StreamFile) != 1 ||
+      std::fwrite(&Reserved, sizeof(uint32_t), 1, StreamFile) != 1 ||
+      std::fwrite(Counts, sizeof(uint64_t), 2, StreamFile) != 2)
+    failStream();
 }
 
 void Tracer::flushStream() {
-  if (Mode != TraceSinkMode::Stream || !StreamFile)
+  if (Mode != TraceSinkMode::Stream || !StreamFile || !StreamError.empty())
     return;
+  if (std::fflush(StreamFile) != 0 || std::ferror(StreamFile))
+    return failStream();
+  StreamSynced = Emitted;
   long End = std::ftell(StreamFile);
-  std::fseek(StreamFile, StreamCountersOffset, SEEK_SET);
   uint64_t Counts[2] = {Emitted, Dropped};
-  std::fwrite(Counts, sizeof(uint64_t), 2, StreamFile);
-  std::fseek(StreamFile, End, SEEK_SET);
-  std::fflush(StreamFile);
+  if (End < 0 || std::fseek(StreamFile, StreamCountersOffset, SEEK_SET) != 0 ||
+      std::fwrite(Counts, sizeof(uint64_t), 2, StreamFile) != 2 ||
+      std::fseek(StreamFile, End, SEEK_SET) != 0 ||
+      std::fflush(StreamFile) != 0)
+    failStream();
 }
 
 void Tracer::closeStreamFile() {
   if (!StreamFile)
     return;
+  bool Failed = !StreamError.empty();
   flushStream();
-  std::fclose(StreamFile);
+  if (std::fclose(StreamFile) != 0)
+    failStream();
+  // A failure first seen here has no later status report to show it.
+  if (!Failed && !StreamError.empty())
+    std::fprintf(stderr, "mult: %s\n", StreamError.c_str());
   StreamFile = nullptr;
   StreamPath.clear();
 }

@@ -232,6 +232,10 @@ public:
   TraceSinkMode mode() const { return Mode; }
   size_t ringCapacity() const { return RingCap; }
   const std::string &streamPath() const { return StreamPath; }
+  /// "cannot write PATH: <reason>" once a stream write failed; the events
+  /// the failure lost count as dropped and nothing more is written. Empty
+  /// while the stream is healthy.
+  const std::string &streamError() const { return StreamError; }
   void setUnbounded();
   /// Keep only the most recent \p N events (N >= 1).
   void setRingCapacity(size_t N);
@@ -265,6 +269,7 @@ private:
   void notifyObserver(const TraceEvent &E);
   void closeStreamFile();
   void writeStreamHeader();
+  void failStream();
 
   TraceObserver *Observer = nullptr;
 
@@ -278,6 +283,8 @@ private:
 
   std::FILE *StreamFile = nullptr;
   std::string StreamPath;
+  std::string StreamError;
+  uint64_t StreamSynced = 0; ///< events confirmed on file by a flush
 
   uint64_t ResolveSerialCounter = 0;
   std::map<std::pair<const void *, uint32_t>, uint32_t> SiteIds;

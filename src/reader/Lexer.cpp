@@ -92,9 +92,9 @@ Token Lexer::next() {
   return lexOne();
 }
 
-Token Lexer::makeError(std::string Msg) {
+Token Lexer::makeError(std::string Msg, TokKind Kind) {
   Token T;
-  T.Kind = TokKind::Error;
+  T.Kind = Kind;
   T.Text = std::move(Msg);
   T.Line = Line;
   T.Column = Column;
@@ -156,13 +156,14 @@ Token Lexer::lexString() {
   std::string Body;
   while (true) {
     if (atEnd())
-      return makeError("unterminated string literal");
+      return makeError("unterminated string literal", TokKind::Unterminated);
     char C = advance();
     if (C == '"')
       break;
     if (C == '\\') {
       if (atEnd())
-        return makeError("unterminated escape in string literal");
+        return makeError("unterminated escape in string literal",
+                         TokKind::Unterminated);
       char E = advance();
       switch (E) {
       case 'n':

@@ -33,6 +33,7 @@ enum class TokKind {
   True,      ///< #t
   False,     ///< #f
   Error,
+  Unterminated, ///< the source ended inside a string literal
 };
 
 /// One token, with source position for diagnostics.
@@ -68,7 +69,7 @@ private:
   Token lexString();
   Token lexHash();
   Token lexAtom();
-  Token makeError(std::string Msg);
+  Token makeError(std::string Msg, TokKind Kind = TokKind::Error);
 
   bool atEnd() const { return Pos >= Src.size(); }
   char cur() const { return Src[Pos]; }

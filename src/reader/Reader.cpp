@@ -11,9 +11,10 @@
 
 using namespace mult;
 
-ReadResult Reader::err(const Token &At, std::string Msg) {
+ReadResult Reader::err(const Token &At, std::string Msg,
+                       ReadResult::Status S) {
   ReadResult R;
-  R.S = ReadResult::Status::Error;
+  R.S = S;
   R.Error = strFormat("read error at %u:%u: %s", At.Line, At.Column,
                       Msg.c_str());
   return R;
@@ -21,7 +22,7 @@ ReadResult Reader::err(const Token &At, std::string Msg) {
 
 ReadResult Reader::read() { return readDatum(); }
 
-std::vector<Value> Reader::readAll(std::string &Error) {
+std::vector<Value> Reader::readAll(std::string &Error, bool *Incomplete) {
   std::vector<Value> Out;
   for (;;) {
     ReadResult R = readDatum();
@@ -29,6 +30,8 @@ std::vector<Value> Reader::readAll(std::string &Error) {
       return Out;
     if (R.error()) {
       Error = R.Error;
+      if (Incomplete)
+        *Incomplete = R.incomplete();
       return {};
     }
     Out.push_back(R.Datum);
@@ -44,6 +47,8 @@ ReadResult Reader::readDatum() {
     return R;
   case TokKind::Error:
     return err(T, T.Text);
+  case TokKind::Unterminated:
+    return incomplete(T, T.Text);
   case TokKind::LParen:
     return readList();
   case TokKind::RParen:
@@ -100,7 +105,7 @@ ReadResult Reader::readList() {
   for (;;) {
     const Token &P = Lex.peek();
     if (P.Kind == TokKind::Eof)
-      return err(P, "unterminated list");
+      return incomplete(P, "unterminated list");
     if (P.Kind == TokKind::Error)
       return err(P, P.Text);
     if (P.Kind == TokKind::RParen) {
@@ -113,9 +118,12 @@ ReadResult Reader::readList() {
         return err(DotTok, "'.' at start of list");
       ReadResult TailR = readDatum();
       if (!TailR.ok())
-        return TailR.eof() ? err(DotTok, "missing datum after '.'") : TailR;
+        return TailR.eof() ? incomplete(DotTok, "missing datum after '.'")
+                           : TailR;
       Tail = TailR.Datum;
       Token Close = Lex.next();
+      if (Close.Kind == TokKind::Eof)
+        return incomplete(Close, "unterminated list");
       if (Close.Kind != TokKind::RParen)
         return err(Close, "expected ')' after dotted tail");
       break;
@@ -140,7 +148,7 @@ ReadResult Reader::readVector() {
   for (;;) {
     const Token &P = Lex.peek();
     if (P.Kind == TokKind::Eof)
-      return err(P, "unterminated vector");
+      return incomplete(P, "unterminated vector");
     if (P.Kind == TokKind::RParen) {
       Lex.next();
       break;
@@ -161,7 +169,7 @@ ReadResult Reader::readAbbrev(const char *SymbolName) {
   if (!Inner.ok()) {
     if (Inner.eof()) {
       ReadResult R;
-      R.S = ReadResult::Status::Error;
+      R.S = ReadResult::Status::Incomplete;
       R.Error = strFormat("read error: missing datum after %s abbreviation",
                           SymbolName);
       return R;

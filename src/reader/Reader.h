@@ -22,13 +22,16 @@ namespace mult {
 
 /// Result of a single read.
 struct ReadResult {
-  enum class Status { Ok, Eof, Error } S = Status::Eof;
+  /// Incomplete is the error of a source that ended inside a list,
+  /// vector, string or quote abbreviation: more text could complete it.
+  enum class Status { Ok, Eof, Error, Incomplete } S = Status::Eof;
   Value Datum;
-  std::string Error; ///< Message with line/column, when S == Error.
+  std::string Error; ///< Message with line/column, when error().
 
   bool ok() const { return S == Status::Ok; }
   bool eof() const { return S == Status::Eof; }
-  bool error() const { return S == Status::Error; }
+  bool error() const { return S == Status::Error || incomplete(); }
+  bool incomplete() const { return S == Status::Incomplete; }
 };
 
 /// Streaming reader over one source buffer.
@@ -40,16 +43,21 @@ public:
   /// Reads the next datum.
   ReadResult read();
 
-  /// Reads every datum remaining; on error, \p Error receives the message
+  /// Reads every datum remaining; on error, \p Error receives the message,
+  /// \p Incomplete (when given) whether the error was Status::Incomplete,
   /// and an empty vector is returned.
-  std::vector<Value> readAll(std::string &Error);
+  std::vector<Value> readAll(std::string &Error, bool *Incomplete = nullptr);
 
 private:
   ReadResult readDatum();
   ReadResult readList();
   ReadResult readVector();
   ReadResult readAbbrev(const char *SymbolName);
-  ReadResult err(const Token &At, std::string Msg);
+  ReadResult err(const Token &At, std::string Msg,
+                 ReadResult::Status S = ReadResult::Status::Error);
+  ReadResult incomplete(const Token &At, std::string Msg) {
+    return err(At, std::move(Msg), ReadResult::Status::Incomplete);
+  }
 
   DatumBuilder &Builder;
   Lexer Lex;

@@ -355,9 +355,9 @@ private:
   size_t Queued = 0;
   unsigned Running = 0;
 
-  /// Idle parking, decided once per run: off while anything observes
-  /// individual probes or polls every iteration (tracing, race
-  /// detection, a fault plan, the tenant layer).
+  /// Idle parking, decided once per run: off while a fault plan (which
+  /// may fail any probe) or the tenant layer (which polls every
+  /// iteration) is armed. Traced and race-armed runs park too.
   bool ParkingAllowed = false;
   unsigned ParkedCount = 0;
   /// One empty sweep: busy cycles, steal probes, busy + idle-tick cycles.

@@ -22,6 +22,8 @@
 using namespace mult;
 
 std::string Repl::prompt() const {
+  if (!Pending.empty())
+    return "...> ";
   size_t Depth = E.stoppedGroups().size();
   if (Depth == 0)
     return "mul-t> ";
@@ -33,6 +35,12 @@ static std::string_view trimmed(std::string_view S) {
 }
 
 bool Repl::processLine(std::string_view Line) {
+  if (!Pending.empty()) {
+    Pending += '\n';
+    Pending += Line;
+    evalAndPrint(/*AtEnd=*/false);
+    return true;
+  }
   std::string_view L = trimmed(Line);
   if (L.empty())
     return true;
@@ -83,12 +91,21 @@ bool Repl::processLine(std::string_view Line) {
       Out << "unknown command " << L.substr(0, Space) << "; try :help\n";
     return true;
   }
-  evalAndPrint(L);
+  Pending = L;
+  evalAndPrint(/*AtEnd=*/false);
   return true;
 }
 
-void Repl::evalAndPrint(std::string_view Src) {
-  EvalResult R = E.eval(Src);
+void Repl::finish() {
+  if (!Pending.empty())
+    evalAndPrint(/*AtEnd=*/true);
+}
+
+void Repl::evalAndPrint(bool AtEnd) {
+  EvalResult R = E.eval(Pending);
+  if (R.Incomplete && !AtEnd)
+    return;
+  Pending.clear();
   Out << E.takeOutput();
   switch (R.K) {
   case EvalResult::Kind::Value:
@@ -126,37 +143,37 @@ void Repl::cmdHelp() {
          "  :stats           execution statistics and metrics report\n"
          "                   (latency percentiles are always on)\n"
          "  :histo [NAME]    latency histogram index, or one histogram's\n"
-         "                   full log2 buckets (e.g. :histo touch-wait);\n"
-         "                   MULT_TELEMETRY=json:PATH appends them all\n"
-         "                   to PATH at exit, one JSON line per engine\n"
+         "                   full log2 buckets (e.g. :histo touch-wait)\n"
          "  :procs           per-processor liveness, clocks and queue\n"
          "                   depths (dead = fail-stopped by proc-kill)\n"
          "  :races           determinacy races found so far (needs the\n"
-         "                   detector: MULT_RACE=1 or RaceDetect config)\n"
+         "                   detector: MULT_RACE=1)\n"
          "  :trace on|off    toggle the virtual-time event tracer\n"
          "  :trace ring:N|stream[:PATH]|unbounded\n"
          "                   choose the trace sink (stream writes binary\n"
          "                   events to PATH as they happen)\n"
          "  :trace FILE      write the trace as Chrome/Perfetto JSON\n"
-         "                   (benches do this per run into $MULT_TRACE_DIR)\n"
          "  :profile         critical-path profile of the last traced run\n"
          "                   (work, span, parallelism, per-future-site)\n"
          "  :profile FILE    derive per-future-site policies (eager/\n"
          "                   inline/lazy) from that profile and write them\n"
          "                   to FILE (next run: MULT_SITE_POLICIES=FILE)\n"
-         "  :faults [SPEC]   show, arm (SPEC, see DESIGN.md or\n"
-         "                   MULT_FAULTS), or disarm (:faults off) the\n"
-         "                   deterministic fault injector\n"
-         "  :quota [SPEC]    show, set (heap=WORDS;cycles=N;live=N;\n"
-         "                   queue=N, like MULT_QUOTA), or disarm\n"
-         "                   (:quota off) per-group resource quotas\n"
+         "  :faults [SPEC]   show, arm (SPEC, see DESIGN.md), or disarm\n"
+         "                   (:faults off) the deterministic fault injector\n"
+         "  :quota [SPEC]    show, set (SPEC as for MULT_QUOTA below), or\n"
+         "                   disarm (:quota off) per-group resource quotas\n"
          "  :supervise [POLICY]\n"
-         "                   show (config + decision transcript), set\n"
-         "                   (one-shot | escalate |\n"
-         "                   restart[:max=N,backoff=B], like\n"
-         "                   MULT_SUPERVISE), or disarm the supervisor\n"
+         "                   show (config + decision transcript), set (as\n"
+         "                   for MULT_SUPERVISE below), or disarm (off)\n"
          "  :exit            leave the REPL\n"
-         "anything else evaluates as a Mul-T expression (its own group)\n";
+         "anything else evaluates as a Mul-T expression (its own group);\n"
+         "a form may span lines\n"
+         "environment variables (a setting made in code wins):\n";
+#define MULT_HELP_VAR(Type, Field, Default, Var, Parse, Min, Max, Doc)       \
+  if (ConfigParse::Parse != ConfigParse::None)                                \
+    Out << strFormat("  %-19s %s\n", Var, Doc);
+  MULT_ENGINE_CONFIG(MULT_HELP_VAR)
+#undef MULT_HELP_VAR
 }
 
 void Repl::cmdGroups() {
@@ -466,9 +483,15 @@ void Repl::cmdTrace(std::string_view Arg) {
                        static_cast<unsigned long long>(Tr.dropped()));
       break;
     case TraceSinkMode::Stream:
-      Out << strFormat(" (streaming to %s: %llu emitted)\n",
+      Out << strFormat(" (streaming to %s: %llu emitted",
                        Tr.streamPath().c_str(),
                        static_cast<unsigned long long>(Tr.emitted()));
+      if (Tr.dropped())
+        Out << strFormat(", %llu dropped",
+                         static_cast<unsigned long long>(Tr.dropped()));
+      Out << ")\n";
+      if (!Tr.streamError().empty())
+        Out << ";; " << Tr.streamError() << '\n';
       break;
     }
     return;

@@ -20,6 +20,7 @@
 
 #include "core/Engine.h"
 
+#include <string>
 #include <string_view>
 
 namespace mult {
@@ -30,14 +31,20 @@ public:
   Repl(Engine &E, OutStream &Out) : E(E), Out(Out) {}
 
   /// Handles one input line. Returns false when the user asked to exit.
+  /// A line that leaves a form open is held until a later line completes
+  /// it; commands are recognised only outside an open form.
   bool processLine(std::string_view Line);
+  /// Ends the input: a form still open reports its read error.
+  void finish();
 
   /// The prompt reflecting breakloop depth: "mul-t>" at top level,
-  /// "mul-t[2]>" inside two stopped groups.
+  /// "mul-t[2]>" inside two stopped groups, "...>" inside an open form.
   std::string prompt() const;
 
 private:
-  void evalAndPrint(std::string_view Src);
+  /// Evaluates the held source and prints the result, unless the source
+  /// is an incomplete form and \p AtEnd is false.
+  void evalAndPrint(bool AtEnd);
   void cmdHelp();
   void cmdGroups();
   void cmdTasks(std::string_view Arg);
@@ -56,6 +63,7 @@ private:
 
   Engine &E;
   OutStream &Out;
+  std::string Pending; ///< source read so far of the current form
 };
 
 } // namespace mult

@@ -55,9 +55,11 @@ bool isClosureV(Value V) {
 /// of replicating `goto *handler` at the end of every handler is one
 /// branch-predictor entry per dispatch site, and those passes would merge
 /// the replicas back into a single indirect jump (one BTB entry for every
-/// opcode transition — a misprediction storm).
+/// opcode transition — a misprediction storm). The function starts on a
+/// cache line, so an unrelated change elsewhere in the library cannot
+/// shift where its handlers fall within lines.
 #if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("no-gcse", "no-crossjumping")))
+__attribute__((optimize("no-gcse", "no-crossjumping"), aligned(64)))
 #endif
 StepOutcome interpretThreaded(Engine *EP, Processor *PP, Task *TP,
                               uint64_t TargetClock, uint64_t Horizon,

@@ -270,6 +270,52 @@ TEST_F(ReplTest, ExitReturnsFalse) {
   EXPECT_TRUE(R.processLine("(+ 1 1)"));
 }
 
+TEST_F(ReplTest, FormsSpanLines) {
+  // The two-line fib of examples/repl.cpp's header comment.
+  EXPECT_EQ(line("(define (fib n) (if (< n 2) n (+ (future (fib (- n 1)))"),
+            "");
+  EXPECT_EQ(R.prompt(), "...> ");
+  EXPECT_EQ(line("                                        (fib (- n 2)))))"),
+            "#[unspecified]\n");
+  EXPECT_EQ(R.prompt(), "mul-t> ");
+  EXPECT_EQ(line("(fib 20)"), "6765\n");
+  // Inside an open form a leading ',' is unquote, not a command.
+  line("`(1");
+  EXPECT_EQ(line(",(+ 1 1))"), "(1 2)\n");
+  line("(string-length \"a");
+  EXPECT_EQ(line("b\")"), "3\n");
+}
+
+TEST_F(ReplTest, LongFormOnOneLine) {
+  // A 10,000-byte form: (+ 1 1 ... 1).
+  std::string Form = "(+";
+  while (Form.size() < 9999)
+    Form += " 1";
+  Form += ")";
+  ASSERT_GE(Form.size(), 10000u);
+  EXPECT_EQ(line(Form), std::to_string((Form.size() - 3) / 2) + "\n");
+}
+
+TEST_F(ReplTest, StrayCloseIsStillAnError) {
+  EXPECT_NE(line(")").find("unexpected ')'"), std::string::npos);
+  EXPECT_EQ(R.prompt(), "mul-t> ");
+  EXPECT_NE(line("(+ 1 2))").find("unexpected ')'"), std::string::npos);
+}
+
+TEST_F(ReplTest, EndOfInputInsideAFormReportsTheReadError) {
+  EXPECT_EQ(line("(list 1"), "");
+  EXPECT_EQ(line(" 2"), "");
+  Buf.clear();
+  R.finish();
+  EXPECT_NE(Buf.find(";; error: read error at 2:3: unterminated list"),
+            std::string::npos)
+      << Buf;
+  EXPECT_EQ(R.prompt(), "mul-t> ");
+  Buf.clear();
+  R.finish();
+  EXPECT_EQ(Buf, "") << "nothing held after the error";
+}
+
 TEST_F(ReplTest, StatsCommand) {
   line("(touch (future 1))");
   std::string S = line(":stats");

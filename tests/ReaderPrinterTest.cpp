@@ -95,6 +95,24 @@ TEST_F(ReaderTest, Errors) {
   readError("123456789012345678901234567890"); // fixnum overflow
 }
 
+TEST_F(ReaderTest, IncompleteIsApartFromSyntaxErrors) {
+  auto Status = [&](std::string_view Src) {
+    Reader R(B, Src);
+    return R.read().S;
+  };
+  using S = ReadResult::Status;
+  for (std::string_view Src : {"(1 2", "#(1", "\"abc", "'", "(a .", "(a . b",
+                               "(1 \"x\\"})
+    EXPECT_EQ(Status(Src), S::Incomplete) << Src;
+  for (std::string_view Src : {")", "(1 . 2 3)", "#q", "(. 1)"})
+    EXPECT_EQ(Status(Src), S::Error) << Src;
+  Reader R(B, "1 (2");
+  std::string Err;
+  bool Incomplete = false;
+  EXPECT_TRUE(R.readAll(Err, &Incomplete).empty());
+  EXPECT_TRUE(Incomplete) << Err;
+}
+
 TEST_F(ReaderTest, ErrorsCarryPositions) {
   std::string E = readError("(a\n b\n \"oops");
   EXPECT_NE(E.find("3:"), std::string::npos) << E;

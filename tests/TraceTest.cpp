@@ -328,6 +328,27 @@ TEST(TraceExportTest, ReplReportsAFailedTraceWrite) {
   EXPECT_EQ(Buf.find(";; wrote"), std::string::npos) << Buf;
 }
 
+TEST(TraceExportTest, FailedStreamWritesCountAsDropped) {
+  Engine E(tracedConfig(2));
+  std::string Buf;
+  StringOutStream Out(Buf);
+  Repl R(E, Out);
+  R.processLine(":trace stream:/dev/full");
+  R.processLine("(define (fib n) (if (< n 2) n "
+                "(+ (future (fib (- n 1))) (fib (- n 2)))))");
+  R.processLine("(fib 12)");
+  const Tracer &Tr = E.tracer();
+  // Far more than one stdio buffer of events, none of which reached the
+  // device.
+  ASSERT_GT(Tr.emitted(), 1000u);
+  EXPECT_EQ(Tr.dropped(), Tr.emitted());
+  EXPECT_EQ(Tr.recorded(), 0u);
+  R.processLine(":trace");
+  EXPECT_NE(Buf.find(";; cannot write /dev/full: "), std::string::npos)
+      << Buf;
+  EXPECT_NE(Buf.find(" dropped)"), std::string::npos) << Buf;
+}
+
 TEST(TraceSinkTest, SwitchingSinksStartsAFreshRecording) {
   // A sink switch discards the buffer, so it must also reset the
   // counters: a stream header claiming events recorded under the
